@@ -10,7 +10,7 @@ Four variants, all parameterized by the gamma shape j and mean tau:
   rates again match both moments exactly.
 * ``smoothed_regularized``: smoothed rates nudged by (eps, hbar) so they
   stay bounded and differentiable near integer j, trading a controlled
-  O(eps + hbar^2) variance error for non-stiff, optimizer-friendly chains.
+  O(eps + hbar^2) variance error for bounded, optimizer-friendly chains.
 """
 
 import math
@@ -69,7 +69,7 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class ApproxConfig:
-    """Regularization offsets and the stiffness guard threshold."""
+    """Regularization offsets and the stiffness diagnostic's threshold."""
 
     eps: float = 1e-3
     hbar: float = 1e-3
@@ -163,8 +163,8 @@ def regularized_smoothed(j, tau, cfg=None):
 
     The mean identity survives exactly (the eps terms cancel); the variance
     picks up an O(eps + hbar^2) error.  Rates stay bounded by about
-    2 j / (eps tau) near integer j, keeping the chain non-stiff and the
-    rates continuously differentiable in j on each open interval.
+    2 j / (eps tau) near integer j, which bounds the chain's stiffness and
+    keeps the rates continuously differentiable in j on each open interval.
     """
     _check_positive(j, tau)
     cfg = cfg or ApproxConfig()
@@ -195,8 +195,12 @@ def regularized_smoothed(j, tau, cfg=None):
 
 def stiffness_check(params, cfg=None):
     """True when the fastest stage rate exceeds the mean stage rate n/mean
-    by the configured factor; such chains need impractically small explicit
-    steps."""
+    by the configured factor.
+
+    Such chains would need impractically small explicit steps; the package's
+    ODE solver (LSODA) switches to implicit steps on them, so this is a
+    diagnostic, not a guard.
+    """
     cfg = cfg or ApproxConfig()
     rates = params.rates()
     ratio = max(rates) * params.mean / len(rates)

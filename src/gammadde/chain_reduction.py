@@ -9,10 +9,11 @@ through the compartments' initial values
     B_i(0) = int_0^inf psi(t0 - s) / r_i * kappa_i(s) ds,
 
 where kappa_i is the kernel attached to compartment i.  Two conventions
-for the last two compartments are provided: ``stagewise`` pairs them
-with bare exponential kernels, ``cumulative`` with the cumulative
-convolution kernels that the chain algebra actually produces.  They agree
-for constant histories.
+for the last two compartments are provided: ``cumulative`` (the default)
+uses the cumulative convolution kernels that the chain algebra actually
+produces, ``stagewise`` pairs them with bare exponential kernels.  They
+agree for constant histories; for any other history only ``cumulative``
+reproduces the Erlang reduction at integer shape.
 """
 
 import math
@@ -168,7 +169,7 @@ def _custom_init(history, t0, rates, mode, erlang):
     return out
 
 
-def chain_initial_state(history, params, t0, init_mode="stagewise"):
+def chain_initial_state(history, params, t0, init_mode="cumulative"):
     """Compartment initial values for the given history.
 
     Point-mass histories bypass the integrals entirely: the whole weight
@@ -220,7 +221,7 @@ def build_erlang_system(F, params, history, t0, t_end):
     return _build(F, params, history, t0, t_end, "stagewise")
 
 
-def build_hypoexp_system(F, params, history, t0, t_end, init_mode="stagewise"):
+def build_hypoexp_system(F, params, history, t0, t_end, init_mode="cumulative"):
     """ODE reduction of the hypoexponential-kernel DDE y' = F(y, mu B_n)."""
     if params.variant == "erlang":
         raise ValueError("params must come from a hypoexponential approximation")

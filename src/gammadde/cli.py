@@ -86,26 +86,37 @@ def _parse_history(spec):
     raise ConfigError(f"bad history spec {spec!r} (use const:c or exp:c:rho)")
 
 
+def _positive(args, flag, default=None):
+    """A numeric flag's value, or ``default`` when unset; must be positive."""
+    value = getattr(args, flag)
+    if value is None:
+        value = default
+    name = "--" + flag.replace("_", "-")
+    if value is None:
+        raise ConfigError(f"{name} is required")
+    if not value > 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+    return value
+
+
 _PROBLEMS = ("linear", "nonlinear", "linear_gamma", "custom-linear")
 
 
 def _problem_setup(args):
     """(rhs, kernel, history, tau) for the selected built-in problem."""
-    j = args.j
-    if j is None:
-        raise ConfigError("--j is required")
+    j = _positive(args, "j")
     name = args.problem
     history = _parse_history(getattr(args, "history", None))
     if name == "linear":
-        tau = args.tau if args.tau is not None else 1.0
+        tau = _positive(args, "tau", 1.0)
         rhs = analysis.linear_rhs()
         history = history or HistoryFunction.constant(1.0)
     elif name == "nonlinear":
-        tau = args.tau if args.tau is not None else 2.25
+        tau = _positive(args, "tau", 2.25)
         rhs = analysis.nonlinear_rhs()
         history = history or HistoryFunction.constant(1.0)
     elif name in ("linear_gamma", "custom-linear"):
-        tau = args.tau if args.tau is not None else 1.0
+        tau = _positive(args, "tau", 1.0)
         a = j / tau
         alpha = args.alpha if args.alpha is not None else -a
         beta = args.beta
@@ -172,8 +183,8 @@ def _chain_solve(rhs, params, history, t_end, times, init_mode, rtol):
 
 def cmd_solve(args):
     rhs, kernel, history, tau = _problem_setup(args)
-    t_end = args.t_end if args.t_end is not None else 10.0
-    h = args.h if args.h is not None else 0.05
+    t_end = _positive(args, "t_end", 10.0)
+    h = _positive(args, "h", 0.05)
     times = np.arange(0.0, t_end + 0.5 * h, h)
     if args.method == "fcrk4":
         sol = fcrk4_solve(
@@ -238,8 +249,8 @@ def cmd_convergence(args):
 
 def cmd_compare(args):
     rhs, kernel, history, tau = _problem_setup(args)
-    t_end = args.t_end if args.t_end is not None else 10.0
-    h = args.h if args.h is not None else 0.05
+    t_end = _positive(args, "t_end", 10.0)
+    h = _positive(args, "h", 0.05)
     times = np.linspace(0.0, t_end, args.n_out)
     sol = fcrk4_solve(
         DdeProblem(rhs=rhs, kernel=kernel, history=history, t0=0.0, t_end=t_end),
@@ -268,11 +279,11 @@ def cmd_compare(args):
 
 
 def cmd_stability(args):
-    j, tau, alpha, beta = args.j, args.tau if args.tau is not None else 1.0, args.alpha, args.beta
+    j, tau, alpha, beta = _positive(args, "j"), _positive(args, "tau", 1.0), args.alpha, args.beta
     if alpha is None or beta is None:
         raise ConfigError("stability needs --alpha and --beta")
-    t_end = args.t_end if args.t_end is not None else 80.0
-    h = args.h if args.h is not None else 0.05
+    t_end = _positive(args, "t_end", 80.0)
+    h = _positive(args, "h", 0.05)
     problem = DdeProblem(
         rhs=analysis.linear_gamma_rhs(alpha, beta),
         kernel=GammaKernel(shape=j, rate=j / tau),
@@ -302,7 +313,7 @@ def cmd_stability(args):
 
 
 def cmd_mgf_order(args):
-    tau = args.tau if args.tau is not None else 1.0
+    tau = _positive(args, "tau", 1.0)
     if float(args.j).is_integer():
         phis = np.logspace(-3, -1, 10) * args.j / tau
         zeros = {
@@ -320,7 +331,7 @@ def cmd_mgf_order(args):
 
 
 def cmd_survival(args):
-    tau = args.tau if args.tau is not None else 1.0
+    tau = _positive(args, "tau", 1.0)
     if args.jump_at is not None:
         jump_fixed, jump_smoothed = analysis.integer_jump(
             args.jump_at, tau, args.t, delta=args.delta
@@ -335,11 +346,12 @@ def cmd_survival(args):
             args.out,
         )
         return 0
+    j = _positive(args, "j")
     t_max = args.t_max if args.t_max is not None else 4.0 * tau
     times = np.linspace(0.0, t_max, args.n_out)
-    gamma_kernel = GammaKernel(shape=args.j, rate=args.j / tau)
-    fixed_kernel = approx.fixed_hypoexp(args.j, tau).kernel()
-    smooth_kernel = approx.smoothed_hypoexp(args.j, tau).kernel()
+    gamma_kernel = GammaKernel(shape=j, rate=j / tau)
+    fixed_kernel = approx.fixed_hypoexp(j, tau).kernel()
+    smooth_kernel = approx.smoothed_hypoexp(j, tau).kernel()
     rows = [
         (
             float(t),
@@ -554,8 +566,9 @@ def main(argv=None):
         if args.config:
             args = _apply_config_file(args, argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        # Parameter validation raises ValueError throughout the library.
+    except (ConfigError, ValueError, OSError) as exc:
+        # Parameter validation raises ValueError throughout the library;
+        # OSError covers unreadable inputs and unwritable outputs.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OdeFailure, FloatingPointError) as exc:

@@ -231,6 +231,15 @@ def fcrk4_solve(problem, h, quad=None, tableau=TABLEAU4, transform_k=4):
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    history = problem.history
+    if getattr(history, "kind", None) == "exponential" and (
+        history.growth <= -problem.kernel.rate
+    ):
+        raise ValueError(
+            f"history grows into the past at rate {-history.growth}, not "
+            f"slower than the kernel decays ({problem.kernel.rate}): the "
+            "delayed convolution diverges"
+        )
     quad = quad or QuadConfig()
     span = problem.t_end - problem.t0
     n_steps = int(round(span / h))

@@ -1,188 +1,93 @@
-"""Fixed-step classical RK4 and adaptive Dormand-Prince 5(4) integrators.
+"""Chain ODE integration on scipy's LSODA.
 
-These back every chain ODE in the package and produce the tight reference
-solutions (rtol = atol = 1e-12) that the convergence studies compare
-against.  Both integrators are explicit; stiffness is flagged upstream by
-the approximation layer, not handled here.
+Every chain ODE in the package (the SIR likelihood, the chain comparisons,
+the integer-shape Erlang references) is solved here.  LSODA switches
+between Adams and BDF steps, so the stiff chains the two-moment
+constructions produce just above an integer shape cost little more than
+the others.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import ODEintWarning, odeint
 
 
 class OdeFailure(RuntimeError):
-    """Integration aborted: non-finite state, underflowing step, or budget."""
+    """Integration aborted: excess work, illegal input or non-finite state."""
+
+
+#: LSODA's global error tracks its tolerances, while the package's
+#: tolerance settings were chosen for errors 100 to 1000 times below them.
+#: Requested tolerances are divided by this factor so those settings keep
+#: their accuracy (the work-precision tests pin it).
+TOLERANCE_DIVISOR = 1000.0
+#: Smallest relative tolerance handed to LSODA: near 2e-14 it rejects the
+#: call as illegal input and returns garbage.
+RTOL_FLOOR = 1e-13
+_SUCCESS = "Integration successful."
 
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Adaptive-step settings. ``h_init=None`` lets the solver guess."""
+    """Tolerances and the step budget.
+
+    ``max_steps`` is LSODA's ``mxstep``: it bounds the steps taken between
+    two consecutive output times, not over the whole solve.  The package's
+    own solves take at most about 5500 (the logistic reference over
+    [0, 600] in one interval); a solve stalled in ever smaller steps fails
+    within seconds at the default.
+    """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_init: float | None = None
-    h_min: float = 1e-13
-    h_max: float = np.inf
-    max_steps: int = 10_000_000
+    max_steps: int = 100_000
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.h_init is not None and not (self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("need h_min <= h_init <= h_max")
 
 
-def rk4_fixed(rhs, y0, t0, t_end, h, max_steps=10_000_000):
-    """Classical 4-stage RK4 on the fixed mesh t0 + n*h.
+def rk45_adaptive(rhs, y0, t0, t_end, cfg=None, *, t_eval):
+    """Integrate ``y' = rhs(t, y)`` from ``t0`` with LSODA
+    (``scipy.integrate.odeint``), sampling at ``t_eval``.
 
-    Returns ``(t, y)`` with ``y`` of shape ``(n_points, dim)``.  Aborts with
-    :class:`OdeFailure` (reporting the step index) if the state goes
+    Despite its name this is not a Runge-Kutta method; the name stays while
+    ``bench/layer_trace.py`` hooks it.  ``t_eval`` holds increasing times
+    in ``[t0, t_end]``.  Returns ``(t_eval, y)`` with ``y`` of shape
+    ``(len(t_eval), dim)``.  Raises :class:`OdeFailure` with LSODA's message
+    when it gives up (excess work, illegal input) or the state goes
     non-finite.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    n_steps = int(round((t_end - t0) / h))
-    if abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        n_steps = int(np.ceil((t_end - t0) / h - 1e-12))
-    if n_steps > max_steps:
-        raise OdeFailure(f"step budget exceeded: {n_steps} > {max_steps}")
-
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    ts = t0 + h * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, y.size))
-    out[0] = y
-    for n in range(n_steps):
-        t = ts[n]
-        k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise OdeFailure(f"non-finite state at step {n + 1}")
-        out[n + 1] = y
-    return ts, out
-
-
-# Dormand-Prince 5(4) coefficients; the 5th-order result is propagated and
-# the last stage is reused as the first of the next step (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(t_end - t0))
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(t0 + h0, y1))
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, abs(t_end - t0))
-
-
-def rk45_adaptive(rhs, y0, t0, t_end, cfg=None, t_eval=None):
-    """Adaptive Dormand-Prince 5(4) with PI step-size control.
-
-    Requested output times are hit exactly by clipping the step, so no
-    dense interpolation error enters the returned samples.
-
-    Parameters
-    ----------
-    t_eval : increasing times in ``[t0, t_end]`` at which to sample the
-        solution; defaults to every accepted step.
-
-    Returns ``(t, y)`` with ``y`` of shape ``(len(t), dim)``.
-    """
     cfg = cfg or OdeConfig()
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    t = float(t0)
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t_end + 1e-12):
-            raise ValueError("t_eval outside integration span")
-        out_t = list(t_eval)
-        out_y = []
-        if out_t and abs(out_t[0] - t0) <= 1e-14 * max(1.0, abs(t0)):
-            out_y.append(y.copy())
-            next_out = 1
-        else:
-            next_out = 0
-    else:
-        out_t, out_y, next_out = [t], [y.copy()], None
-
-    f = np.asarray(rhs(t, y))
-    h = cfg.h_init or _initial_step(rhs, t, y, f, t_end, cfg.rtol, cfg.atol)
-    h = min(h, cfg.h_max)
-    err_prev = 1e-4
-    k = np.empty((7, y.size))
-    n_steps = 0
-
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        n_steps += 1
-        if n_steps > cfg.max_steps:
-            raise OdeFailure(f"max_steps exceeded at t={t:.6g}")
-        clipped = False
-        target = t_end
-        if next_out is not None and next_out < len(out_t):
-            target = min(target, out_t[next_out])
-        if t + h >= target - 1e-14 * max(1.0, abs(target)):
-            h = target - t
-            clipped = True
-        if h < cfg.h_min and not clipped:
-            raise OdeFailure(f"step size underflow at t={t:.6g}")
-
-        k[0] = f
-        for i in range(1, 7):
-            k[i] = rhs(t + _DP_C[i] * h, y + h * (_DP_A[i] @ k[:i]))
-        y_new = y + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_ERR @ k)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2))
-
-        if err <= 1.0:
-            t = t + h
-            y = y_new
-            f = k[6]
-            if not np.all(np.isfinite(y)):
-                raise OdeFailure(f"non-finite state at t={t:.6g}")
-            if next_out is None:
-                out_t.append(t)
-                out_y.append(y.copy())
-            else:
-                while next_out < len(out_t) and t >= out_t[next_out] - 1e-12 * max(
-                    1.0, abs(t)
-                ):
-                    out_y.append(y.copy())
-                    next_out += 1
-            err_floor = max(err, 1e-10)
-            fac = 0.9 * err_floor ** (-0.7 / 5) * err_prev ** (0.4 / 5)
-            err_prev = err_floor
-            h = h * min(10.0, max(0.2, fac))
-        else:
-            h = h * min(1.0, max(0.2, 0.9 * err ** (-0.2)))
-            if h < cfg.h_min and not clipped:
-                raise OdeFailure(f"step size underflow at t={t:.6g}")
-        h = min(h, cfg.h_max)
-
-    if next_out is None:
-        return np.asarray(out_t), np.asarray(out_y)
-    return np.asarray(out_t), np.asarray(out_y)
+    times = np.asarray(t_eval, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("t_eval must be a non-empty 1-d sequence")
+    if times[0] < t0 - 1e-12 or times[-1] > t_end + 1e-12:
+        raise ValueError("t_eval outside integration span")
+    starts_at_t0 = times[0] <= t0
+    grid = times if starts_at_t0 else np.concatenate([[t0], times])
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    # An overflow in the rhs ends the solve at once instead of leaving
+    # LSODA to shrink its steps until the budget runs out.
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("ignore", ODEintWarning)
+        try:
+            y, info = odeint(
+                rhs,
+                y0,
+                grid,
+                rtol=max(cfg.rtol / TOLERANCE_DIVISOR, RTOL_FLOOR),
+                atol=cfg.atol / TOLERANCE_DIVISOR,
+                mxstep=cfg.max_steps,
+                tfirst=True,
+                full_output=True,
+            )
+        except FloatingPointError as exc:
+            raise OdeFailure(f"non-finite state: {exc}") from exc
+    if info["message"] != _SUCCESS:
+        raise OdeFailure(f"LSODA: {info['message']}")
+    if not np.all(np.isfinite(y)):
+        raise OdeFailure("non-finite state")
+    return times, (y if starts_at_t0 else y[1:])

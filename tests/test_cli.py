@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,35 @@ def test_exit_code_config_error(capsys):
     assert "history" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survival"],
+        ["stability", "--alpha", "0.9", "--beta", "-1.1"],
+        ["solve", "--j", "2.5", "--h", "0"],
+        ["survival", "--j", "2.5", "--tau", "0"],
+        ["epi", "loglik", "--cases", "{tmp}/missing.csv"],
+    ],
+)
+def test_exit_code_bad_input(argv, tmp_path, capsys):
+    argv = [tok.format(tmp=tmp_path) for tok in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_divergent_history_rejected_without_warning(capsys):
+    for method in ("fcrk4", "chain"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys, "solve", "--j", "2.5", "--history", "exp:1:-3", "--method", method
+            )
+        assert code == 2
+        assert err.startswith("error: ")
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_exit_code_numerical_failure(capsys):
     code, _, err = run_cli(
@@ -155,6 +185,19 @@ def test_exit_code_numerical_failure(capsys):
         "--alpha", "10", "--beta", "1", "--h", "0.1", "--t-end", "100",
     )
     assert code == 3
+    assert "numerical" in err
+
+
+def test_exit_code_numerical_failure_chain(capsys):
+    # The chain path overflows too; the solver stops at the first overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(
+            capsys, "solve", "--problem", "custom-linear", "--j", "1.5", "--method", "chain",
+            "--alpha", "10", "--beta", "1", "--h", "0.1", "--t-end", "100",
+        )
+    assert code == 3
+    assert stdout == ""
     assert "numerical" in err
 
 

@@ -29,7 +29,7 @@ from gammadde.ode_solver import OdeConfig, rk45_adaptive
 
 TRUTH = SirParams(beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0)
 
-# rk45(1e-10) incidence at the ground truth, frozen after a verified run.
+# Incidence at the ground truth (rtol 1e-10), frozen after a verified run.
 PEAK_INDEX = 15
 PEAK_VALUE = 0.08440638177544879
 TOTAL_DEPLETION = 0.8917914279235304

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,3 +164,22 @@ def test_nonfinite_stage_raises():
 def test_bad_step_rejected():
     with pytest.raises(ValueError):
         fcrk4_solve(_problem(lambda x, conv: -x), -0.1)
+
+
+def test_divergent_exponential_history_rejected():
+    # psi(s) = e^(-3 s) grows into the past faster than the kernel (rate
+    # 2.5) decays, so the delayed convolution does not exist.
+    hist = HistoryFunction.exponential(1.0, -3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="diverges"):
+            fcrk4_solve(_problem(lambda x, conv: -x, j=2.5, history=hist), 0.05)
+        # At the boundary too; just inside it the solve runs.
+        with pytest.raises(ValueError, match="diverges"):
+            fcrk4_solve(
+                _problem(lambda x, conv: -x, j=2.5, history=HistoryFunction.exponential(1.0, -2.5)),
+                0.05,
+            )
+        hist = HistoryFunction.exponential(1.0, -2.0)
+        sol = fcrk4_solve(_problem(lambda x, conv: -x, j=2.5, history=hist), 0.05)
+        assert np.isfinite(sol.query(1.0))

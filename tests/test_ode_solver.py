@@ -2,46 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from gammadde.analysis import linear_test_reference
-from gammadde.ode_solver import OdeConfig, OdeFailure, rk4_fixed, rk45_adaptive
-
-
-def test_rk4_constant():
-    _, y = rk4_fixed(lambda t, y: 0.0 * y, 1.0, 0.0, 5.0, 0.5)
-    assert np.all(y == 1.0)
-
-
-def test_rk4_exponential_decay():
-    _, y = rk4_fixed(lambda t, y: -y, 1.0, 0.0, 1.0, 1e-2)
-    assert abs(y[-1, 0] - math.exp(-1)) < 1e-8
-
-
-def test_rk4_fourth_order():
-    hs = [0.1, 0.05, 0.025, 0.0125]
-    errs = []
-    for h in hs:
-        _, y = rk4_fixed(lambda t, y: -y, 1.0, 0.0, 1.0, h)
-        errs.append(abs(y[-1, 0] - math.exp(-1)))
-    slope = np.polyfit(np.log10(hs), np.log10(errs), 1)[0]
-    assert abs(slope - 4.0) < 0.05
-
-
-def test_rk4_two_compartment_matches_closed_form():
-    # x' = 0.8 x - 1.1 a A, A' = x - a A with a = 1 reduces the linear
-    # delay problem at unit shape; the closed form is the damped cosine.
-    def rhs(t, y):
-        return np.array([0.8 * y[0] - 1.1 * y[1], y[0] - y[1]])
-
-    ts, y = rk4_fixed(rhs, np.array([1.0, 1.0]), 0.0, 10.0, 1e-3)
-    ref = linear_test_reference(1, ts)
-    assert np.max(np.abs(y[:, 0] - ref)) < 1e-10
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_rk4_reports_blowup_step():
-    with pytest.raises(OdeFailure, match="step"):
-        rk4_fixed(lambda t, y: y * y, 2.0, 0.0, 2.0, 0.01)
+from gammadde import analysis
+from gammadde.approximations import erlang_approx
+from gammadde.chain_reduction import HistoryFunction, build_erlang_system
+from gammadde.epi import FIT_APPROX_CFG, SirParams, build_sir_chain, simulate_incidence
+from gammadde.ode_solver import OdeConfig, OdeFailure, rk45_adaptive
 
 
 def test_rk45_decay_tight_tolerance():
@@ -56,7 +23,8 @@ def test_rk45_oscillator_energy():
 
     cfg = OdeConfig(rtol=1e-12, atol=1e-12)
     t_end = 10 * 2 * math.pi
-    _, y = rk45_adaptive(rhs, np.array([1.0, 0.0]), 0.0, t_end, cfg)
+    times = np.linspace(0.0, t_end, 201)
+    _, y = rk45_adaptive(rhs, np.array([1.0, 0.0]), 0.0, t_end, cfg, t_eval=times)
     energy = y[:, 0] ** 2 + y[:, 1] ** 2
     assert np.max(np.abs(energy - 1.0)) < 1e-8
 
@@ -68,29 +36,51 @@ def test_rk45_hits_requested_times():
     assert np.allclose(out_y[:, 0], np.exp(-times), atol=1e-9)
 
 
+def test_rk45_output_times_after_start():
+    # t0 is not an output time: it is integrated from but not returned.
+    times = np.array([0.3, 0.77, 1.5])
+    out_t, out_y = rk45_adaptive(lambda t, y: -y, 1.0, 0.0, 1.5, t_eval=times)
+    assert np.array_equal(out_t, times)
+    assert out_y.shape == (3, 1)
+    assert np.allclose(out_y[:, 0], np.exp(-times), atol=1e-9)
+
+
+def test_rk45_output_times_validated():
+    with pytest.raises(TypeError):
+        rk45_adaptive(lambda t, y: -y, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="span"):
+        rk45_adaptive(lambda t, y: -y, 1.0, 0.0, 1.0, t_eval=[0.5, 2.0])
+
+
 def test_rk45_logistic_chain_equilibrium():
     # Delayed-logistic chain settles at the capacity.
-    from gammadde.analysis import nonlinear_test_reference
-
-    val = nonlinear_test_reference(3, 600.0)
+    val = analysis.nonlinear_test_reference(3, 600.0)
     assert abs(val - 2.0) < 1e-6
 
 
 def test_rk45_budget_exceeded():
+    # max_steps bounds the steps between consecutive output times.
     cfg = OdeConfig(rtol=1e-12, atol=1e-12, max_steps=10)
-    with pytest.raises(OdeFailure, match="max_steps"):
-        rk45_adaptive(lambda t, y: np.array([math.cos(20 * t)]), 0.0, 0.0, 50.0, cfg)
+    with pytest.raises(OdeFailure, match="Excess work"):
+        rk45_adaptive(
+            lambda t, y: np.array([math.cos(20 * t)]), 0.0, 0.0, 50.0, cfg, t_eval=[0.0, 50.0]
+        )
 
 
-def test_rk45_step_underflow():
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12, h_min=0.05)
-    with pytest.raises(OdeFailure, match="underflow"):
-        rk45_adaptive(lambda t, y: np.array([math.cos(20 * t)]), 0.0, 0.0, 50.0, cfg)
+def test_rk45_blowup_fails():
+    # y' = y^2 from y(0) = 2 blows up at t = 1/2.
+    with pytest.raises(OdeFailure, match="overflow"):
+        rk45_adaptive(lambda t, y: y * y, 2.0, 0.0, 2.0, t_eval=[0.0, 1.0, 2.0])
+
+
+def test_rk45_non_finite_state_fails():
+    with pytest.raises(OdeFailure):
+        rk45_adaptive(lambda t, y: np.array([np.nan]), 1.0, 0.0, 1.0, t_eval=[0.0, 1.0])
 
 
 def test_rk45_tolerance_consistency():
     from gammadde.approximations import fixed_hypoexp
-    from gammadde.chain_reduction import HistoryFunction, build_hypoexp_system
+    from gammadde.chain_reduction import build_hypoexp_system
 
     problems = [
         build_hypoexp_system(
@@ -123,4 +113,47 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OdeConfig(rtol=0.0)
     with pytest.raises(ValueError):
-        OdeConfig(h_init=10.0, h_max=1.0)
+        OdeConfig(atol=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Work precision: the error of each production use of the solver against a
+# DOP853 solve at rtol = 2.3e-14.  The bounds come from the errors of the
+# explicit Dormand-Prince 5(4) integrator LSODA replaced on the same uses
+# (see CHANGES.md for the full table).
+
+
+def _dop853(rhs, y0, times):
+    ref = solve_ivp(
+        rhs, (0.0, times[-1]), y0, method="DOP853", rtol=2.3e-14, atol=1e-20, t_eval=times
+    )
+    assert ref.success
+    return ref.y.T
+
+
+@pytest.mark.parametrize("j", [4.000001, 2.6])
+def test_work_precision_sir_chain(j):
+    # The fitter's settings.  Just above an integer the regularized chain
+    # is stiff and the explicit pair's stability-bound steps took its error
+    # down to 2e-15 there; the larger of its errors at these two points,
+    # 4.85e-11 at j = 2.6, is the bound for both.
+    params = SirParams(beta=0.5, tau=5.0, j=j, eps=1e-3, M=1000.0)
+    ds = simulate_incidence(params, "smoothed_regularized", FIT_APPROX_CFG, rtol=1e-8)
+    problem = build_sir_chain(params, "smoothed_regularized", FIT_APPROX_CFG)
+    times = np.concatenate([[0.0], params.obs_times])
+    ref = -np.diff(_dop853(problem.rhs, problem.y0, times)[:, 0])
+    assert np.max(np.abs(ds - ref)) < 4.9e-11
+
+
+def test_work_precision_erlang_reference():
+    # The integer-shape reference of acceptance criterion 02 at j = 14
+    # (rtol 1e-12).  LSODA's relative tolerance floor of 1e-13 holds it at
+    # 5.7e-13 here, against 2.0e-14 for the explicit pair: the one use with
+    # a bound above the old error, still 1400 times below the smallest FCRK
+    # error the reference is compared with (8e-10).
+    times = np.linspace(0.0, 10.0, 1001)
+    problem = build_erlang_system(
+        analysis.nonlinear_rhs(), erlang_approx(14, 2.25), HistoryFunction.constant(1.0), 0.0, 10.0
+    )
+    ref = _dop853(problem.rhs, problem.y0, times)[:, 0]
+    assert np.max(np.abs(analysis.nonlinear_test_reference(14, times) - ref)) < 1e-12
