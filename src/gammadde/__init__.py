@@ -15,6 +15,7 @@ from .distributions import GammaKernel, HypoexpKernel, Rng
 from .approximations import (
     ApproxConfig,
     ChainParams,
+    chain_params,
     erlang_approx,
     fixed_hypoexp,
     regularized_smoothed,
@@ -44,6 +45,7 @@ __all__ = [
     "TransformParams",
     "build_erlang_system",
     "build_hypoexp_system",
+    "chain_params",
     "erlang_approx",
     "fcrk4_solve",
     "fixed_hypoexp",

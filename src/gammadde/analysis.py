@@ -194,19 +194,10 @@ def characteristic_residual(lam, tau, j, alpha, beta):
 # Kernel-replacement error in MGF form.
 
 
-def _variant_kernel(j, tau, variant):
-    builders = {
-        "erlang": approx.erlang_approx,
-        "fixed": approx.fixed_hypoexp,
-        "smoothed": approx.smoothed_hypoexp,
-    }
-    return builders[variant](j, tau).kernel()
-
-
 def mgf_error(j, tau, variant, phi):
     """|M_gamma(-phi) - M_approx(-phi)| at (arrays of) phi > 0."""
     gamma = GammaKernel(shape=j, rate=j / tau)
-    kern = _variant_kernel(j, tau, variant)
+    kern = approx.chain_params(variant, j, tau).kernel()
     phi_arr = np.asarray(phi, dtype=float)
     return np.abs(gamma_mgf(gamma, -phi_arr) - hypoexp_mgf(kern, -phi_arr))
 

@@ -11,14 +11,14 @@ Four variants, all parameterized by the gamma shape j and mean tau:
 * ``smoothed_regularized``: smoothed rates nudged by (eps, hbar) so they
   stay bounded and differentiable near integer j, trading a controlled
   O(eps + hbar^2) variance error for bounded, optimizer-friendly chains.
+
+``chain_params(variant, j, tau)`` builds any of them by name.
 """
 
 import math
 from dataclasses import dataclass
 
 from .distributions import HypoexpKernel
-
-_VARIANTS = ("erlang", "fixed", "smoothed", "smoothed_regularized")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ChainParams:
     variant: str
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n < 1:
             raise ValueError("need at least one stage")
@@ -191,6 +191,28 @@ def regularized_smoothed(j, tau, cfg=None):
         mu=1.0 / inv_mu,
         variant="smoothed_regularized",
     )
+
+
+_BUILDERS = {
+    "erlang": lambda j, tau, cfg: erlang_approx(j, tau),
+    "fixed": lambda j, tau, cfg: fixed_hypoexp(j, tau),
+    "smoothed": lambda j, tau, cfg: smoothed_hypoexp(j, tau),
+    "smoothed_regularized": regularized_smoothed,
+}
+
+#: Names accepted by :func:`chain_params`, one per chain construction.
+VARIANTS = tuple(_BUILDERS)
+
+
+def chain_params(variant, j, tau, cfg=None):
+    """The named variant's chain for shape j and mean tau.
+
+    ``cfg`` reaches only ``smoothed_regularized``; an unknown name raises
+    ValueError.
+    """
+    if variant not in _BUILDERS:
+        raise ValueError(f"unknown chain variant {variant!r} (choose from {VARIANTS})")
+    return _BUILDERS[variant](j, tau, cfg)
 
 
 def stiffness_check(params, cfg=None):

@@ -3,17 +3,16 @@
 A DDE whose delayed term convolves the solution against an Erlang or
 hypoexponential kernel is equivalent to an (n+1)-dimensional ODE: one
 auxiliary compartment per exponential stage, with the delayed term read
-off the final compartment's outflow.  The history function enters only
-through the compartments' initial values
+off the final compartment's outflow r_n B_n.  The history function enters
+only through the compartments' initial values
 
     B_i(0) = int_0^inf psi(t0 - s) / r_i * kappa_i(s) ds,
 
-where kappa_i is the kernel attached to compartment i.  Two conventions
-for the last two compartments are provided: ``cumulative`` (the default)
-uses the cumulative convolution kernels that the chain algebra actually
-produces, ``stagewise`` pairs them with bare exponential kernels.  They
-agree for constant histories; for any other history only ``cumulative``
-reproduces the Erlang reduction at integer shape.
+where kappa_i is the density of the first i stages in sequence, the
+convolution of their exponentials.  For an exponential history this has
+the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho); other histories
+are integrated numerically.  At integer shape every two-moment chain has
+all rates equal, so it reproduces the Erlang reduction exactly.
 """
 
 import math
@@ -23,8 +22,6 @@ import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
 from .distributions import HypoexpKernel, gamma_pdf, GammaKernel, hypoexp_pdf
-
-INIT_MODES = ("stagewise", "cumulative")
 
 
 @dataclass(frozen=True)
@@ -111,52 +108,29 @@ def _chain_rhs(F, rates):
     return rhs
 
 
-def _exponential_init(c, rho, rates, mode):
+def _exponential_init(c, rho, rates):
     """Closed-form compartment integrals for psi(s) = c exp(rho (s - t0))."""
     r = np.asarray(rates, dtype=float)
     if np.any(r + rho <= 0):
         raise ValueError(
             f"history grows too fast for the chain: rate {r.min()} <= {-rho}"
         )
-    factors = r / (r + rho)
-    if mode == "cumulative":
-        return (c / r) * np.cumprod(factors)
-    # stagewise: Erlang kernels of the common rate for the leading
-    # compartments, bare exponentials for the last two.
-    n = len(r)
-    out = np.empty(n)
-    if n > 2:
-        out[: n - 2] = (c / r[: n - 2]) * np.cumprod(factors[: n - 2])
-    for i in range(max(n - 2, 0), n):
-        out[i] = (c / r[i]) * factors[i]
-    return out
-
-
-def _erlang_literal_exponential_init(c, rho, rates):
-    """stagewise for a pure Erlang chain coincides with the cumulative
-    kernels, all stages sharing one rate."""
-    r = np.asarray(rates, dtype=float)
-    if np.any(r + rho <= 0):
-        raise ValueError("history grows too fast for the chain")
     return (c / r) * np.cumprod(r / (r + rho))
 
 
-def _custom_init(history, t0, rates, mode, erlang):
+def _custom_init(history, t0, rates, erlang):
     """Adaptive quadrature of the defining integrals for custom histories."""
     r = list(rates)
-    n = len(r)
-    out = np.empty(n)
+    out = np.empty(len(r))
 
     def psi(s):
         return float(history(t0 - s))
 
-    for i in range(n):
-        rate_i = r[i]
-        if erlang or (mode == "stagewise" and i < n - 2):
+    for i, rate_i in enumerate(r):
+        if erlang:
+            # All stages share one rate: the first i+1 form a gamma density.
             kern = GammaKernel(shape=i + 1.0, rate=r[0])
             dens = lambda s, k=kern: gamma_pdf(k, s)
-        elif mode == "stagewise":
-            dens = lambda s, ri=rate_i: ri * math.exp(-ri * s)
         else:
             kern = HypoexpKernel(tuple(r[: i + 1]))
             dens = lambda s, k=kern: float(hypoexp_pdf(k, s))
@@ -169,34 +143,28 @@ def _custom_init(history, t0, rates, mode, erlang):
     return out
 
 
-def chain_initial_state(history, params, t0, init_mode="cumulative"):
+def chain_initial_state(history, params, t0):
     """Compartment initial values for the given history.
 
     Point-mass histories bypass the integrals entirely: the whole weight
     starts in the first compartment.
     """
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"init_mode must be one of {INIT_MODES}")
     rates = params.rates()
-    n = len(rates)
-    erlang = params.variant == "erlang"
     if history.kind == "point_mass":
-        out = np.zeros(n)
+        out = np.zeros(len(rates))
         out[0] = history.value
         return out
     if history.kind == "constant":
         return history.value / np.asarray(rates)
     if history.kind == "exponential":
         c_at_t0 = history.value * math.exp(history.growth * (t0 - history.anchor))
-        if erlang:
-            return _erlang_literal_exponential_init(c_at_t0, history.growth, rates)
-        return _exponential_init(c_at_t0, history.growth, rates, init_mode)
-    return _custom_init(history, t0, rates, init_mode, erlang)
+        return _exponential_init(c_at_t0, history.growth, rates)
+    return _custom_init(history, t0, rates, params.variant == "erlang")
 
 
-def _build(F, params, history, t0, t_end, init_mode):
+def _build(F, params, history, t0, t_end):
     rates = params.rates()
-    b_init = chain_initial_state(history, params, t0, init_mode)
+    b_init = chain_initial_state(history, params, t0)
     if history.kind == "point_mass":
         y_start = 0.0
     else:
@@ -218,17 +186,12 @@ def build_erlang_system(F, params, history, t0, t_end):
     """ODE reduction of the Erlang-kernel DDE y' = F(y, b A_n)."""
     if params.variant != "erlang":
         raise ValueError("params must come from the erlang approximation")
-    return _build(F, params, history, t0, t_end, "stagewise")
+    return _build(F, params, history, t0, t_end)
 
 
-def build_hypoexp_system(F, params, history, t0, t_end, init_mode="cumulative"):
+def build_hypoexp_system(F, params, history, t0, t_end):
     """ODE reduction of the hypoexponential-kernel DDE y' = F(y, mu B_n)."""
     if params.variant == "erlang":
         raise ValueError("params must come from a hypoexponential approximation")
-    return _build(F, params, history, t0, t_end, init_mode)
+    return _build(F, params, history, t0, t_end)
 
-
-def delayed_term(problem, state):
-    """The delayed convolution read off the chain state: r_n * B_n."""
-    rates = problem.params.rates() if hasattr(problem, "params") else problem.rates()
-    return rates[-1] * np.asarray(state)[..., -1]

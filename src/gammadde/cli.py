@@ -26,7 +26,7 @@ from .distributions import GammaKernel, Rng, gamma_survival, hypoexp_survival
 from .epi import (
     EpiData,
     SirParams,
-    log_likelihood,
+    fit_log_likelihood,
     mle_fit,
     read_cases_csv,
     read_serial_csv,
@@ -153,25 +153,11 @@ def _quad_config(args):
     return QuadConfig(**kwargs)
 
 
-def _chain_params(variant, j, tau):
-    builders = {
-        "erlang": approx.erlang_approx,
-        "fixed": approx.fixed_hypoexp,
-        "smoothed": approx.smoothed_hypoexp,
-        "smoothed_regularized": lambda jj, tt: approx.regularized_smoothed(jj, tt),
-    }
-    if variant not in builders:
-        raise ConfigError(f"unknown chain variant {variant!r}")
-    return builders[variant](j, tau)
-
-
-def _chain_solve(rhs, params, history, t_end, times, init_mode, rtol):
+def _chain_solve(rhs, params, history, t_end, times, rtol):
     if params.variant == "erlang":
         problem = build_erlang_system(rhs, params, history, 0.0, t_end)
     else:
-        problem = build_hypoexp_system(
-            rhs, params, history, 0.0, t_end, init_mode=init_mode
-        )
+        problem = build_hypoexp_system(rhs, params, history, 0.0, t_end)
     cfg = OdeConfig(rtol=rtol, atol=rtol * 1e-2)
     _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
     return states, problem.labels
@@ -196,10 +182,8 @@ def cmd_solve(args):
         rows = [(float(t), float(v)) for t, v in zip(times, values)]
         _write_csv(args.out, ["t", "x"], rows)
     elif args.method == "chain":
-        params = _chain_params(args.variant, args.j, tau)
-        states, labels = _chain_solve(
-            rhs, params, history, t_end, times, args.init_mode, args.rtol
-        )
+        params = approx.chain_params(args.variant, args.j, tau)
+        states, labels = _chain_solve(rhs, params, history, t_end, times, args.rtol)
         header = ["t", "x"] + list(labels[1:])
         rows = [
             tuple([float(t)] + [float(v) for v in row]) for t, row in zip(times, states)
@@ -260,10 +244,8 @@ def cmd_compare(args):
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}
     for variant in ("fixed", "smoothed", "erlang"):
-        params = _chain_params(variant, args.j, tau)
-        states, _ = _chain_solve(
-            rhs, params, history, t_end, times, args.init_mode, args.rtol
-        )
+        params = approx.chain_params(variant, args.j, tau)
+        states, _ = _chain_solve(rhs, params, history, t_end, times, args.rtol)
         columns[variant] = states[:, 0]
     rows = [
         (float(t),) + tuple(float(columns[k][i]) for k in ("gamma_dde", "fixed", "smoothed", "erlang"))
@@ -352,15 +334,12 @@ def cmd_survival(args):
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
     fixed_kernel = approx.fixed_hypoexp(j, tau).kernel()
     smooth_kernel = approx.smoothed_hypoexp(j, tau).kernel()
-    rows = [
-        (
-            float(t),
-            float(gamma_survival(gamma_kernel, t)),
-            float(hypoexp_survival(fixed_kernel, t)),
-            float(hypoexp_survival(smooth_kernel, t)),
-        )
-        for t in times
-    ]
+    rows = zip(
+        times.tolist(),
+        gamma_survival(gamma_kernel, times).tolist(),
+        hypoexp_survival(fixed_kernel, times).tolist(),
+        hypoexp_survival(smooth_kernel, times).tolist(),
+    )
     _write_csv(args.out, ["t", "gamma", "fixed", "smoothed"], rows)
     return 0
 
@@ -421,7 +400,7 @@ def cmd_epi(args):
     data = EpiData(cases=cases, serial=serial)
     params = _epi_params(args, obs_times=obs_times)
     if args.epi_action == "loglik":
-        value = log_likelihood(params, data)
+        value = fit_log_likelihood(params, data)
         _emit_json(
             {
                 "loglik": value,
@@ -460,8 +439,6 @@ def _add_common_problem_flags(sub):
     sub.add_argument("--xi", type=float)
     sub.add_argument("--quad-step", dest="quad_step", type=float)
     sub.add_argument("--rtol", type=float, default=1e-10)
-    sub.add_argument("--init-mode", dest="init_mode", default="cumulative",
-                     choices=("stagewise", "cumulative"))
     sub.add_argument("--out", default=None)
 
 
@@ -476,7 +453,7 @@ def build_parser():
     sub = subs.add_parser("solve", help="integrate one problem, write trajectory CSV")
     _add_common_problem_flags(sub)
     sub.add_argument("--method", default="fcrk4", choices=("fcrk4", "chain"))
-    sub.add_argument("--variant", default="fixed")
+    sub.add_argument("--variant", default="fixed", help=", ".join(approx.VARIANTS))
     sub.set_defaults(func=cmd_solve)
 
     sub = subs.add_parser("convergence", help="step-size sweep and fitted order")

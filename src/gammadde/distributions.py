@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaincc
 
 
 @dataclass(frozen=True)
@@ -66,68 +67,6 @@ class Rng:
         self.seed = int(seed)
         self.generator = np.random.Generator(np.random.Philox(self.seed))
 
-    def spawn(self, offset=1):
-        """Independent stream derived deterministically from this seed."""
-        return Rng(self.seed + offset)
-
-
-# ---------------------------------------------------------------------------
-# Regularized incomplete gamma, series/continued-fraction split at x = s + 1.
-
-_MAX_ITER = 500
-_EPS = 1e-16
-
-
-def _lower_series(s, x):
-    """P(s, x) by the ascending series; accurate for x < s + 1."""
-    term = 1.0 / s
-    total = term
-    denom = s
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _upper_cf(s, x):
-    """Q(s, x) by the Lentz continued fraction; accurate for x >= s + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return f * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def regularized_gamma_q(s, x):
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s)."""
-    if s <= 0:
-        raise ValueError("shape must be positive")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _lower_series(s, x)
-    return _upper_cf(s, x)
-
 
 # ---------------------------------------------------------------------------
 # Gamma kernel operations.
@@ -156,10 +95,7 @@ def gamma_survival(kernel, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
-    j, a = kernel.shape, kernel.rate
-    out = np.array(
-        [regularized_gamma_q(j, a * ti) for ti in np.ravel(t_arr)]
-    ).reshape(t_arr.shape)
+    out = gammaincc(kernel.shape, kernel.rate * t_arr)
     return out if out.ndim else float(out)
 
 
@@ -188,11 +124,6 @@ def hypoexp_mgf(kernel, theta):
     return out if out.ndim else float(out)
 
 
-def hypoexp_moments(kernel):
-    """(mean, variance) = (sum 1/r_i, sum 1/r_i^2)."""
-    return kernel.mean, kernel.variance
-
-
 def _generator(rates):
     """Upper-bidiagonal generator of the sequential Markov chain."""
     n = len(rates)
@@ -210,9 +141,7 @@ def _occupancies(kernel, t):
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
     q = _generator(kernel.rates)
-    p0 = np.zeros(len(kernel.rates))
-    p0[0] = 1.0
-    return np.array([p0 @ expm(q * ti) for ti in t_arr])
+    return expm(q * t_arr[:, None, None])[:, 0, :]
 
 
 def hypoexp_survival(kernel, t):
@@ -235,11 +164,6 @@ def hypoexp_pdf(kernel, t):
 
 # ---------------------------------------------------------------------------
 # Sampling.
-
-
-def sample_gamma(rng, kernel, size=None):
-    """Gamma variates with the kernel's shape and rate."""
-    return rng.generator.gamma(shape=kernel.shape, scale=1.0 / kernel.rate, size=size)
 
 
 def sample_equilibrium_gamma(rng, kernel, size=None):

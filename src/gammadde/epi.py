@@ -23,23 +23,10 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from .approximations import (
-    ApproxConfig,
-    erlang_approx,
-    fixed_hypoexp,
-    regularized_smoothed,
-    smoothed_hypoexp,
-)
+from .approximations import ApproxConfig, chain_params
 from .chain_reduction import ChainOdeProblem, HistoryFunction
 from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
 from .ode_solver import OdeConfig, rk45_adaptive
-
-_RATE_BUILDERS = {
-    "erlang": lambda j, tau, cfg: erlang_approx(j, tau),
-    "fixed": lambda j, tau, cfg: fixed_hypoexp(j, tau),
-    "smoothed": lambda j, tau, cfg: smoothed_hypoexp(j, tau),
-    "smoothed_regularized": regularized_smoothed,
-}
 
 
 @dataclass(frozen=True)
@@ -94,7 +81,7 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
 
     The infection starts as a point mass: S(0) = 1 - eps, I_1(0) = eps.
     """
-    chain = _RATE_BUILDERS[rate_variant](params.j, params.tau, approx_cfg)
+    chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
     rates = np.asarray(chain.rates())
     n = len(rates)
     beta = params.beta
@@ -235,15 +222,15 @@ DEFAULT_BOUNDS = {
 FIT_APPROX_CFG = ApproxConfig(eps=1e-2, hbar=1e-2)
 
 
-def mle_fit(
-    data,
-    init,
-    bounds=None,
-    max_evals=500,
-    rate_variant="smoothed_regularized",
-    approx_cfg=FIT_APPROX_CFG,
-    rtol=1e-8,
-):
+def fit_log_likelihood(params, data):
+    """The likelihood :func:`mle_fit` maximizes: ``log_likelihood`` on the
+    regularized smoothed chain with ``FIT_APPROX_CFG`` at rtol 1e-8."""
+    return log_likelihood(
+        params, data, "smoothed_regularized", FIT_APPROX_CFG, rtol=1e-8
+    )
+
+
+def mle_fit(data, init, bounds=None, max_evals=500):
     """Maximize the evidence-synthesis likelihood over (beta, tau, j, eps).
 
     Nelder-Mead over (log beta, log tau, j, log eps), with every candidate
@@ -273,7 +260,7 @@ def mle_fit(
     def objective(z):
         beta, tau, j, eps = unpack(z)
         params = replace(init, beta=beta, tau=tau, j=j, eps=eps)
-        ll = log_likelihood(params, data, rate_variant, approx_cfg, rtol=rtol)
+        ll = fit_log_likelihood(params, data)
         trace.append(ll)
         return -ll if math.isfinite(ll) else 1e12
 

@@ -154,11 +154,6 @@ class Solution:
     __call__ = query
 
 
-def solution_query(solution, t):
-    """Value of the continuous approximation at t (history for t <= t0)."""
-    return solution.query(t)
-
-
 class _StageAccessor:
     """Vectorized solution lookup used by the convolution quadrature while
     step n is in progress: history, completed step interpolants, and the
@@ -270,9 +265,12 @@ def fcrk4_solve(problem, h, quad=None, tableau=TABLEAU4, transform_k=4):
                 t_stage, accessor, problem.kernel, params, quad, h, problem.t0
             )
             y_i = state.x[n] + h * (a_at_c[i] @ k_step[:i]) if i else state.x[n].copy()
-            k_step[i] = problem.rhs(
-                y_i if dim > 1 else y_i[0], conv if dim > 1 else float(conv[0])
-            )
+            # An overflowing solution is reported by the check below, with
+            # its step and stage, instead of by a numpy warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                k_step[i] = problem.rhs(
+                    y_i if dim > 1 else y_i[0], conv if dim > 1 else float(conv[0])
+                )
             if not np.all(np.isfinite(k_step[i])):
                 raise FloatingPointError(
                     f"non-finite stage value at step {n}, stage {i}"

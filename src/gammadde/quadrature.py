@@ -75,16 +75,8 @@ def select_transform_params(j, a, k=4):
     return TransformParams(alpha=alpha, beta=beta, k=k)
 
 
-def couple_stepsizes(h, xi=1.0, p=4, q=4):
-    """Panel count for [0, 1] from the step coupling h_int^q = xi h^p."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    h_int = xi ** (1.0 / q) * h ** (p / q)
-    return max(1, math.ceil(1.0 / (4.0 * h_int)))
-
-
 def quadrature_step(h, xi=1.0, p=4, q=4):
-    """The coupled quadrature step h_int itself."""
+    """Quadrature step h_int from the step coupling h_int^q = xi h^p."""
     return xi ** (1.0 / q) * h ** (p / q)
 
 

@@ -156,11 +156,11 @@ def test_criterion_05_mgf_error_orders():
                    f"{elapsed:.2f}s < 1s")
 
 
-def _chain_trajectory(F, params, history, t_end, times, init_mode="cumulative"):
+def _chain_trajectory(F, params, history, t_end, times):
     if params.variant == "erlang":
         problem = build_erlang_system(F, params, history, 0.0, t_end)
     else:
-        problem = build_hypoexp_system(F, params, history, 0.0, t_end, init_mode)
+        problem = build_hypoexp_system(F, params, history, 0.0, t_end)
     cfg = OdeConfig(rtol=1e-11, atol=1e-13)
     _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
     return states[:, 0]

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammadde import analysis, cli, epi
 from gammadde.approximations import (
+    VARIANTS,
     ApproxConfig,
     ChainParams,
+    chain_params,
     erlang_approx,
     fixed_hypoexp,
     nearest_shape,
@@ -13,7 +16,13 @@ from gammadde.approximations import (
     smoothed_hypoexp,
     stiffness_check,
 )
-from gammadde.distributions import HypoexpKernel, hypoexp_survival
+from gammadde.distributions import (
+    GammaKernel,
+    HypoexpKernel,
+    gamma_mgf,
+    hypoexp_mgf,
+    hypoexp_survival,
+)
 
 # mpmath 30-digit evaluations of the closed-form residence times.
 FIXED_2p5_INV_NU = 0.5159075191683887
@@ -211,3 +220,60 @@ def test_chain_params_validation():
         ChainParams(n=2, common_rate=-1.0, nu=1.0, mu=1.0, variant="fixed")
     with pytest.raises(ValueError):
         ApproxConfig(eps=1.5)
+
+
+BUILDERS = {
+    "erlang": erlang_approx,
+    "fixed": fixed_hypoexp,
+    "smoothed": smoothed_hypoexp,
+    "smoothed_regularized": regularized_smoothed,
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chain_params_reaches_the_variant_builder(variant, capsys):
+    # The library, the CLI, the MGF analysis and the SIR chain all build
+    # the named chain through chain_params.
+    j, tau = 2.57, 1.3
+    expected = BUILDERS[variant](j, tau)
+    assert chain_params(variant, j, tau) == expected
+
+    # CLI: with unit constant history the compartments start at 1/r_i.
+    code = cli.main(
+        ["solve", "--method", "chain", "--variant", variant, "--j", repr(j),
+         "--tau", repr(tau), "--history", "const:1", "--h", "1", "--t-end", "1"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0].split(",") == ["t", "x"] + [f"B{i + 1}" for i in range(expected.n)]
+    first = np.array([float(tok) for tok in lines[1].split(",")])
+    np.testing.assert_allclose(first[2:], 1.0 / np.asarray(expected.rates()), rtol=1e-15)
+
+    phi = np.array([0.01, 0.1])
+    direct = np.abs(
+        gamma_mgf(GammaKernel(j, j / tau), -phi) - hypoexp_mgf(expected.kernel(), -phi)
+    )
+    assert np.array_equal(analysis.mgf_error(j, tau, variant, phi), direct)
+
+    cfg = epi.FIT_APPROX_CFG
+    params = epi.SirParams(beta=0.5, tau=tau, j=j, eps=1e-3, M=1000.0)
+    chain = epi.build_sir_chain(params, variant, cfg).params
+    if variant == "smoothed_regularized":
+        assert chain == regularized_smoothed(j, tau, cfg)
+    else:
+        assert chain == expected
+
+
+def test_unknown_variant_rejected(capsys):
+    with pytest.raises(ValueError, match="unknown chain variant"):
+        chain_params("bogus", 2.5, 1.0)
+    with pytest.raises(ValueError, match="unknown chain variant"):
+        analysis.mgf_error(2.5, 1.0, "bogus", 0.1)
+    params = epi.SirParams(beta=0.5, tau=5.0, j=2.5, eps=1e-3, M=1000.0)
+    with pytest.raises(ValueError, match="unknown chain variant"):
+        epi.build_sir_chain(params, "bogus")
+    code = cli.main(["solve", "--method", "chain", "--variant", "bogus", "--j", "2.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown chain variant")

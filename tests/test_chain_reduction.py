@@ -10,9 +10,8 @@ from gammadde.chain_reduction import (
     build_erlang_system,
     build_hypoexp_system,
     chain_initial_state,
-    delayed_term,
 )
-from gammadde.distributions import GammaKernel, HypoexpKernel, gamma_pdf, hypoexp_pdf
+from gammadde.distributions import HypoexpKernel, hypoexp_pdf
 from gammadde.ode_solver import OdeConfig, rk45_adaptive
 
 TIGHT = OdeConfig(rtol=1e-12, atol=1e-14)
@@ -35,9 +34,8 @@ def test_constant_history_inits():
     init = chain_initial_state(HistoryFunction.constant(1.0), params, 0.0)
     assert np.allclose(init, 1.0 / 3.0, rtol=1e-15)
     params = fixed_hypoexp(2.5, 1.0)
-    for mode in ("stagewise", "cumulative"):
-        init = chain_initial_state(HistoryFunction.constant(2.0), params, 0.0, mode)
-        assert np.allclose(init, 2.0 / np.asarray(params.rates()), rtol=1e-15)
+    init = chain_initial_state(HistoryFunction.constant(2.0), params, 0.0)
+    assert np.allclose(init, 2.0 / np.asarray(params.rates()), rtol=1e-15)
 
 
 def test_zero_history_inits():
@@ -56,25 +54,17 @@ def test_exponential_history_erlang_closed_form():
         assert val == pytest.approx((0.1 / lam) * (lam / 3.1) ** i, rel=1e-14)
 
 
-@pytest.mark.parametrize("mode", ["stagewise", "cumulative"])
-def test_exponential_history_against_quadrature(mode):
+def test_exponential_history_against_quadrature():
     params = fixed_hypoexp(2.5, 1.0)
     rates = params.rates()
     rho, c = 0.1, 0.1
-    init = chain_initial_state(HistoryFunction.exponential(c, rho), params, 0.0, mode)
+    init = chain_initial_state(HistoryFunction.exponential(c, rho), params, 0.0)
 
     def oracle(i):
-        # Defining integral psi(-s)/r_i * kappa_i(s) with the mode's kernel.
-        lam = params.common_rate
-        if mode == "stagewise":
-            if i < params.n - 2:
-                kern = GammaKernel(i + 1.0, lam)
-                dens = lambda s: gamma_pdf(kern, s)
-            else:
-                dens = lambda s: rates[i] * math.exp(-rates[i] * s)
-        else:
-            kern = HypoexpKernel(rates[: i + 1])
-            dens = lambda s: float(hypoexp_pdf(kern, s))
+        # Defining integral psi(-s)/r_i * kappa_i(s), kappa_i the density of
+        # the first i+1 stages in sequence.
+        kern = HypoexpKernel(rates[: i + 1])
+        dens = lambda s: float(hypoexp_pdf(kern, s))
         val, _ = quad(lambda s: c * math.exp(-rho * s) / rates[i] * dens(s), 0, np.inf)
         return val
 
@@ -82,19 +72,13 @@ def test_exponential_history_against_quadrature(mode):
         assert init[i] == pytest.approx(oracle(i), rel=1e-8)
 
 
-@pytest.mark.parametrize("mode", ["stagewise", "cumulative"])
-def test_custom_history_matches_closed_form(mode):
-    params = fixed_hypoexp(2.5, 1.0)
-    closed = chain_initial_state(
-        HistoryFunction.exponential(0.1, 0.1), params, 0.0, mode
-    )
-    custom = chain_initial_state(
-        HistoryFunction.custom(lambda s: 0.1 * np.exp(0.1 * s)),
-        params,
-        0.0,
-        mode,
-    )
-    assert np.allclose(custom, closed, rtol=1e-7)
+def test_custom_history_matches_closed_form():
+    for params in (fixed_hypoexp(2.5, 1.0), erlang_approx(2.8, 1.0)):
+        closed = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params, 0.0)
+        custom = chain_initial_state(
+            HistoryFunction.custom(lambda s: 0.1 * np.exp(0.1 * s)), params, 0.0
+        )
+        assert np.allclose(custom, closed, rtol=1e-7)
 
 
 def test_point_mass_init():
@@ -107,17 +91,6 @@ def test_divergent_history_rejected():
     params = fixed_hypoexp(2.5, 1.0)  # min rate 1.938
     with pytest.raises(ValueError):
         chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params, 0.0)
-
-
-def test_init_modes_differ_for_nonconstant_history():
-    params = fixed_hypoexp(2.5, 1.0)
-    lit = chain_initial_state(
-        HistoryFunction.exponential(0.1, 0.1), params, 0.0, "stagewise"
-    )
-    cons = chain_initial_state(
-        HistoryFunction.exponential(0.1, 0.1), params, 0.0, "cumulative"
-    )
-    assert not np.allclose(lit[-2:], cons[-2:], rtol=1e-3)
 
 
 def test_variant_guards():
@@ -173,25 +146,6 @@ def test_pure_transit_conserves_mass():
     assert np.max(np.abs(totals - 1.0)) < 1e-10
 
 
-def test_delayed_term():
-    params = fixed_hypoexp(2.5, 1.0)
-    prob = build_hypoexp_system(
-        lambda y, conv: 0.0, params, HistoryFunction.constant(0.0), 0.0, 1.0
-    )
-    state = np.zeros(prob.dim)
-    state[-1] = 0.2
-    mu = params.rates()[-1]
-    assert delayed_term(prob, state) == pytest.approx(0.2 * mu, rel=1e-15)
-
-    erl = erlang_approx(2.8, 1.0)  # rates 3
-    prob_e = build_erlang_system(
-        lambda y, conv: 0.0, erl, HistoryFunction.constant(0.0), 0.0, 1.0
-    )
-    state = np.zeros(prob_e.dim)
-    state[-1] = 1.0 / 3.0
-    assert delayed_term(prob_e, state) == pytest.approx(1.0, rel=1e-15)
-
-
 def test_delayed_term_tracks_equilibrium():
     # Y driven to a constant: the chain relaxes until the delayed term
     # reproduces that constant.
@@ -205,14 +159,14 @@ def test_delayed_term_tracks_equilibrium():
         40.0,
     )
     _, states = rk45_adaptive(prob.rhs, prob.y0, 0.0, 40.0, TIGHT, t_eval=[40.0])
-    assert delayed_term(prob, states[-1]) == pytest.approx(target, abs=1e-6)
+    assert params.rates()[-1] * states[-1][-1] == pytest.approx(target, abs=1e-6)
 
 
 @pytest.mark.parametrize("builder", [fixed_hypoexp, smoothed_hypoexp])
 def test_integer_shape_exponential_history_matches_erlang(builder):
-    # At integer shape every two-moment chain is the Erlang chain, so with
-    # the default initial conditions it must reproduce the Erlang reduction
-    # for a non-constant history as well (stagewise misses it by 0.26).
+    # At integer shape every two-moment chain is the Erlang chain, so it
+    # must reproduce the Erlang reduction for a non-constant history as
+    # well.
     F = lambda y, conv: 0.8 * y - 1.1 * conv
     hist = HistoryFunction.exponential(1.0, 0.5)
     erl = build_erlang_system(F, erlang_approx(3, 1.0), hist, 0.0, 10.0)

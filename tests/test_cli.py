@@ -167,6 +167,15 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_removed_initial_condition_flag_rejected(capsys):
+    # Chain initial conditions have one convention; the old flag is a usage
+    # error like any unknown flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--j", "2.5", "--method", "chain", "--init-mode", "cumulative"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_divergent_history_rejected_without_warning(capsys):
     for method in ("fcrk4", "chain"):
         with warnings.catch_warnings():
@@ -178,14 +187,17 @@ def test_divergent_history_rejected_without_warning(capsys):
         assert err.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_exit_code_numerical_failure(capsys):
-    code, _, err = run_cli(
-        capsys, "solve", "--problem", "custom-linear", "--j", "1",
-        "--alpha", "10", "--beta", "1", "--h", "0.1", "--t-end", "100",
-    )
+    # The overflow is reported with its step and stage, not by a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(
+            capsys, "solve", "--problem", "custom-linear", "--j", "1",
+            "--alpha", "10", "--beta", "1", "--h", "0.1", "--t-end", "100",
+        )
     assert code == 3
-    assert "numerical" in err
+    assert stdout == ""
+    assert "numerical" in err and "non-finite stage value at step" in err
 
 
 def test_exit_code_numerical_failure_chain(capsys):
@@ -240,6 +252,28 @@ def test_epi_fit_report(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert set(payload) == {"beta", "tau", "j", "eps", "loglik", "n_evals", "converged"}
     assert payload["n_evals"] <= 40
+
+
+def test_epi_loglik_reproduces_fit(tmp_path, capsys):
+    # epi loglik evaluates the likelihood the fitter maximizes, so at the
+    # reported optimum it prints the fit's loglik.
+    cases = tmp_path / "cases.csv"
+    serial = tmp_path / "serial.csv"
+    data = ["--cases", str(cases), "--serial", str(serial), "--M", "1000"]
+    assert main(["epi", "simulate", "--seed", "0", "--K", "60", "--L", "30"] + data) == 0
+    capsys.readouterr()
+    code, stdout, _ = run_cli(
+        capsys, "epi", "fit", *data, "--beta", "0.45", "--tau", "4.5", "--j", "3.5",
+        "--eps", "1e-3", "--max-evals", "20",
+    )
+    assert code == 0
+    fit = json.loads(stdout)
+    code, stdout, _ = run_cli(
+        capsys, "epi", "loglik", *data, "--beta", repr(fit["beta"]),
+        "--tau", repr(fit["tau"]), "--j", repr(fit["j"]), "--eps", repr(fit["eps"]),
+    )
+    assert code == 0
+    assert json.loads(stdout)["loglik"] == pytest.approx(fit["loglik"], rel=0, abs=1e-9)
 
 
 def test_epi_simulate_deterministic(tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import mpmath
 from scipy.integrate import quad
-from scipy.special import gammaincc
 
 from gammadde.distributions import (
     GammaKernel,
@@ -15,12 +15,9 @@ from gammadde.distributions import (
     gamma_pdf,
     gamma_survival,
     hypoexp_mgf,
-    hypoexp_moments,
     hypoexp_pdf,
     hypoexp_survival,
-    regularized_gamma_q,
     sample_equilibrium_gamma,
-    sample_gamma,
 )
 
 # High-precision values computed with mpmath (30 digits) from the defining
@@ -81,15 +78,19 @@ def test_gamma_survival_monotone():
 
 
 def test_incomplete_gamma_against_scipy():
-    # Dual route: the series/continued-fraction implementation against
-    # scipy's independent one, both sides of the x = s + 1 switch.
+    # Dual route: gamma_survival (scipy's gammaincc) against mpmath's
+    # regularized upper incomplete gamma at 40 digits, on both sides of
+    # the x = s + 1 line where the series and continued-fraction regimes
+    # meet.
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        s = rng.uniform(0.05, 30.0)
-        x = rng.uniform(0.0, 60.0)
-        assert regularized_gamma_q(s, x) == pytest.approx(
-            float(gammaincc(s, x)), rel=1e-12, abs=1e-300
-        )
+    with mpmath.workdps(40):
+        for _ in range(200):
+            s = rng.uniform(0.05, 30.0)
+            x = rng.uniform(0.0, 60.0)
+            oracle = float(mpmath.gammainc(s, x, mpmath.inf, regularized=True))
+            assert gamma_survival(GammaKernel(s, 1.0), x) == pytest.approx(
+                oracle, rel=1e-12, abs=1e-300
+            )
 
 
 def test_gamma_mgf():
@@ -105,9 +106,8 @@ def test_gamma_mgf():
 def test_hypoexp_mgf_and_moments():
     k = HypoexpKernel((1.0, 2.0))
     assert hypoexp_mgf(k, 0.0) == 1.0
-    mean, var = hypoexp_moments(k)
-    assert mean == 1.5
-    assert var == 1.25
+    assert k.mean == 1.5
+    assert k.variance == 1.25
     with pytest.raises(ValueError):
         hypoexp_mgf(k, 1.0)
 
@@ -118,9 +118,8 @@ def test_hypoexp_moments_match_mgf_derivatives():
     vals = hypoexp_mgf(k, np.array([-2 * h, -h, 0.0, h, 2 * h]))
     d1 = (vals[3] - vals[1]) / (2 * h)
     d2 = (vals[3] - 2 * vals[2] + vals[1]) / h**2
-    mean, var = hypoexp_moments(k)
-    assert d1 == pytest.approx(mean, rel=1e-6)
-    assert d2 - mean**2 == pytest.approx(var, rel=1e-4)
+    assert d1 == pytest.approx(k.mean, rel=1e-6)
+    assert d2 - k.mean**2 == pytest.approx(k.variance, rel=1e-4)
 
 
 def test_hypoexp_survival_values():
@@ -172,18 +171,12 @@ def test_hypoexp_pdf_is_survival_derivative():
 
 
 def test_rng_reproducible():
-    a = sample_gamma(Rng(7), GammaKernel(2.0, 1.0), size=100)
-    b = sample_gamma(Rng(7), GammaKernel(2.0, 1.0), size=100)
-    c = sample_gamma(Rng(8), GammaKernel(2.0, 1.0), size=100)
+    k = GammaKernel(2.0, 1.0)
+    a = sample_equilibrium_gamma(Rng(7), k, size=100)
+    b = sample_equilibrium_gamma(Rng(7), k, size=100)
+    c = sample_equilibrium_gamma(Rng(8), k, size=100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_sample_gamma_mean():
-    k = GammaKernel(4.0, 0.8)
-    draws = sample_gamma(Rng(11), k, size=100_000)
-    se = math.sqrt(k.variance / draws.size)
-    assert abs(draws.mean() - 5.0) < 3 * se
 
 
 def test_equilibrium_sampler_distribution():

@@ -7,7 +7,7 @@ import pytest
 from gammadde import analysis
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel
-from gammadde.fcrk import TABLEAU4, DdeProblem, fcrk4_solve, solution_query
+from gammadde.fcrk import TABLEAU4, DdeProblem, fcrk4_solve
 from gammadde.quadrature import QuadConfig
 
 XI = (1 / 8) ** 4
@@ -62,7 +62,7 @@ def test_query_contract():
     assert np.array_equal(sol.query(sol.mesh), sol.mesh_values)
     with pytest.raises(ValueError):
         sol.query(2.5)
-    assert solution_query(sol, 1.0) == sol.query(1.0)
+    assert sol(1.0) == sol.query(1.0)
 
 
 def test_interpolant_agrees_with_refined_solve():
@@ -154,11 +154,12 @@ def test_vector_state():
     assert np.allclose(val, [math.exp(-1), 2 * math.exp(-1)], atol=1e-7)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_stage_raises():
     prob = _problem(lambda x, conv: 10.0 * x, t_end=100.0)
-    with pytest.raises(FloatingPointError, match="stage"):
-        fcrk4_solve(prob, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="stage"):
+            fcrk4_solve(prob, 0.1)
 
 
 def test_bad_step_rejected():

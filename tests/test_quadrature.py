@@ -7,7 +7,6 @@ from gammadde.distributions import GammaKernel
 from gammadde.quadrature import (
     QuadConfig,
     convolution_integral,
-    couple_stepsizes,
     open_simpson,
     quadrature_step,
     select_transform_params,
@@ -58,12 +57,10 @@ def test_open_simpson_quartic_refinement_order():
 
 
 def test_couple_stepsizes():
-    assert couple_stepsizes(0.1, xi=1.0) == 3
-    assert couple_stepsizes(0.05, xi=1.0) == 5
-    assert couple_stepsizes(0.1, xi=16.0) == 2
+    # The coupling h_int^q = xi h^p.
     assert quadrature_step(0.1, 16.0) == pytest.approx(0.2, rel=1e-14)
-    with pytest.raises(ValueError):
-        couple_stepsizes(-0.1)
+    assert quadrature_step(0.05, 1.0) == pytest.approx(0.05, rel=1e-14)
+    assert quadrature_step(0.1, 1.0, p=4, q=2) == pytest.approx(0.01, rel=1e-14)
 
 
 def test_quad_config():
