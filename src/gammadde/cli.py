@@ -137,15 +137,8 @@ def _problem_setup(args):
     return rhs, kernel, history, tau
 
 
-# Command-line default for the quadrature coupling constant: fine enough
-# that the composite rule is in its asymptotic regime at everyday step
-# sizes, where the bare coupling (xi = 1) would still be pre-asymptotic
-# for sharp kernels.
-DEFAULT_XI = (1.0 / 8.0) ** 4
-
-
 def _quad_config(args):
-    kwargs = {"xi": DEFAULT_XI}
+    kwargs = {}
     if getattr(args, "xi", None) is not None:
         kwargs["xi"] = args.xi
     if getattr(args, "quad_step", None) is not None:

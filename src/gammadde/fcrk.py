@@ -99,6 +99,12 @@ def _history_values(history, times, dim):
     return vals
 
 
+def _step_interpolant(tableau, h, x, k, step, theta):
+    """Completed-step interpolants x_m + h sum_s b_s(theta) K_ms at the
+    given step indices m and offsets theta."""
+    return x[step] + h * np.einsum("ms,msd->md", tableau.b_at(theta), k[step])
+
+
 class Solution:
     """Piecewise-polynomial interpolant produced by one FCRK solve.
 
@@ -131,10 +137,8 @@ class Solution:
         """Interpolant values for times in (t0, t_end]."""
         theta_total = (times - self.t0) / self.h
         step = np.minimum(np.floor(theta_total), self.n_steps - 1).astype(int)
-        theta = theta_total - step
-        b_vals = self.tableau.b_at(theta)  # (m, stages)
-        return self.x[step] + self.h * np.einsum(
-            "ms,msd->md", b_vals, self.k[step]
+        return _step_interpolant(
+            self.tableau, self.h, self.x, self.k, step, theta_total - step
         )
 
     def query(self, t):
@@ -156,51 +160,41 @@ class Solution:
 
 class _StageAccessor:
     """Vectorized solution lookup used by the convolution quadrature while
-    step n is in progress: history, completed step interpolants, and the
-    partial interpolant of the stage currently being assembled."""
+    step n is in progress.
 
-    def __init__(self, solve_state, step, stage, k_partial):
+    The quadrature is linear in the solution values, so one plan at time t
+    serves every stage evaluated at t.  Each node gets a row of ``dim + 4``
+    columns: the solution value where it is already known (history, or a
+    completed step's interpolant), then ``(1, theta, theta^2, theta^3)`` at
+    the nodes inside the running step.  One ``convolution_integral`` call
+    thus returns ``(fixed, w, m)``, and a stage with partial row
+    ``Y_i(theta) = x_n + h sum_j A_ij(theta) K_j`` has convolution
+    ``fixed + w x_n + h (m . A_i) K``.
+    """
+
+    def __init__(self, solve_state, step):
         self.s = solve_state
         self.step = step
-        self.stage = stage
-        self.k_partial = k_partial  # (stage, dim), rows already computed
 
     def __call__(self, times):
         s = self.s
-        out = np.empty((len(times), s.dim))
+        out = np.zeros((len(times), s.dim + 4))
         hist = times <= s.t0
         if hist.any():
-            out[hist] = _history_values(s.history, times[hist], s.dim)
-        rest = ~hist
-        if rest.any():
-            t_rest = times[rest]
-            theta_total = (t_rest - s.t0) / s.h
-            step_idx = np.floor(theta_total).astype(int)
-            # Nodes inside the running step use the partial stage row.
-            step_idx = np.minimum(step_idx, self.step)
-            theta = theta_total - step_idx
-            vals = np.empty((len(t_rest), s.dim))
-            cur = step_idx == self.step
-            done = ~cur
-            if done.any():
-                b_vals = s.tableau.b_at(theta[done])
-                vals[done] = s.x[step_idx[done]] + s.h * np.einsum(
-                    "ms,msd->md", b_vals, s.k[step_idx[done]]
-                )
-            if cur.any():
-                vals[cur] = self._partial(theta[cur])
-            out[rest] = vals
+            out[hist, : s.dim] = _history_values(s.history, times[hist], s.dim)
+        theta_total = (times - s.t0) / s.h
+        # Nodes beyond the running step's start all belong to it.
+        step_idx = np.clip(np.floor(theta_total), 0, self.step).astype(int)
+        theta = theta_total - step_idx
+        done = ~hist & (step_idx < self.step)
+        if done.any():
+            out[done, : s.dim] = _step_interpolant(
+                s.tableau, s.h, s.x, s.k, step_idx[done], theta[done]
+            )
+        cur = ~hist & (step_idx == self.step)
+        if cur.any():
+            out[cur, s.dim :] = theta[cur, None] ** np.arange(4)
         return out
-
-    def _partial(self, theta):
-        s = self.s
-        base = np.broadcast_to(s.x[self.step], (len(theta), s.dim)).copy()
-        if self.stage == 0:
-            return base
-        powers = np.stack([theta, theta**2, theta**3], axis=-1)  # (m, 3)
-        a_rows = s.tableau.a_coef[self.stage, : self.stage]  # (stage, 3)
-        a_vals = powers @ a_rows.T  # (m, stage)
-        return base + s.h * a_vals @ self.k_partial
 
 
 class _SolveState:
@@ -215,12 +209,26 @@ class _SolveState:
         self.k = np.empty((n_steps, tableau.stages, dim))
 
 
-def fcrk4_solve(problem, h, quad=None, tableau=TABLEAU4, transform_k=4):
+def _plan_conv(plan, x_n, h, coef, k):
+    """Convolution of the partial row x_n + h sum_j (coef_j . (theta,
+    theta^2, theta^3)) K_j from one shared quadrature plan (see
+    :class:`_StageAccessor`)."""
+    dim = len(x_n)
+    return plan[:dim] + plan[dim] * x_n + h * (coef @ plan[dim + 1 :]) @ k
+
+
+def fcrk4_solve(problem, h, quad=None, transform_k=4):
     """Integrate a gamma-distributed DDE with fixed step h.
 
     Each stage value is fed the quadrature approximation of the convolution
     at its own abscissa, built from the history, all completed step
     interpolants, and the lower-triangular portion of the current step.
+    The quadrature runs once per distinct abscissa: stages 1, 3 and 5 share
+    the plan at t_n + h, stages 2 and 4 the plan at t_n + h/2, and each
+    stage applies it to its own partial row in a few flops.  Once the step
+    is complete, the plan at t_n + h applied to the step interpolant is
+    stage 0's convolution in the next step, so a solve makes
+    ``2 n_steps + 1`` quadrature calls.
     The returned :class:`Solution` is immutable and may be queried from
     multiple threads.
     """
@@ -249,25 +257,42 @@ def fcrk4_solve(problem, h, quad=None, tableau=TABLEAU4, transform_k=4):
         problem.kernel.shape, problem.kernel.rate, k=transform_k
     )
 
+    tableau = TABLEAU4
     state = _SolveState(tableau, problem.history, problem.kernel, problem.t0, h, n_steps, dim)
     state.x[0] = x0
     c = tableau.c
     a_at_c = [tableau.a_at(c[i])[i, :i] for i in range(tableau.stages)]
+    a_rows = [tableau.a_coef[i, :i] for i in range(tableau.stages)]
     b_end = tableau.b_at(1.0)
 
+    def plan(n, theta):
+        return convolution_integral(
+            problem.t0 + n * h + theta * h,
+            _StageAccessor(state, n),
+            problem.kernel,
+            params,
+            quad,
+            h,
+            problem.t0,
+        )
+
+    # Every node of the plan at t0 lies in the history.
+    conv_start = plan(0, 0.0)[:dim]
     for n in range(n_steps):
-        t_n = problem.t0 + n * h
         k_step = state.k[n]
+        plans = {}
         for i in range(tableau.stages):
-            t_stage = t_n + c[i] * h
-            accessor = _StageAccessor(state, n, i, k_step[:i])
-            conv = convolution_integral(
-                t_stage, accessor, problem.kernel, params, quad, h, problem.t0
-            )
+            if i and c[i] not in plans:
+                plans[c[i]] = plan(n, c[i])
             y_i = state.x[n] + h * (a_at_c[i] @ k_step[:i]) if i else state.x[n].copy()
             # An overflowing solution is reported by the check below, with
             # its step and stage, instead of by a numpy warning.
             with np.errstate(over="ignore", invalid="ignore"):
+                conv = (
+                    _plan_conv(plans[c[i]], state.x[n], h, a_rows[i], k_step[:i])
+                    if i
+                    else conv_start
+                )
                 k_step[i] = problem.rhs(
                     y_i if dim > 1 else y_i[0], conv if dim > 1 else float(conv[0])
                 )
@@ -276,5 +301,6 @@ def fcrk4_solve(problem, h, quad=None, tableau=TABLEAU4, transform_k=4):
                     f"non-finite stage value at step {n}, stage {i}"
                 )
         state.x[n + 1] = state.x[n] + h * (b_end @ k_step)
+        conv_start = _plan_conv(plans[1.0], state.x[n], h, tableau.b_coef, k_step)
 
     return Solution(tableau, problem.history, problem.t0, h, state.x, state.k, scalar)

@@ -55,10 +55,10 @@ def rk45_adaptive(rhs, y0, t0, t_end, cfg=None, *, t_eval):
 
     Despite its name this is not a Runge-Kutta method; the name stays while
     ``bench/layer_trace.py`` hooks it.  ``t_eval`` holds increasing times
-    in ``[t0, t_end]``.  Returns ``(t_eval, y)`` with ``y`` of shape
-    ``(len(t_eval), dim)``.  Raises :class:`OdeFailure` with LSODA's message
-    when it gives up (excess work, illegal input) or the state goes
-    non-finite.
+    in ``[t0, t_end]``, at least one of them after ``t0``.  Returns
+    ``(t_eval, y)`` with ``y`` of shape ``(len(t_eval), dim)``.  Raises
+    :class:`OdeFailure` with LSODA's message when it gives up (excess work,
+    illegal input) or the state goes non-finite.
     """
     cfg = cfg or OdeConfig()
     times = np.asarray(t_eval, dtype=float)
@@ -66,6 +66,8 @@ def rk45_adaptive(rhs, y0, t0, t_end, cfg=None, *, t_eval):
         raise ValueError("t_eval must be a non-empty 1-d sequence")
     if times[0] < t0 - 1e-12 or times[-1] > t_end + 1e-12:
         raise ValueError("t_eval outside integration span")
+    if times[-1] <= t0:
+        raise ValueError("t_eval has no output time after t0: the output grid is empty")
     starts_at_t0 = times[0] <= t0
     grid = times if starts_at_t0 else np.concatenate([[t0], times])
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))

@@ -157,6 +157,12 @@ def test_exit_code_config_error(capsys):
         ["solve", "--j", "2.5", "--h", "0"],
         ["survival", "--j", "2.5", "--tau", "0"],
         ["epi", "loglik", "--cases", "{tmp}/missing.csv"],
+        # An empty output grid is a usage error, not a numerical failure.
+        ["epi", "simulate", "--K", "0", "--cases", "{tmp}/c.csv", "--serial", "{tmp}/s.csv"],
+        ["compare", "--j", "2.5", "--n-out", "1"],
+        # Over the quadrature's panel budget; refused before allocating
+        # (unguarded, 2.5 million panels: 60 MB per array).
+        ["solve", "--j", "2.5", "--quad-step", "1e-7"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):

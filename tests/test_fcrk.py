@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gammadde import analysis
+from gammadde import analysis, fcrk
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel
 from gammadde.fcrk import TABLEAU4, DdeProblem, fcrk4_solve
@@ -139,16 +142,19 @@ def test_step_count_handles_inexact_span():
     assert sol.n_steps == 4
 
 
-def test_vector_state():
+def _vector_problem():
     hist = HistoryFunction.custom(lambda s: np.stack([np.ones_like(s), 2 * np.ones_like(s)], axis=-1))
-    prob = DdeProblem(
+    return DdeProblem(
         rhs=lambda x, conv: -x,
         kernel=GammaKernel(1.0, 1.0),
         history=hist,
         t0=0.0,
         t_end=1.0,
     )
-    sol = fcrk4_solve(prob, 0.05)
+
+
+def test_vector_state():
+    sol = fcrk4_solve(_vector_problem(), 0.05)
     val = sol.query(1.0)
     assert val.shape == (2,)
     assert np.allclose(val, [math.exp(-1), 2 * math.exp(-1)], atol=1e-7)
@@ -184,3 +190,99 @@ def test_divergent_exponential_history_rejected():
         hist = HistoryFunction.exponential(1.0, -2.0)
         sol = fcrk4_solve(_problem(lambda x, conv: -x, j=2.5, history=hist), 0.05)
         assert np.isfinite(sol.query(1.0))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [_problem(lambda x, conv: -x + conv, j=2.5, t_end=1.0), _vector_problem()],
+    ids=["scalar", "vector"],
+)
+def test_one_quadrature_per_distinct_abscissa(problem, monkeypatch):
+    # The tableau has three distinct abscissae (0, 1/2, 1), and the plan at
+    # t_n + h also serves stage 0 of the next step: one plan at t0, then
+    # two per step.
+    quadrature = fcrk.convolution_integral
+    times = []
+
+    def counted(t, *args):
+        times.append(t)
+        return quadrature(t, *args)
+
+    monkeypatch.setattr(fcrk, "convolution_integral", counted)
+    sol = fcrk4_solve(problem, 0.05)
+    assert sol.n_steps == 20
+    assert len(times) == 2 * sol.n_steps + 1
+    expected = [0.0] + [t + d for t in sol.mesh[:-1] for d in (0.05, 0.025)]
+    assert times == pytest.approx(expected, abs=1e-14)
+
+
+def test_panel_budget_checked_before_allocation():
+    # h_int = 1e-7 needs 2.5 million panels, 7.5 million nodes: 60 MB per
+    # array if it were allocated.
+    prob = _problem(lambda x, conv: -x + conv, j=2.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            fcrk4_solve(prob, 0.1, quad=QuadConfig(h_int=1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # A step so small that the panel count overflows a float is refused too.
+    with pytest.raises(ValueError, match="budget"):
+        fcrk4_solve(prob, 0.1, quad=QuadConfig(h_int=5e-324))
+
+
+_AMPLITUDES = st.floats(-2.0, 2.0)
+_HISTORIES = st.one_of(
+    st.builds(HistoryFunction.constant, _AMPLITUDES),
+    # Kernel rates below are at least 0.25, so growth -0.2 keeps the
+    # delayed convolution finite.
+    st.builds(HistoryFunction.exponential, _AMPLITUDES, st.floats(-0.2, 1.0)),
+    st.builds(
+        lambda a, w: HistoryFunction.custom(lambda s: 1.0 + a * np.cos(w * s)),
+        _AMPLITUDES,
+        st.floats(0.1, 3.0),
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    h1=_HISTORIES,
+    h2=_HISTORIES,
+    c1=_AMPLITUDES,
+    c2=_AMPLITUDES,
+    alpha=st.floats(-2.0, 0.5),
+    beta=st.floats(-2.0, 2.0),
+    j=st.floats(1.0, 6.0),
+    tau=st.floats(0.5, 4.0),
+)
+def test_linear_in_the_history(h1, h2, c1, c2, alpha, beta, j, tau):
+    # For x' = alpha x + beta conv the whole scheme, quadrature included,
+    # is linear in the history.
+    rhs = lambda x, conv: alpha * x + beta * conv  # noqa: E731
+    combined = HistoryFunction.custom(lambda s: c1 * h1(s) + c2 * h2(s))
+    sols = [
+        fcrk4_solve(_problem(rhs, j=j, tau=tau, t_end=2.0, history=hist), 0.1).mesh_values
+        for hist in (h1, h2, combined)
+    ]
+    parts = np.abs(c1 * sols[0]) + np.abs(c2 * sols[1])
+    gap = np.abs(sols[2] - (c1 * sols[0] + c2 * sols[1]))
+    assert np.all(gap <= 1e-12 * np.max(parts))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    c=st.floats(-10.0, 10.0),
+    j=st.floats(1.0, 20.0),
+    tau=st.floats(0.5, 5.0),
+)
+def test_constant_solution_preserved_at_default_coupling(c, j, tau):
+    # x = c solves x' = -x + conv; the default quadrature coupling keeps
+    # the scheme on it at an everyday step (worst over a grid of j and tau:
+    # 3.8e-5 relative, at j = tau = 1).  With xi = 1 this fails.
+    prob = _problem(lambda x, conv: -x + conv, j=j, tau=tau, t_end=3.0,
+                    history=HistoryFunction.constant(c))
+    sol = fcrk4_solve(prob, 0.1)
+    assert np.max(np.abs(sol.mesh_values - c)) <= 1e-4 * max(1.0, abs(c))

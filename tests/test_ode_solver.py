@@ -50,6 +50,8 @@ def test_rk45_output_times_validated():
         rk45_adaptive(lambda t, y: -y, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="span"):
         rk45_adaptive(lambda t, y: -y, 1.0, 0.0, 1.0, t_eval=[0.5, 2.0])
+    with pytest.raises(ValueError, match="after t0"):
+        rk45_adaptive(lambda t, y: -y, 1.0, 0.0, 1.0, t_eval=[0.0])
 
 
 def test_rk45_logistic_chain_equilibrium():
