@@ -1,8 +1,12 @@
-"""Quantitative studies of the solver and the chain approximations:
-convergence-order estimation, closed-form and chain reference solutions of
-the built-in test problems, characteristic-root eigenfunction solutions,
-MGF error orders, survival-function comparisons, linear-stability spectra,
-and the moment-matching polynomials with their root-count properties.
+"""Quantitative studies of the solver and the chain approximations.
+
+* The built-in test problems, in one registry: ``dde_problem(name, j, ...)``
+  returns a problem and its reference solution for each name in
+  ``PROBLEMS``, and ``chain_trajectory`` integrates any chain reduction.
+* Convergence-order estimation.
+* MGF error orders and survival jumps of the kernel replacements.
+* Linear-stability spectra of the chains and trajectory growth rates.
+* The moment-matching polynomials with their root-count properties.
 """
 
 import math
@@ -11,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approximations as approx
-from .chain_reduction import HistoryFunction, build_erlang_system
-from .distributions import (
-    GammaKernel,
-    gamma_mgf,
-    gamma_survival,
-    hypoexp_mgf,
-    hypoexp_survival,
-)
+from .chain_reduction import HistoryFunction, build_erlang_system, build_hypoexp_system
+from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival
+# Not called here: bench/layer_trace.py times gamma_survival through this
+# module and reports its metrics absent when the name is missing.
+from .distributions import gamma_survival  # noqa: F401
 from .fcrk import DdeProblem
 from .ode_solver import OdeConfig, rk45_adaptive
 
@@ -58,115 +59,132 @@ def estimate_order(h_values, errors):
 
 
 # ---------------------------------------------------------------------------
-# Built-in test problems.
+# The built-in test problems and their references.
 #
-# linear:     x' = 4/5 x - 11/10 (x * g),  history 1,    mean delay 1
-# nonlinear:  x' = x - x (x * g) / K,      history 1,    K = 2, mean delay 9/4
-# linear_gamma: x' = alpha x + beta (x * g)   (eigenfunction problem)
+# linear:        x' = 4/5 x - 11/10 (x * g),  tau 1,    history 1
+# nonlinear:     x' = x - x (x * g) / 2,      tau 9/4,  history 1
+# linear_gamma:  x' = alpha x + beta (x * g), tau 1,    alpha -a by default
+#                (a = j/tau); history e^(lambda s) along the principal
+#                characteristic root when alpha = -a, else 1
+#
+# Each builder maps (j, tau, alpha, beta, history) to (rhs, history,
+# closed form or None); a closed form holds only for the default history.
 
 
-def linear_rhs():
-    return lambda x, conv: 0.8 * x - 1.1 * conv
+def _no_coefficients(name, alpha, beta, history):
+    if alpha is not None or beta is not None:
+        raise ValueError(f"problem {name} takes no alpha or beta")
+    if history == "eigen":
+        raise ValueError("history 'eigen' only applies to linear_gamma")
+    return HistoryFunction.constant(1.0) if history is None else history
 
 
-def nonlinear_rhs(capacity=2.0):
-    return lambda x, conv: x - x * conv / capacity
+def _damped_cosine(t):
+    """Linear problem at j = 1, tau = 1: exp(-t/10)(cos(sqrt(29) t / 10) +
+    B sin(sqrt(29) t / 10)), with B = -2/sqrt(29) fixed by the initial slope
+    x'(0) = 4/5 - 11/10 = -3/10 of the equivalent two-compartment ODE."""
+    t_arr = np.asarray(t, dtype=float)
+    omega = math.sqrt(29.0) / 10.0
+    b_coef = -2.0 / math.sqrt(29.0)
+    out = np.exp(-t_arr / 10.0) * (np.cos(omega * t_arr) + b_coef * np.sin(omega * t_arr))
+    return out if out.ndim else float(out)
 
 
-def linear_gamma_rhs(alpha, beta):
-    return lambda x, conv: alpha * x + beta * conv
+def _linear(j, tau, alpha, beta, history):
+    closed = _damped_cosine if history is None and j == 1 and tau == 1.0 else None
+    history = _no_coefficients("linear", alpha, beta, history)
+    return (lambda x, conv: 0.8 * x - 1.1 * conv), history, closed
 
 
-def linear_dde_problem(j, tau=1.0, t_end=10.0, history=None):
-    history = history or HistoryFunction.constant(1.0)
-    return DdeProblem(
-        rhs=linear_rhs(),
-        kernel=GammaKernel(shape=j, rate=j / tau),
-        history=history,
-        t0=0.0,
-        t_end=t_end,
-    )
+def _nonlinear(j, tau, alpha, beta, history):
+    history = _no_coefficients("nonlinear", alpha, beta, history)
+    return (lambda x, conv: x - x * conv / 2.0), history, None
 
 
-def nonlinear_dde_problem(j, tau=2.25, t_end=10.0, capacity=2.0, history=None):
-    history = history or HistoryFunction.constant(1.0)
-    return DdeProblem(
-        rhs=nonlinear_rhs(capacity),
-        kernel=GammaKernel(shape=j, rate=j / tau),
-        history=history,
-        t0=0.0,
-        t_end=t_end,
-    )
-
-
-def eigenfunction_problem(tau, j, beta, t_end=10.0, amplitude=1.0):
-    """Linear problem with alpha = -a whose exact solution is an
-    exponential along the principal characteristic root."""
+def _linear_gamma(j, tau, alpha, beta, history):
+    if beta is None:
+        raise ValueError("problem linear_gamma needs beta")
     a = j / tau
+    alpha = -a if alpha is None else alpha
+    rhs = lambda x, conv: alpha * x + beta * conv
+    if history not in (None, "eigen"):
+        return rhs, history, None
+    if alpha != -a:
+        if history == "eigen":
+            raise ValueError("history 'eigen' only applies to linear_gamma with alpha = -a")
+        return rhs, HistoryFunction.constant(1.0), None
     lam = char_root(tau, j, beta)
-    history = HistoryFunction.exponential(amplitude, lam)
-    problem = DdeProblem(
-        rhs=linear_gamma_rhs(-a, beta),
-        kernel=GammaKernel(shape=j, rate=a),
-        history=history,
-        t0=0.0,
-        t_end=t_end,
-    )
-    return problem, lam
+    return rhs, HistoryFunction.exponential(1.0, lam), lambda t: np.exp(lam * t)
 
 
-def _chain_reference(F, j, tau, t_end, times, history):
-    """Reference trajectory of the exact chain reduction for integer j."""
-    if not float(j).is_integer():
-        raise ValueError("chain references need an integer shape")
-    params = approx.erlang_approx(j, tau)
-    problem = build_erlang_system(F, params, history, 0.0, t_end)
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
-    return states[:, 0]
+_PROBLEMS = {
+    # name: (default tau, builder)
+    "linear": (1.0, _linear),
+    "nonlinear": (2.25, _nonlinear),
+    "linear_gamma": (1.0, _linear_gamma),
+}
+
+#: Names accepted by :func:`dde_problem`.
+PROBLEMS = tuple(_PROBLEMS)
 
 
-def linear_test_reference(j, t, tau=1.0):
-    """Solution of the linear test problem at integer j.
+def default_tau(name):
+    """The named problem's mean delay when none is given."""
+    if name not in _PROBLEMS:
+        raise ValueError(f"unknown problem {name!r} (choose from {PROBLEMS})")
+    return _PROBLEMS[name][0]
 
-    j = 1 has the closed form exp(-t/10)(cos(sqrt(29) t / 10) +
-    B sin(sqrt(29) t / 10)); the coefficient B = -2/sqrt(29) is fixed by
-    the initial slope x'(0) = 4/5 - 11/10 = -3/10 and verified by
-    substitution into the equivalent two-compartment ODE.  Other integer
-    shapes are integrated from the exact chain at tolerance 1e-12.
+
+def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end=10.0):
+    """(DdeProblem, reference) for the named built-in problem.
+
+    ``history`` is a :class:`HistoryFunction`, ``None`` for the problem's
+    default, or ``"eigen"`` (``linear_gamma`` with alpha = -a only).  The
+    reference maps times to exact solution values: the closed form where one
+    holds, otherwise at integer j the exact Erlang chain of the problem's own
+    rhs and history (integrated at tolerance 1e-12), otherwise it is None.
     """
+    tau = default_tau(name) if tau is None else tau
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    kernel = GammaKernel(shape=j, rate=j / tau)
+    rhs, history, closed = _PROBLEMS[name][1](j, tau, alpha, beta, history)
+    problem = DdeProblem(rhs=rhs, kernel=kernel, history=history, t0=0.0, t_end=t_end)
+    if closed is not None:
+        return problem, closed
     if not float(j).is_integer():
-        raise ValueError("reference defined for integer shapes only")
-    t_arr = np.asarray(t, dtype=float)
-    if int(j) == 1 and tau == 1.0:
-        omega = math.sqrt(29.0) / 10.0
-        b_coef = -2.0 / math.sqrt(29.0)
-        out = np.exp(-t_arr / 10.0) * (
-            np.cos(omega * t_arr) + b_coef * np.sin(omega * t_arr)
-        )
-        return out if out.ndim else float(out)
-    times = np.atleast_1d(t_arr)
-    vals = _chain_reference(
-        linear_rhs(), int(j), tau, float(times.max()), times, HistoryFunction.constant(1.0)
-    )
-    return vals.reshape(t_arr.shape) if t_arr.ndim else float(vals[0])
+        return problem, None
+    params = approx.erlang_approx(int(j), tau)
+    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
+
+    def chain_reference(t):
+        t_arr = np.asarray(t, dtype=float)
+        times = np.atleast_1d(t_arr)
+        states, _ = chain_trajectory(rhs, params, history, float(times.max()), times, cfg)
+        return states[:, 0].reshape(t_arr.shape) if t_arr.ndim else float(states[0, 0])
+
+    return problem, chain_reference
 
 
-def nonlinear_test_reference(j, t, tau=2.25, capacity=2.0):
-    """Chain-integrated solution of the logistic test problem, integer j."""
-    if not float(j).is_integer():
+def chain_trajectory(F, params, history, t_end, times, cfg):
+    """(states, labels) of the chain reduction of x' = F(x, conv) with the
+    given chain, started from ``history`` at t = 0 and sampled at ``times``
+    with the ODE settings ``cfg``."""
+    if params.variant == "erlang":
+        problem = build_erlang_system(F, params, history, 0.0, t_end)
+    else:
+        problem = build_hypoexp_system(F, params, history, 0.0, t_end)
+    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
+    return states, problem.labels
+
+
+def linear_test_reference(j, t):
+    """Solution of the linear test problem at integer j and its default tau
+    and history (the closed form at j = 1)."""
+    _, reference = dde_problem("linear", j)
+    if reference is None:
         raise ValueError("reference defined for integer shapes only")
-    t_arr = np.asarray(t, dtype=float)
-    times = np.atleast_1d(t_arr)
-    vals = _chain_reference(
-        nonlinear_rhs(capacity),
-        int(j),
-        tau,
-        float(times.max()),
-        times,
-        HistoryFunction.constant(1.0),
-    )
-    return vals.reshape(t_arr.shape) if t_arr.ndim else float(vals[0])
+    return reference(t)
 
 
 def char_root(tau, j, beta):
@@ -184,12 +202,6 @@ def char_root(tau, j, beta):
     return (beta * a**j) ** (1.0 / (j + 1.0)) - a
 
 
-def characteristic_residual(lam, tau, j, alpha, beta):
-    """Delta(lambda) = lambda - alpha - beta a^j / (a + lambda)^j."""
-    a = j / tau
-    return lam - alpha - beta * a**j / (a + lam) ** j
-
-
 # ---------------------------------------------------------------------------
 # Kernel-replacement error in MGF form.
 
@@ -202,7 +214,7 @@ def mgf_error(j, tau, variant, phi):
     return np.abs(gamma_mgf(gamma, -phi_arr) - hypoexp_mgf(kern, -phi_arr))
 
 
-def mgf_error_order(j, tau, variant, rel_phi=None):
+def mgf_error_order(j, tau, variant):
     """Fitted slope of log |MGF difference| against log(phi/a).
 
     Defined for non-integer shapes; at integer shapes the difference
@@ -211,23 +223,10 @@ def mgf_error_order(j, tau, variant, rel_phi=None):
     if float(j).is_integer():
         raise ValueError("MGF error vanishes identically at integer shapes")
     a = j / tau
-    rel = np.logspace(-3, -1, 10) if rel_phi is None else np.asarray(rel_phi)
+    rel = np.logspace(-3, -1, 10)
     errs = mgf_error(j, tau, variant, rel * a)
     slope, _ = np.polyfit(np.log10(rel), np.log10(errs), 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# Survival-function comparison between the gamma kernel and its chains.
-
-
-def survival_compare(j, tau, t):
-    """(gamma, fixed-chain, smoothed-chain) survival values at time t."""
-    gamma = GammaKernel(shape=j, rate=j / tau)
-    u = gamma_survival(gamma, t)
-    y_fixed = hypoexp_survival(approx.fixed_hypoexp(j, tau).kernel(), t)
-    y_smooth = hypoexp_survival(approx.smoothed_hypoexp(j, tau).kernel(), t)
-    return u, y_fixed, y_smooth
 
 
 def integer_jump(j0, tau, t, delta=1e-6):
@@ -267,11 +266,11 @@ def dominant_eigenvalue(alpha, beta, params):
     return eig[np.argmax(eig.real)]
 
 
-def growth_rate(times, values, min_peaks=4):
+def growth_rate(times, values):
     """Envelope growth rate of an oscillatory trajectory.
 
     Least-squares slope of log |peak| over the local maxima of |x| in the
-    second half of the span; needs at least ``min_peaks`` of them.
+    second half of the span; needs at least four of them.
     """
     t = np.asarray(times, dtype=float)
     x = np.abs(np.asarray(values, dtype=float))
@@ -280,8 +279,8 @@ def growth_rate(times, values, min_peaks=4):
     interior = (x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])
     idx = np.where(interior)[0] + 1
     idx = idx[x[idx] > 0]
-    if idx.size < min_peaks:
-        raise ValueError(f"need at least {min_peaks} envelope peaks, found {idx.size}")
+    if idx.size < 4:
+        raise ValueError(f"need at least 4 envelope peaks, found {idx.size}")
     slope, _ = np.polyfit(t[idx], np.log(x[idx]), 1)
     return float(slope)
 
@@ -299,14 +298,6 @@ class MomentPolynomial:
     degree: int
     frac: float
     coefficients: tuple  # descending powers, leading 1
-
-
-def falling_factorial(z, k):
-    """(z)_k = z (z-1) ... (z-k+1) via the stable recurrence."""
-    out = 1.0
-    for i in range(k):
-        out *= z - i
-    return out
 
 
 def fm_polynomial(m, frac):
@@ -331,17 +322,15 @@ def polynomial_roots(poly):
     return np.roots(np.asarray(poly.coefficients))
 
 
-def real_root_count(poly, imag_tol=1e-7):
-    """Number of roots with |Im| < imag_tol (1 + |Re|)."""
+def real_roots(poly):
+    """Sorted real parts of the roots with |Im| < 1e-7 (1 + |Re|)."""
     roots = polynomial_roots(poly)
-    real = np.abs(roots.imag) < imag_tol * (1.0 + np.abs(roots.real))
-    return int(real.sum())
-
-
-def real_roots(poly, imag_tol=1e-7):
-    roots = polynomial_roots(poly)
-    keep = np.abs(roots.imag) < imag_tol * (1.0 + np.abs(roots.real))
+    keep = np.abs(roots.imag) < 1e-7 * (1.0 + np.abs(roots.real))
     return np.sort(roots[keep].real)
+
+
+def real_root_count(poly):
+    return len(real_roots(poly))
 
 
 def gm_value(m, frac, x):
@@ -358,20 +347,22 @@ def gm_value(m, frac, x):
     return out if out.ndim else float(out)
 
 
-def gm_checks(m, frac, n_points=20, fd_step=1e-6, rel_tol=1e-6):
+def gm_checks(m, frac):
     """Structural identities of the g_m family, as a pass/fail record.
 
     Checks g_m(0) = 1, the sign of g_m(1) (negative for even m, positive
     for odd), the derivative recurrence g_m' = -(m-1+frac) g_(m-1) by
-    central differences, the odd-m lower bound g_m > (1-x)^m on (0, 1),
-    and the even-m single sign change on [0, 1].
+    central differences (step 1e-6, tolerance 1e-6 at 20 points), the odd-m
+    lower bound g_m > (1-x)^m on (0, 1), and the even-m single sign change
+    on [0, 1].
     """
     record = {}
     record["value_at_zero"] = abs(gm_value(m, frac, 0.0) - 1.0) < 1e-12
     g1 = gm_value(m, frac, 1.0)
     record["sign_at_one"] = (g1 < 0) if m % 2 == 0 else (g1 > 0)
-    xs = np.linspace(0.05, 0.95, n_points)
+    xs = np.linspace(0.05, 0.95, 20)
     if m >= 1:
+        fd_step = 1e-6
         fd = (gm_value(m, frac, xs + fd_step) - gm_value(m, frac, xs - fd_step)) / (
             2 * fd_step
         )
@@ -380,7 +371,7 @@ def gm_checks(m, frac, n_points=20, fd_step=1e-6, rel_tol=1e-6):
         # m-1, where a pure relative comparison is ill-posed.
         scale = np.maximum(np.abs(target), 1.0)
         record["derivative_recurrence"] = bool(
-            np.all(np.abs(fd - target) / scale < rel_tol)
+            np.all(np.abs(fd - target) / scale < 1e-6)
         )
     if m % 2 == 1:
         record["odd_lower_bound"] = bool(

@@ -69,11 +69,13 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class ApproxConfig:
-    """Regularization offsets and the stiffness diagnostic's threshold."""
+    """Regularization offsets of the ``smoothed_regularized`` chain: ``eps``
+    pulls the two tail residence times together and ``hbar`` regularizes
+    the square root, bounding the fastest rate near integer shapes.  The
+    other variants take no configuration."""
 
     eps: float = 1e-3
     hbar: float = 1e-3
-    stiffness_threshold: float = 100.0
 
     def __post_init__(self):
         if not (0 <= self.eps < 1):
@@ -112,7 +114,7 @@ def fixed_hypoexp(j, tau):
 
     The two tail residence times are the roots of a quadratic fixed by the
     moment equations; the smaller root degenerates to zero as j drops
-    to 1, which is rejected (and flagged as stiffness before that).
+    to 1, which is rejected (the chain turns stiff before that).
     """
     _check_positive(j, tau)
     n = max(math.ceil(j), 2)
@@ -214,16 +216,3 @@ def chain_params(variant, j, tau, cfg=None):
         raise ValueError(f"unknown chain variant {variant!r} (choose from {VARIANTS})")
     return _BUILDERS[variant](j, tau, cfg)
 
-
-def stiffness_check(params, cfg=None):
-    """True when the fastest stage rate exceeds the mean stage rate n/mean
-    by the configured factor.
-
-    Such chains would need impractically small explicit steps; the package's
-    ODE solver (LSODA) switches to implicit steps on them, so this is a
-    diagnostic, not a guard.
-    """
-    cfg = cfg or ApproxConfig()
-    rates = params.rates()
-    ratio = max(rates) * params.mean / len(rates)
-    return ratio > cfg.stiffness_threshold

@@ -17,11 +17,7 @@ import numpy as np
 
 from . import analysis
 from . import approximations as approx
-from .chain_reduction import (
-    HistoryFunction,
-    build_erlang_system,
-    build_hypoexp_system,
-)
+from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, Rng, gamma_survival, hypoexp_survival
 from .epi import (
     EpiData,
@@ -35,9 +31,14 @@ from .epi import (
     write_fit_report,
     write_serial_csv,
 )
-from .fcrk import DdeProblem, fcrk4_solve
-from .ode_solver import OdeConfig, OdeFailure, rk45_adaptive
+from .fcrk import fcrk4_solve
+from .ode_solver import OdeConfig, OdeFailure
 from .quadrature import QuadConfig
+
+# Not called here: bench/layer_trace.py looks these names up on this module
+# and reports a layer's metrics absent when one is missing.
+from .chain_reduction import build_erlang_system, build_hypoexp_system  # noqa: F401
+from .ode_solver import rk45_adaptive  # noqa: F401
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -99,42 +100,26 @@ def _positive(args, flag, default=None):
     return value
 
 
-_PROBLEMS = ("linear", "nonlinear", "linear_gamma", "custom-linear")
-
-
-def _problem_setup(args):
-    """(rhs, kernel, history, tau) for the selected built-in problem."""
+def _problem(args, t_end):
+    """(problem, reference, tau) of the built-in problem ``--problem``."""
     j = _positive(args, "j")
-    name = args.problem
-    history = _parse_history(getattr(args, "history", None))
-    if name == "linear":
-        tau = _positive(args, "tau", 1.0)
-        rhs = analysis.linear_rhs()
-        history = history or HistoryFunction.constant(1.0)
-    elif name == "nonlinear":
-        tau = _positive(args, "tau", 2.25)
-        rhs = analysis.nonlinear_rhs()
-        history = history or HistoryFunction.constant(1.0)
-    elif name in ("linear_gamma", "custom-linear"):
-        tau = _positive(args, "tau", 1.0)
-        a = j / tau
-        alpha = args.alpha if args.alpha is not None else -a
-        beta = args.beta
-        if beta is None:
-            raise ConfigError(f"problem {name} needs --beta")
-        rhs = analysis.linear_gamma_rhs(alpha, beta)
-        if history in (None, "eigen"):
-            if alpha == -a:
-                lam = analysis.char_root(tau, j, beta)
-                history = HistoryFunction.exponential(1.0, lam)
-            else:
-                history = HistoryFunction.constant(1.0)
-    else:
-        raise ConfigError(f"unknown problem {name!r} (choose from {_PROBLEMS})")
-    if history == "eigen":
-        raise ConfigError("history 'eigen' only applies to linear_gamma with alpha=-a")
-    kernel = GammaKernel(shape=j, rate=j / tau)
-    return rhs, kernel, history, tau
+    tau = _positive(args, "tau", analysis.default_tau(args.problem))
+    problem, reference = analysis.dde_problem(
+        args.problem,
+        j,
+        tau,
+        alpha=args.alpha,
+        beta=args.beta,
+        history=_parse_history(args.history),
+        t_end=t_end,
+    )
+    return problem, reference, tau
+
+
+def _n_out(args):
+    if args.n_out < 2:
+        raise ConfigError(f"--n-out must be at least 2, got {args.n_out}")
+    return args.n_out
 
 
 def _quad_config(args):
@@ -146,14 +131,8 @@ def _quad_config(args):
     return QuadConfig(**kwargs)
 
 
-def _chain_solve(rhs, params, history, t_end, times, rtol):
-    if params.variant == "erlang":
-        problem = build_erlang_system(rhs, params, history, 0.0, t_end)
-    else:
-        problem = build_hypoexp_system(rhs, params, history, 0.0, t_end)
-    cfg = OdeConfig(rtol=rtol, atol=rtol * 1e-2)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
-    return states, problem.labels
+def _chain_cfg(args):
+    return OdeConfig(rtol=args.rtol, atol=args.rtol * 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +140,20 @@ def _chain_solve(rhs, params, history, t_end, times, rtol):
 
 
 def cmd_solve(args):
-    rhs, kernel, history, tau = _problem_setup(args)
     t_end = _positive(args, "t_end", 10.0)
+    problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h", 0.05)
     times = np.arange(0.0, t_end + 0.5 * h, h)
     if args.method == "fcrk4":
-        sol = fcrk4_solve(
-            DdeProblem(rhs=rhs, kernel=kernel, history=history, t0=0.0, t_end=t_end),
-            h,
-            quad=_quad_config(args),
-        )
+        sol = fcrk4_solve(problem, h, quad=_quad_config(args))
         values = np.asarray(sol.query(times), dtype=float)
         rows = [(float(t), float(v)) for t, v in zip(times, values)]
         _write_csv(args.out, ["t", "x"], rows)
     elif args.method == "chain":
         params = approx.chain_params(args.variant, args.j, tau)
-        states, labels = _chain_solve(rhs, params, history, t_end, times, args.rtol)
+        states, labels = analysis.chain_trajectory(
+            problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
+        )
         header = ["t", "x"] + list(labels[1:])
         rows = [
             tuple([float(t)] + [float(v) for v in row]) for t, row in zip(times, states)
@@ -187,19 +164,6 @@ def cmd_solve(args):
     return 0
 
 
-def _convergence_reference(args, rhs, kernel, history, tau, times):
-    if args.problem == "linear_gamma":
-        lam = analysis.char_root(tau, args.j, args.beta)
-        return np.exp(lam * times)
-    if not float(args.j).is_integer():
-        raise ConfigError("convergence references need an integer shape")
-    if args.problem == "linear":
-        return analysis.linear_test_reference(int(args.j), times, tau)
-    if args.problem == "nonlinear":
-        return analysis.nonlinear_test_reference(int(args.j), times, tau)
-    raise ConfigError(f"no reference for problem {args.problem!r}")
-
-
 def cmd_convergence(args):
     h_list = [float(tok) for tok in args.h_list.split(",")]
     if args.inject_errors:
@@ -207,17 +171,19 @@ def cmd_convergence(args):
         if len(errors) != len(h_list):
             raise ConfigError("--inject-errors must match --h-list in length")
     else:
-        rhs, kernel, history, tau = _problem_setup(args)
-        t_end = args.t_end if args.t_end is not None else 10.0
+        t_end = _positive(args, "t_end", 10.0)
+        problem, reference, _ = _problem(args, t_end)
+        if reference is None:
+            raise ConfigError(
+                f"no reference solution for problem {args.problem} at --j {args.j:g} "
+                "with these flags: see the README for when convergence has one"
+            )
         times = np.linspace(0.0, t_end, 1001)
-        reference = _convergence_reference(args, rhs, kernel, history, tau, times)
-        problem = DdeProblem(
-            rhs=rhs, kernel=kernel, history=history, t0=0.0, t_end=t_end
-        )
+        ref_values = reference(times)
         errors = []
         for h in h_list:
             sol = fcrk4_solve(problem, h, quad=_quad_config(args))
-            errors.append(float(np.max(np.abs(sol.query(times) - reference))))
+            errors.append(float(np.max(np.abs(sol.query(times) - ref_values))))
     report = analysis.estimate_order(h_list, errors)
     _write_csv(args.out, ["h", "max_error"], list(zip(h_list, errors)))
     _emit_json({"slope": report.slope, "intercept": report.intercept})
@@ -225,20 +191,19 @@ def cmd_convergence(args):
 
 
 def cmd_compare(args):
-    rhs, kernel, history, tau = _problem_setup(args)
+    n_out = _n_out(args)
     t_end = _positive(args, "t_end", 10.0)
+    problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h", 0.05)
-    times = np.linspace(0.0, t_end, args.n_out)
-    sol = fcrk4_solve(
-        DdeProblem(rhs=rhs, kernel=kernel, history=history, t0=0.0, t_end=t_end),
-        h,
-        quad=_quad_config(args),
-    )
+    times = np.linspace(0.0, t_end, n_out)
+    sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}
     for variant in ("fixed", "smoothed", "erlang"):
         params = approx.chain_params(variant, args.j, tau)
-        states, _ = _chain_solve(rhs, params, history, t_end, times, args.rtol)
+        states, _ = analysis.chain_trajectory(
+            problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
+        )
         columns[variant] = states[:, 0]
     rows = [
         (float(t),) + tuple(float(columns[k][i]) for k in ("gamma_dde", "fixed", "smoothed", "erlang"))
@@ -254,16 +219,20 @@ def cmd_compare(args):
 
 
 def cmd_stability(args):
-    j, tau, alpha, beta = _positive(args, "j"), _positive(args, "tau", 1.0), args.alpha, args.beta
+    j = _positive(args, "j")
+    tau = _positive(args, "tau", analysis.default_tau("linear_gamma"))
+    alpha, beta = args.alpha, args.beta
     if alpha is None or beta is None:
         raise ConfigError("stability needs --alpha and --beta")
     t_end = _positive(args, "t_end", 80.0)
     h = _positive(args, "h", 0.05)
-    problem = DdeProblem(
-        rhs=analysis.linear_gamma_rhs(alpha, beta),
-        kernel=GammaKernel(shape=j, rate=j / tau),
+    problem, _ = analysis.dde_problem(
+        "linear_gamma",
+        j,
+        tau,
+        alpha=alpha,
+        beta=beta,
         history=HistoryFunction.constant(1.0),
-        t0=0.0,
         t_end=t_end,
     )
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
@@ -322,8 +291,9 @@ def cmd_survival(args):
         )
         return 0
     j = _positive(args, "j")
+    n_out = _n_out(args)
     t_max = args.t_max if args.t_max is not None else 4.0 * tau
-    times = np.linspace(0.0, t_max, args.n_out)
+    times = np.linspace(0.0, t_max, n_out)
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
     fixed_kernel = approx.fixed_hypoexp(j, tau).kernel()
     smooth_kernel = approx.smoothed_hypoexp(j, tau).kernel()
@@ -421,7 +391,7 @@ def cmd_epi(args):
 
 
 def _add_common_problem_flags(sub):
-    sub.add_argument("--problem", default="linear", choices=_PROBLEMS)
+    sub.add_argument("--problem", default="linear", choices=analysis.PROBLEMS)
     sub.add_argument("--j", type=float)
     sub.add_argument("--tau", type=float)
     sub.add_argument("--alpha", type=float)

@@ -137,15 +137,10 @@ def sample_serial(rng, j, tau, size=None):
     return sample_equilibrium_gamma(rng, GammaKernel(shape=j, rate=j / tau), size=size)
 
 
-def sample_cases(rng, params, rate_variant="fixed", approx_cfg=None):
-    """Poisson case counts around the model incidence."""
-    ds = simulate_incidence(params, rate_variant, approx_cfg)
-    return rng.generator.poisson(params.M * ds)
-
-
-def simulate_dataset(rng, params, n_serial, rate_variant="fixed", approx_cfg=None):
-    """Seeded synthetic observation set: cases plus serial intervals."""
-    cases = sample_cases(rng, params, rate_variant, approx_cfg)
+def simulate_dataset(rng, params, n_serial):
+    """Seeded synthetic observation set: Poisson case counts around the
+    model incidence on the fixed chain, plus serial intervals."""
+    cases = rng.generator.poisson(params.M * simulate_incidence(params))
     serial = sample_serial(rng, params.j, params.tau, size=n_serial)
     return EpiData(cases=tuple(int(c) for c in cases), serial=tuple(serial))
 

@@ -217,7 +217,7 @@ def _plan_conv(plan, x_n, h, coef, k):
     return plan[:dim] + plan[dim] * x_n + h * (coef @ plan[dim + 1 :]) @ k
 
 
-def fcrk4_solve(problem, h, quad=None, transform_k=4):
+def fcrk4_solve(problem, h, quad=None):
     """Integrate a gamma-distributed DDE with fixed step h.
 
     Each stage value is fed the quadrature approximation of the convolution
@@ -253,9 +253,7 @@ def fcrk4_solve(problem, h, quad=None, transform_k=4):
     x0 = np.atleast_1d(np.asarray(problem.history(problem.t0), dtype=float))
     dim = x0.size
     scalar = dim == 1 and np.ndim(problem.history(problem.t0)) == 0
-    params = select_transform_params(
-        problem.kernel.shape, problem.kernel.rate, k=transform_k
-    )
+    params = select_transform_params(problem.kernel.shape, problem.kernel.rate)
 
     tableau = TABLEAU4
     state = _SolveState(tableau, problem.history, problem.kernel, problem.t0, h, n_steps, dim)

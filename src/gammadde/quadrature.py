@@ -106,14 +106,6 @@ def _open_simpson_nodes(a, b, panels):
     return nodes, weights
 
 
-def open_simpson(f, panels, a=0.0, b=1.0):
-    """Composite open Simpson integral of a vectorized callable on [a, b]."""
-    if panels < 1:
-        raise ValueError("need at least one panel")
-    nodes, weights = _open_simpson_nodes(a, b, panels)
-    return float(weights @ np.asarray(f(nodes), dtype=float))
-
-
 def _log_weight(omega, kernel, params):
     """log of the solution-independent factor of u(t, omega).
 
@@ -130,23 +122,6 @@ def _log_weight(omega, kernel, params):
     with np.errstate(divide="ignore"):
         out = log_c + (beta * j - 1.0) * np.log(big_l) - a * sigma + big_l
     return out, sigma
-
-
-def transformed_integrand(t, omega, solution_accessor, kernel, params):
-    """u(t, omega) for omega in (0, 1); endpoints are rejected.
-
-    ``solution_accessor`` maps (arrays of) times s <= t to solution values;
-    the caller routes history versus interpolant lookups.
-    """
-    omega_arr = np.asarray(omega, dtype=float)
-    if np.any((omega_arr <= 0.0) | (omega_arr >= 1.0)):
-        raise ValueError("omega must lie strictly inside (0, 1)")
-    log_w, sigma = _log_weight(omega_arr, kernel, params)
-    weight = np.exp(log_w)
-    vals = np.asarray(solution_accessor(t - sigma), dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = np.where(weight > 0.0, weight * vals, 0.0)
-    return out if out.ndim else float(out)
 
 
 def _jitter_times(s, t0, h, delta):

@@ -10,20 +10,16 @@ import numpy as np
 
 from gammadde import analysis
 from gammadde import approximations as approx
-from gammadde.chain_reduction import (
-    HistoryFunction,
-    build_erlang_system,
-    build_hypoexp_system,
-)
+from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel, Rng
 from gammadde.epi import SirParams, mle_fit, serial_density, simulate_dataset
-from gammadde.fcrk import DdeProblem, fcrk4_solve
+from gammadde.fcrk import fcrk4_solve
 from gammadde.ode_solver import OdeConfig, rk45_adaptive
 from gammadde.quadrature import (
     QuadConfig,
-    open_simpson,
+    _open_simpson_nodes,
+    convolution_integral,
     select_transform_params,
-    transformed_integrand,
 )
 
 # Coupled-quadrature constant used for the order measurements on the two
@@ -53,8 +49,7 @@ def test_criterion_01_linear_convergence():
     h_values = [0.1, 0.05, 0.025, 0.0125]
     slopes = {}
     for j in (1, 4, 7):
-        problem = analysis.linear_dde_problem(j, t_end=10.0)
-        reference = lambda ts, j=j: analysis.linear_test_reference(j, ts)
+        problem, reference = analysis.dde_problem("linear", j, t_end=10.0)
         errs = _fcrk_errors(problem, reference, h_values, QuadConfig(xi=XI_SWEEP))
         slopes[j] = analysis.estimate_order(h_values, errs).slope
     elapsed = time.time() - t0
@@ -67,8 +62,7 @@ def test_criterion_02_nonlinear_convergence():
     h_values = [0.1, 0.05, 0.025, 0.0125]
     slopes = {}
     for j in (3, 8, 14):
-        problem = analysis.nonlinear_dde_problem(j, t_end=10.0)
-        reference = lambda ts, j=j: analysis.nonlinear_test_reference(j, ts)
+        problem, reference = analysis.dde_problem("nonlinear", j, t_end=10.0)
         errs = _fcrk_errors(problem, reference, h_values, QuadConfig(xi=XI_SWEEP))
         slopes[j] = analysis.estimate_order(h_values, errs).slope
     elapsed = time.time() - t0
@@ -85,19 +79,17 @@ def test_criterion_03_eigenfunction_convergence():
     # measure the quadrature, not the solver.
     quad = QuadConfig(h_int=1.0 / 2048.0)
     for tau, j, beta in triples:
-        problem, lam = analysis.eigenfunction_problem(tau, j, beta, t_end=10.0)
-        errs = _fcrk_errors(
-            problem, lambda ts, lam=lam: np.exp(lam * ts), [0.5, 0.25, 0.125, 0.0625], quad
-        )
+        problem, reference = analysis.dde_problem("linear_gamma", j, tau, beta=beta, t_end=10.0)
+        errs = _fcrk_errors(problem, reference, [0.5, 0.25, 0.125, 0.0625], quad)
         slopes[(tau, j, beta)] = analysis.estimate_order(
             [0.5, 0.25, 0.125, 0.0625], errs
         ).slope
     # Error floor: the decaying triple reaches 1e-12 with the coupled
     # quadrature at steps below 1e-2.
-    problem, lam = analysis.eigenfunction_problem(3.76, 3.70, 0.35, t_end=10.0)
+    problem, reference = analysis.dde_problem("linear_gamma", 3.70, 3.76, beta=0.35, t_end=10.0)
     times = np.linspace(0.0, 10.0, 1001)
     sol = fcrk4_solve(problem, 0.005, quad=QuadConfig(xi=XI_SWEEP))
-    floor = float(np.max(np.abs(sol.query(times) - np.exp(lam * times))))
+    floor = float(np.max(np.abs(sol.query(times) - reference(times))))
     elapsed = time.time() - t0
     ok = (
         all(3.7 <= s <= 4.3 for s in slopes.values())
@@ -156,13 +148,13 @@ def test_criterion_05_mgf_error_orders():
                    f"{elapsed:.2f}s < 1s")
 
 
-def _chain_trajectory(F, params, history, t_end, times):
-    if params.variant == "erlang":
-        problem = build_erlang_system(F, params, history, 0.0, t_end)
-    else:
-        problem = build_hypoexp_system(F, params, history, 0.0, t_end)
-    cfg = OdeConfig(rtol=1e-11, atol=1e-13)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
+CHAIN_CFG = OdeConfig(rtol=1e-11, atol=1e-13)
+
+
+def _chain_trajectory(problem, params, times):
+    states, _ = analysis.chain_trajectory(
+        problem.rhs, params, problem.history, problem.t_end, times, CHAIN_CFG
+    )
     return states[:, 0]
 
 
@@ -171,30 +163,26 @@ def test_criterion_06_approximation_dominance():
     # Linear problem, growing-exponential history, horizon 10.
     hist = HistoryFunction.exponential(0.1, 0.1)
     for j in (2.57, 3.48, 6.5):
-        cases.append(("linear", j, 1.0, analysis.linear_rhs(), hist, 10.0, 0.05))
+        cases.append(("linear", j, 1.0, hist, 10.0, 0.05))
     # Logistic problem, constant history, horizon frozen at 5 (the primary
     # transient; over longer windows secular phase drift shrinks the
     # measured factor below the conservative 5x).
     hist05 = HistoryFunction.constant(0.5)
     for j in (2.82, 4.72, 6.45):
-        cases.append(("nonlinear", j, 2.25, analysis.nonlinear_rhs(), hist05, 5.0, 0.02))
+        cases.append(("nonlinear", j, 2.25, hist05, 5.0, 0.02))
 
     ok = True
     summary = []
-    for name, j, tau, F, history, t_end, h in cases:
-        problem = DdeProblem(
-            rhs=F, kernel=GammaKernel(j, j / tau), history=history, t0=0.0, t_end=t_end
-        )
+    for name, j, tau, history, t_end, h in cases:
+        problem, _ = analysis.dde_problem(name, j, tau, history=history, t_end=t_end)
         times = np.linspace(0.0, t_end, 1001)
         gamma_traj = fcrk4_solve(problem, h, quad=QuadConfig(xi=(1 / 8) ** 4)).query(times)
         err_erl = float(np.max(np.abs(
-            _chain_trajectory(F, approx.erlang_approx(j, tau), history, t_end, times)
-            - gamma_traj)))
+            _chain_trajectory(problem, approx.erlang_approx(j, tau), times) - gamma_traj)))
         ratios = []
         for builder in (approx.fixed_hypoexp, approx.smoothed_hypoexp):
             err_hypo = float(np.max(np.abs(
-                _chain_trajectory(F, builder(j, tau), history, t_end, times)
-                - gamma_traj)))
+                _chain_trajectory(problem, builder(j, tau), times) - gamma_traj)))
             ok &= err_hypo < err_erl and err_erl >= 5.0 * err_hypo
             ratios.append(err_erl / err_hypo)
         summary.append(f"{name} j={j}: x{min(ratios):.1f}")
@@ -206,12 +194,9 @@ def test_criterion_07_stability_divergence():
     ok = True
     notes = []
     for j, tau, alpha, beta in [(2.5, 1.0, 0.89, -1.15), (4.495, 1.0, 0.825, -1.175)]:
-        problem = DdeProblem(
-            rhs=analysis.linear_gamma_rhs(alpha, beta),
-            kernel=GammaKernel(j, j / tau),
-            history=HistoryFunction.constant(1.0),
-            t0=0.0,
-            t_end=80.0,
+        problem, _ = analysis.dde_problem(
+            "linear_gamma", j, tau, alpha=alpha, beta=beta,
+            history=HistoryFunction.constant(1.0), t_end=80.0,
         )
         sol = fcrk4_solve(problem, 0.05, quad=QuadConfig(xi=(1 / 8) ** 4))
         times = np.linspace(0.0, 80.0, 4001)
@@ -254,17 +239,21 @@ def test_criterion_09_quadrature():
     rng = np.random.default_rng(123)
     worst = 0.0
     ones = lambda s: np.ones_like(np.asarray(s))
+    # t0 = t puts every node in the history, so (0, 1) is one piece of 16
+    # panels of width 4 h_int.
+    quad = QuadConfig(h_int=1.0 / 64.0)
     for _ in range(50):
         j = rng.uniform(1.5, 8.0)
         a = rng.uniform(0.2, 5.0)
         kern = GammaKernel(j, a)
         params = select_transform_params(j, a, 4)
-        val = open_simpson(
-            lambda w: transformed_integrand(2.0, w, ones, kern, params), 16
-        )
+        val = convolution_integral(2.0, ones, kern, params, quad, 0.1, 2.0)
         worst = max(worst, abs(val - 1.0))
     panels = [4, 8, 16, 32]
-    errs = [abs(open_simpson(lambda x: x**4, p) - 0.2) for p in panels]
+    errs = []
+    for p in panels:
+        nodes, weights = _open_simpson_nodes(0.0, 1.0, p)
+        errs.append(abs(weights @ nodes**4 - 0.2))
     slope = float(np.polyfit(np.log10([1 / (4 * p) for p in panels]), np.log10(errs), 1)[0])
     ok = worst < 1e-4 and abs(slope - 4.0) <= 0.1
     _report(9, ok, f"kernel normalization worst {worst:.1e} < 1e-4 at 16 panels; "

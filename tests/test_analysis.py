@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gammadde import analysis
 from gammadde.approximations import erlang_approx, fixed_hypoexp, smoothed_hypoexp
+from gammadde.distributions import GammaKernel, gamma_survival, hypoexp_survival
 
 
 def test_estimate_order_synthetic():
@@ -57,19 +58,16 @@ def test_linear_reference_closed_form_satisfies_ode():
 
 def test_linear_reference_chain_consistent_with_closed_form():
     # Integer-shape chain integration path against the closed form at j=1.
-    t = np.linspace(0.0, 10.0, 21)
-    closed = analysis.linear_test_reference(1, t)
-    prob = analysis.linear_dde_problem(1)
-    from gammadde.chain_reduction import HistoryFunction, build_erlang_system
-    from gammadde.ode_solver import OdeConfig, rk45_adaptive
+    from gammadde.ode_solver import OdeConfig
 
-    chain = build_erlang_system(
-        analysis.linear_rhs(), erlang_approx(1, 1.0), HistoryFunction.constant(1.0), 0.0, 10.0
+    t = np.linspace(0.0, 10.0, 21)
+    prob, closed = analysis.dde_problem("linear", 1)
+    states, labels = analysis.chain_trajectory(
+        prob.rhs, erlang_approx(1, 1.0), prob.history, 10.0, t,
+        OdeConfig(rtol=1e-12, atol=1e-14),
     )
-    _, states = rk45_adaptive(
-        chain.rhs, chain.y0, 0.0, 10.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=t
-    )
-    assert np.max(np.abs(states[:, 0] - closed)) < 1e-10
+    assert labels == ("Y", "B1")
+    assert np.max(np.abs(states[:, 0] - closed(t))) < 1e-10
 
 
 def test_char_root():
@@ -93,8 +91,9 @@ def test_char_root():
 def test_char_root_residual(tau, j, beta_frac):
     beta = beta_frac * 2.0 ** (j + 1) * (j / tau)
     lam = analysis.char_root(tau, j, beta)
-    res = analysis.characteristic_residual(lam, tau, j, -j / tau, beta)
-    assert abs(res) < 1e-12
+    # Delta(lambda) = lambda - alpha - beta a^j / (a + lambda)^j, alpha = -a.
+    a = j / tau
+    assert abs(lam + a - beta * a**j / (a + lam) ** j) < 1e-12
 
 
 def test_mgf_error_orders():
@@ -122,11 +121,20 @@ def test_hypoexp_beats_erlang_in_mgf_order(j):
     assert analysis.mgf_error_order(j, 1.3, "smoothed") > erl
 
 
+def _survivals(j, tau, t):
+    """(gamma, fixed-chain, smoothed-chain) survival values at time t."""
+    return (
+        gamma_survival(GammaKernel(j, j / tau), t),
+        hypoexp_survival(fixed_hypoexp(j, tau).kernel(), t),
+        hypoexp_survival(smoothed_hypoexp(j, tau).kernel(), t),
+    )
+
+
 def test_survival_compare():
-    u, yf, ys = analysis.survival_compare(2.5, 1.0, 0.0)
+    u, yf, ys = _survivals(2.5, 1.0, 0.0)
     assert (u, yf, ys) == (1.0, 1.0, 1.0)
     for t in (0.5, 1.0, 3.0):
-        u, yf, ys = analysis.survival_compare(3.0, 1.0, t)
+        u, yf, ys = _survivals(3.0, 1.0, t)
         assert abs(u - yf) < 1e-8 and abs(u - ys) < 1e-8
 
 
@@ -198,7 +206,9 @@ def test_fm_roots_match_smoothed_rates():
 def test_fm_constant_term():
     m, frac = 5, 0.37
     poly = analysis.fm_polynomial(m, frac)
-    expected = (-1) ** m * analysis.falling_factorial(m - 1 + frac, m) / math.factorial(m)
+    # (z)_m = z (z-1) ... (z-m+1) at z = m - 1 + frac.
+    falling = math.prod(m - 1 + frac - i for i in range(m))
+    expected = (-1) ** m * falling / math.factorial(m)
     assert poly.coefficients[-1] == pytest.approx(expected, rel=1e-14)
     assert poly.coefficients[0] == 1.0
 

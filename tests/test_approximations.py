@@ -14,7 +14,6 @@ from gammadde.approximations import (
     nearest_shape,
     regularized_smoothed,
     smoothed_hypoexp,
-    stiffness_check,
 )
 from gammadde.distributions import (
     GammaKernel,
@@ -98,7 +97,7 @@ def test_smoothed_stiff_just_above_integer():
     # above, so the fastest rate diverges like 1/frac.
     p = smoothed_hypoexp(2.001, 1.0)
     assert max(p.rates()) > 1000 * p.common_rate
-    assert stiffness_check(p, ApproxConfig(stiffness_threshold=100.0))
+    assert _stiffness_ratio(p) > 100.0
 
 
 def test_integer_collapse_exact():
@@ -200,17 +199,19 @@ def test_regularized_integer_shape_mean_exact():
         assert p.mean == pytest.approx(1.7, rel=1e-13)
 
 
+def _stiffness_ratio(params):
+    """Fastest stage rate over the mean stage rate n / mean."""
+    rates = params.rates()
+    return max(rates) * params.mean / len(rates)
+
+
 def test_stiffness_check():
-    assert not stiffness_check(
-        fixed_hypoexp(2.5, 1.0), ApproxConfig(stiffness_threshold=50.0)
-    )
+    assert _stiffness_ratio(fixed_hypoexp(2.5, 1.0)) <= 50.0
     # Fastest rate blows up as the shape drops toward 1.
-    assert stiffness_check(
-        fixed_hypoexp(1.05, 1.0), ApproxConfig(stiffness_threshold=15.0)
-    )
-    assert stiffness_check(fixed_hypoexp(1.005, 1.0))  # default threshold 100
+    assert _stiffness_ratio(fixed_hypoexp(1.05, 1.0)) > 15.0
+    assert _stiffness_ratio(fixed_hypoexp(1.005, 1.0)) > 100.0
     for j in (2, 5):
-        assert not stiffness_check(erlang_approx(j, 1.0))
+        assert _stiffness_ratio(erlang_approx(j, 1.0)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_chain_params_validation():

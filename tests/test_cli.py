@@ -71,6 +71,37 @@ def test_convergence_real_small(tmp_path, capsys):
     assert 3.5 <= slope <= 4.5
 
 
+def test_convergence_reference_follows_the_history(tmp_path, capsys):
+    # At integer j the reference is the exact Erlang chain started from the
+    # problem's own history, not from the default one.
+    code, stdout, _ = run_cli(
+        capsys, "convergence", "--problem", "linear", "--j", "2", "--history", "exp:1:0.5",
+        "--t-end", "5", "--h-list", "0.2,0.1,0.05", "--xi", "1.52587890625e-05",
+        "--out", str(tmp_path / "conv.csv"),
+    )
+    assert code == 0
+    assert 3.7 <= json.loads(stdout)["slope"] <= 4.3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--j", "2.5", "--n-out", "1"],
+        ["compare", "--j", "2.5", "--n-out", "0"],
+        ["survival", "--j", "2.5", "--n-out", "1"],
+    ],
+)
+def test_n_out_checked_before_solving(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before validating --n-out")
+
+    monkeypatch.setattr("gammadde.cli.fcrk4_solve", refuse)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: --n-out") and err.count("\n") == 1
+
+
 def test_compare_integer_shape_agrees(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code, stdout, _ = run_cli(
@@ -163,6 +194,12 @@ def test_exit_code_config_error(capsys):
         # Over the quadrature's panel budget; refused before allocating
         # (unguarded, 2.5 million panels: 60 MB per array).
         ["solve", "--j", "2.5", "--quad-step", "1e-7"],
+        # No reference: alpha != -a leaves no closed form, and j is not an
+        # integer, so there is no exact Erlang chain either.
+        ["convergence", "--problem", "linear_gamma", "--j", "2.5", "--beta", "0.5",
+         "--alpha", "0.3"],
+        ["convergence", "--problem", "linear_gamma", "--j", "2.5", "--beta", "0.5",
+         "--history", "const:1"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -198,7 +235,7 @@ def test_exit_code_numerical_failure(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, err = run_cli(
-            capsys, "solve", "--problem", "custom-linear", "--j", "1",
+            capsys, "solve", "--problem", "linear_gamma", "--j", "1",
             "--alpha", "10", "--beta", "1", "--h", "0.1", "--t-end", "100",
         )
     assert code == 3
@@ -211,7 +248,7 @@ def test_exit_code_numerical_failure_chain(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, err = run_cli(
-            capsys, "solve", "--problem", "custom-linear", "--j", "1.5", "--method", "chain",
+            capsys, "solve", "--problem", "linear_gamma", "--j", "1.5", "--method", "chain",
             "--alpha", "10", "--beta", "1", "--h", "0.1", "--t-end", "100",
         )
     assert code == 3

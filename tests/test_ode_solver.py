@@ -56,8 +56,8 @@ def test_rk45_output_times_validated():
 
 def test_rk45_logistic_chain_equilibrium():
     # Delayed-logistic chain settles at the capacity.
-    val = analysis.nonlinear_test_reference(3, 600.0)
-    assert abs(val - 2.0) < 1e-6
+    _, reference = analysis.dde_problem("nonlinear", 3)
+    assert abs(reference(600.0) - 2.0) < 1e-6
 
 
 def test_rk45_budget_exceeded():
@@ -154,8 +154,7 @@ def test_work_precision_erlang_reference():
     # a bound above the old error, still 1400 times below the smallest FCRK
     # error the reference is compared with (8e-10).
     times = np.linspace(0.0, 10.0, 1001)
-    problem = build_erlang_system(
-        analysis.nonlinear_rhs(), erlang_approx(14, 2.25), HistoryFunction.constant(1.0), 0.0, 10.0
-    )
+    dde, reference = analysis.dde_problem("nonlinear", 14)
+    problem = build_erlang_system(dde.rhs, erlang_approx(14, 2.25), dde.history, 0.0, 10.0)
     ref = _dop853(problem.rhs, problem.y0, times)[:, 0]
-    assert np.max(np.abs(analysis.nonlinear_test_reference(14, times) - ref)) < 1e-12
+    assert np.max(np.abs(reference(times) - ref)) < 1e-12

@@ -1,0 +1,50 @@
+"""Every public top-level function or class of the package has a caller
+outside the tests: in the package itself, the benchmark or the README.
+
+A name counts as used where Python code refers to it (a name, an attribute,
+an import, or a string naming it, as the benchmark's hooks do), apart from
+inside its own definition, or where the README mentions it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gammadde"
+
+
+def _referenced(tree):
+    """Names a syntax tree refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        outside |= _referenced(ast.parse(path.read_text()))
+    # Each top-level statement of the package with the names it refers to,
+    # so a definition's references to itself can be left out.
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        statements += [(path, node, _referenced(node)) for node in ast.parse(path.read_text()).body]
+
+    test_only = [
+        f"{path.name}: {node.name}"
+        for path, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+    assert not test_only, f"public names without a caller outside tests/: {test_only}"
