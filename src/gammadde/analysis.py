@@ -317,20 +317,12 @@ def fm_polynomial(m, frac):
     return MomentPolynomial(degree=m, frac=frac, coefficients=tuple(coeffs))
 
 
-def polynomial_roots(poly):
-    """All complex roots, via the companion-matrix eigenvalues."""
-    return np.roots(np.asarray(poly.coefficients))
-
-
 def real_roots(poly):
-    """Sorted real parts of the roots with |Im| < 1e-7 (1 + |Re|)."""
-    roots = polynomial_roots(poly)
+    """Sorted real parts of the roots (the companion-matrix eigenvalues)
+    with |Im| < 1e-7 (1 + |Re|)."""
+    roots = np.roots(np.asarray(poly.coefficients))
     keep = np.abs(roots.imag) < 1e-7 * (1.0 + np.abs(roots.real))
     return np.sort(roots[keep].real)
-
-
-def real_root_count(poly):
-    return len(real_roots(poly))
 
 
 def gm_value(m, frac, x):

@@ -28,41 +28,38 @@ from .distributions import HypoexpKernel, gamma_pdf, GammaKernel, hypoexp_pdf
 class HistoryFunction:
     """Prescribed solution values on (-inf, t0].
 
-    Kinds: ``constant`` (value c), ``exponential`` (c * exp(rho (s -
-    anchor))), ``point_mass`` (weight at t0; meaningful only for chain
-    initial conditions), and ``custom`` (any vectorized callable).
-    ``smoothness`` records how many derivatives the history is good for.
+    Kinds: ``constant`` (value c), ``exponential`` (c * exp(rho s)),
+    ``point_mass`` (weight at t0; meaningful only for chain initial
+    conditions), and ``custom`` (any vectorized callable).
     """
 
     kind: str
     value: float = 0.0
     growth: float = 0.0
-    anchor: float = 0.0
     fn: object = None
-    smoothness: int = 4
 
     @classmethod
     def constant(cls, c):
         return cls(kind="constant", value=float(c))
 
     @classmethod
-    def exponential(cls, c, rho, anchor=0.0):
-        return cls(kind="exponential", value=float(c), growth=float(rho), anchor=anchor)
+    def exponential(cls, c, rho):
+        return cls(kind="exponential", value=float(c), growth=float(rho))
 
     @classmethod
     def point_mass(cls, weight):
         return cls(kind="point_mass", value=float(weight))
 
     @classmethod
-    def custom(cls, fn, smoothness=4):
-        return cls(kind="custom", fn=fn, smoothness=smoothness)
+    def custom(cls, fn):
+        return cls(kind="custom", fn=fn)
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
         if self.kind == "constant":
             out = np.full(s_arr.shape, self.value)
         elif self.kind == "exponential":
-            out = self.value * np.exp(self.growth * (s_arr - self.anchor))
+            out = self.value * np.exp(self.growth * s_arr)
         elif self.kind == "point_mass":
             out = np.zeros(s_arr.shape)
         elif self.kind == "custom":
@@ -157,7 +154,7 @@ def chain_initial_state(history, params, t0):
     if history.kind == "constant":
         return history.value / np.asarray(rates)
     if history.kind == "exponential":
-        c_at_t0 = history.value * math.exp(history.growth * (t0 - history.anchor))
+        c_at_t0 = history.value * math.exp(history.growth * t0)
         return _exponential_init(c_at_t0, history.growth, rates)
     return _custom_init(history, t0, rates, params.variant == "erlang")
 

@@ -1,7 +1,14 @@
 """Command-line front end.
 
-    gamma-dde <solve|convergence|compare|stability|mgf-order|survival|
-               moment-poly|epi> [flags]
+    gamma-dde [--config FILE] <solve|convergence|compare|stability|mgf-order|
+                               survival|moment-poly|epi {simulate,loglik,fit}> [flags]
+
+Each command takes exactly the flags it reads: ``_FLAGS`` declares every
+flag's type and help once, and each command lists the flags it takes with
+its own defaults.  Flags are matched by their full names only.  A --config
+file is a JSON object keyed by the command's flag names; its entries are
+parsed by the command's parser ahead of the explicit flags, so they are
+validated like flags and explicit flags win.
 
 Every command is deterministic given its flags and --seed.  Output tables
 are CSV with a header row and 17-significant-digit floats (round-trip
@@ -87,11 +94,9 @@ def _parse_history(spec):
     raise ConfigError(f"bad history spec {spec!r} (use const:c or exp:c:rho)")
 
 
-def _positive(args, flag, default=None):
-    """A numeric flag's value, or ``default`` when unset; must be positive."""
+def _positive(args, flag):
+    """A numeric flag's value, which must be set and positive."""
     value = getattr(args, flag)
-    if value is None:
-        value = default
     name = "--" + flag.replace("_", "-")
     if value is None:
         raise ConfigError(f"{name} is required")
@@ -103,7 +108,7 @@ def _positive(args, flag, default=None):
 def _problem(args, t_end):
     """(problem, reference, tau) of the built-in problem ``--problem``."""
     j = _positive(args, "j")
-    tau = _positive(args, "tau", analysis.default_tau(args.problem))
+    tau = analysis.default_tau(args.problem) if args.tau is None else _positive(args, "tau")
     problem, reference = analysis.dde_problem(
         args.problem,
         j,
@@ -123,12 +128,7 @@ def _n_out(args):
 
 
 def _quad_config(args):
-    kwargs = {}
-    if getattr(args, "xi", None) is not None:
-        kwargs["xi"] = args.xi
-    if getattr(args, "quad_step", None) is not None:
-        kwargs["h_int"] = args.quad_step
-    return QuadConfig(**kwargs)
+    return QuadConfig(xi=args.xi, h_int=args.quad_step)
 
 
 def _chain_cfg(args):
@@ -140,16 +140,16 @@ def _chain_cfg(args):
 
 
 def cmd_solve(args):
-    t_end = _positive(args, "t_end", 10.0)
+    t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
-    h = _positive(args, "h", 0.05)
+    h = _positive(args, "h")
     times = np.arange(0.0, t_end + 0.5 * h, h)
     if args.method == "fcrk4":
         sol = fcrk4_solve(problem, h, quad=_quad_config(args))
         values = np.asarray(sol.query(times), dtype=float)
         rows = [(float(t), float(v)) for t, v in zip(times, values)]
         _write_csv(args.out, ["t", "x"], rows)
-    elif args.method == "chain":
+    else:
         params = approx.chain_params(args.variant, args.j, tau)
         states, labels = analysis.chain_trajectory(
             problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
@@ -159,31 +159,24 @@ def cmd_solve(args):
             tuple([float(t)] + [float(v) for v in row]) for t, row in zip(times, states)
         ]
         _write_csv(args.out, header, rows)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
     return 0
 
 
 def cmd_convergence(args):
     h_list = [float(tok) for tok in args.h_list.split(",")]
-    if args.inject_errors:
-        errors = [float(tok) for tok in args.inject_errors.split(",")]
-        if len(errors) != len(h_list):
-            raise ConfigError("--inject-errors must match --h-list in length")
-    else:
-        t_end = _positive(args, "t_end", 10.0)
-        problem, reference, _ = _problem(args, t_end)
-        if reference is None:
-            raise ConfigError(
-                f"no reference solution for problem {args.problem} at --j {args.j:g} "
-                "with these flags: see the README for when convergence has one"
-            )
-        times = np.linspace(0.0, t_end, 1001)
-        ref_values = reference(times)
-        errors = []
-        for h in h_list:
-            sol = fcrk4_solve(problem, h, quad=_quad_config(args))
-            errors.append(float(np.max(np.abs(sol.query(times) - ref_values))))
+    t_end = _positive(args, "t_end")
+    problem, reference, _ = _problem(args, t_end)
+    if reference is None:
+        raise ConfigError(
+            f"no reference solution for problem {args.problem} at --j {args.j:g} "
+            "with these flags: see the README for when convergence has one"
+        )
+    times = np.linspace(0.0, t_end, 1001)
+    ref_values = reference(times)
+    errors = []
+    for h in h_list:
+        sol = fcrk4_solve(problem, h, quad=_quad_config(args))
+        errors.append(float(np.max(np.abs(sol.query(times) - ref_values))))
     report = analysis.estimate_order(h_list, errors)
     _write_csv(args.out, ["h", "max_error"], list(zip(h_list, errors)))
     _emit_json({"slope": report.slope, "intercept": report.intercept})
@@ -192,9 +185,9 @@ def cmd_convergence(args):
 
 def cmd_compare(args):
     n_out = _n_out(args)
-    t_end = _positive(args, "t_end", 10.0)
+    t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
-    h = _positive(args, "h", 0.05)
+    h = _positive(args, "h")
     times = np.linspace(0.0, t_end, n_out)
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     gamma_traj = np.asarray(sol.query(times), dtype=float)
@@ -220,12 +213,12 @@ def cmd_compare(args):
 
 def cmd_stability(args):
     j = _positive(args, "j")
-    tau = _positive(args, "tau", analysis.default_tau("linear_gamma"))
+    tau = _positive(args, "tau")
     alpha, beta = args.alpha, args.beta
     if alpha is None or beta is None:
         raise ConfigError("stability needs --alpha and --beta")
-    t_end = _positive(args, "t_end", 80.0)
-    h = _positive(args, "h", 0.05)
+    t_end = _positive(args, "t_end")
+    h = _positive(args, "h")
     problem, _ = analysis.dde_problem(
         "linear_gamma",
         j,
@@ -257,7 +250,7 @@ def cmd_stability(args):
 
 
 def cmd_mgf_order(args):
-    tau = _positive(args, "tau", 1.0)
+    tau = _positive(args, "tau")
     if float(args.j).is_integer():
         phis = np.logspace(-3, -1, 10) * args.j / tau
         zeros = {
@@ -275,7 +268,7 @@ def cmd_mgf_order(args):
 
 
 def cmd_survival(args):
-    tau = _positive(args, "tau", 1.0)
+    tau = _positive(args, "tau")
     if args.jump_at is not None:
         jump_fixed, jump_smoothed = analysis.integer_jump(
             args.jump_at, tau, args.t, delta=args.delta
@@ -316,7 +309,7 @@ def cmd_moment_poly(args):
             "m": args.m,
             "fj": args.fj,
             "coefficients": [float(c) for c in poly.coefficients],
-            "real_roots": analysis.real_root_count(poly),
+            "real_roots": len(roots),
             "roots": [float(r) for r in roots],
             "gm_checks": {k: bool(v) for k, v in record.items()},
         },
@@ -325,177 +318,188 @@ def cmd_moment_poly(args):
     return 0
 
 
-def _epi_params(args, obs_times=None):
-    if obs_times is None:
-        k = args.K if args.K is not None else 120
-        dt = args.obs_dt if args.obs_dt is not None else 1.0
-        obs_times = tuple(dt * (i + 1) for i in range(k))
+def _sir_params(args, obs_times):
     return SirParams(
-        beta=args.beta if args.beta is not None else 0.5,
-        tau=args.tau if args.tau is not None else 5.0,
-        j=args.j if args.j is not None else 4.0,
-        eps=args.eps if args.eps is not None else 1e-3,
-        M=args.M if args.M is not None else 1000.0,
-        obs_times=obs_times,
+        beta=args.beta, tau=args.tau, j=args.j, eps=args.eps, M=args.M, obs_times=obs_times
     )
 
 
-def cmd_epi(args):
-    if args.epi_action == "simulate":
-        params = _epi_params(args)
-        rng = Rng(args.seed)
-        n_serial = args.L if args.L is not None else 100
-        data = simulate_dataset(rng, params, n_serial)
-        write_cases_csv(args.cases, params.obs_times, data.cases)
-        write_serial_csv(args.serial, data.serial)
-        _emit_json(
-            {
-                "total_cases": int(sum(data.cases)),
-                "n_serial": len(data.serial),
-                "cases_path": args.cases,
-                "serial_path": args.serial,
-                "seed": args.seed,
-            }
-        )
-        return 0
+def _read_data(args):
+    """(observation times, EpiData) from --cases and --serial."""
     obs_times, cases = read_cases_csv(args.cases)
     serial = read_serial_csv(args.serial) if args.serial else ()
-    data = EpiData(cases=cases, serial=serial)
-    params = _epi_params(args, obs_times=obs_times)
-    if args.epi_action == "loglik":
-        value = fit_log_likelihood(params, data)
-        _emit_json(
-            {
-                "loglik": value,
-                "beta": params.beta,
-                "tau": params.tau,
-                "j": params.j,
-                "eps": params.eps,
-                "M": params.M,
-                "n_obs": len(obs_times),
-                "n_serial": len(serial),
-            }
-        )
-        return 0
-    if args.epi_action == "fit":
-        result = mle_fit(data, params, max_evals=args.max_evals)
-        if args.out:
-            write_fit_report(args.out, result)
-        _emit_json(result.to_dict())
-        return 0
-    raise ConfigError(f"unknown epi action {args.epi_action!r}")
+    return obs_times, EpiData(cases=cases, serial=serial)
+
+
+def cmd_epi_simulate(args):
+    params = _sir_params(args, tuple(args.obs_dt * (i + 1) for i in range(args.K)))
+    data = simulate_dataset(Rng(args.seed), params, args.L)
+    write_cases_csv(args.cases, params.obs_times, data.cases)
+    write_serial_csv(args.serial, data.serial)
+    _emit_json(
+        {
+            "total_cases": int(sum(data.cases)),
+            "n_serial": len(data.serial),
+            "cases_path": args.cases,
+            "serial_path": args.serial,
+            "seed": args.seed,
+        }
+    )
+    return 0
+
+
+def cmd_epi_loglik(args):
+    obs_times, data = _read_data(args)
+    params = _sir_params(args, obs_times)
+    _emit_json(
+        {
+            "loglik": fit_log_likelihood(params, data),
+            "beta": params.beta,
+            "tau": params.tau,
+            "j": params.j,
+            "eps": params.eps,
+            "M": params.M,
+            "n_obs": len(obs_times),
+            "n_serial": len(data.serial),
+        }
+    )
+    return 0
+
+
+def cmd_epi_fit(args):
+    obs_times, data = _read_data(args)
+    result = mle_fit(data, _sir_params(args, obs_times), max_evals=args.max_evals)
+    if args.out:
+        write_fit_report(args.out, result)
+    _emit_json(result.to_dict())
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
+# Every flag's argparse settings, declared once and shared by the commands
+# that take it.  A default here holds wherever the flag is taken; a default
+# that differs between commands is given where the command is declared.
+_FLAGS = {
+    "--problem": dict(default="linear", choices=analysis.PROBLEMS, help="built-in test problem"),
+    "--j": dict(type=float, help="gamma shape"),
+    "--tau": dict(type=float, help="mean delay (epi: mean infectious period)"),
+    "--alpha": dict(type=float, help="coefficient of x(t) in linear_gamma"),
+    "--beta": dict(type=float, help="coefficient of the delayed term (epi: transmission rate)"),
+    "--history": dict(help="const:c, exp:c:rho or eigen"),
+    "--t-end": dict(type=float, help="end of the time window"),
+    "--h": dict(type=float, default=0.05, help="FCRK step"),
+    "--h-list": dict(default="0.1,0.05,0.025,0.0125", help="comma-separated FCRK steps"),
+    "--xi": dict(type=float, default=QuadConfig.xi, help="step coupling h_int^4 = xi h^4"),
+    "--quad-step": dict(type=float, help="quadrature step h_int, overriding --xi"),
+    "--rtol": dict(type=float, default=1e-10, help="chain ODE relative tolerance"),
+    "--method": dict(default="fcrk4", choices=("fcrk4", "chain")),
+    "--variant": dict(default="fixed", help="chain variant: " + ", ".join(approx.VARIANTS)),
+    "--n-out": dict(type=int, help="number of output times"),
+    "--t": dict(type=float, default=4.0, help="time of the survival jump"),
+    "--t-max": dict(type=float, help="end of the survival grid (default 4 tau)"),
+    "--jump-at": dict(type=float, help="integer shape: print the survival jumps there"),
+    "--delta": dict(type=float, default=1e-6, help="shape offset either side of --jump-at"),
+    "--m": dict(type=int, required=True, help="polynomial degree"),
+    "--fj": dict(type=float, required=True, help="fractional part of the shape"),
+    "--seed": dict(type=int, default=0),
+    "--K": dict(type=int, default=120, help="number of case observations"),
+    "--L": dict(type=int, default=100, help="number of serial intervals"),
+    "--obs-dt": dict(type=float, default=1.0, help="spacing of the case observations"),
+    "--eps": dict(type=float, default=1e-3, help="initial infected fraction"),
+    "--M": dict(type=float, default=1000.0, help="population scale"),
+    "--cases": dict(default="cases.csv", help="case-count CSV"),
+    "--serial": dict(default="serial.csv", help="serial-interval CSV"),
+    "--max-evals": dict(type=int, default=500, help="Nelder-Mead evaluation budget"),
+    "--out": dict(help="output file"),
+}
 
-def _add_common_problem_flags(sub):
-    sub.add_argument("--problem", default="linear", choices=analysis.PROBLEMS)
-    sub.add_argument("--j", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--history", help="const:c or exp:c:rho")
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--h", type=float)
-    sub.add_argument("--xi", type=float)
-    sub.add_argument("--quad-step", dest="quad_step", type=float)
-    sub.add_argument("--rtol", type=float, default=1e-10)
-    sub.add_argument("--out", default=None)
+_PROBLEM = ("--problem", "--j", "--tau", "--alpha", "--beta", "--history", "--t-end")
+_QUAD = ("--xi", "--quad-step")
+_SIR = ("--beta", "--tau", "--j", "--eps", "--M", "--cases", "--serial")
+_SIR_DEFAULTS = dict(beta=0.5, tau=5.0, j=4.0)
+
+
+def _command(subs, name, help, func, flags, required=(), **defaults):
+    """Declare one command: the flags it takes and its own defaults."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag], **({"required": True} if flag in required else {}))
+    sub.set_defaults(func=func, **defaults)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gamma-dde",
         description="Gamma-distributed DDE solver and chain approximations",
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="JSON file of flag defaults")
+    parser.add_argument("--config", help="JSON object of flag values; explicit flags win")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("solve", help="integrate one problem, write trajectory CSV")
-    _add_common_problem_flags(sub)
-    sub.add_argument("--method", default="fcrk4", choices=("fcrk4", "chain"))
-    sub.add_argument("--variant", default="fixed", help=", ".join(approx.VARIANTS))
-    sub.set_defaults(func=cmd_solve)
+    _command(subs, "solve", "integrate one problem, write trajectory CSV", cmd_solve,
+             _PROBLEM + ("--h",) + _QUAD + ("--method", "--variant", "--rtol", "--out"),
+             t_end=10.0)
+    _command(subs, "convergence", "step-size sweep and fitted order", cmd_convergence,
+             _PROBLEM + ("--h-list",) + _QUAD + ("--out",), t_end=10.0)
+    _command(subs, "compare", "gamma DDE against its three chains", cmd_compare,
+             _PROBLEM + ("--h",) + _QUAD + ("--n-out", "--rtol", "--out"),
+             t_end=10.0, n_out=501)
+    _command(subs, "stability", "growth-rate and spectrum comparison", cmd_stability,
+             ("--j", "--tau", "--alpha", "--beta", "--t-end", "--h") + _QUAD + ("--out",),
+             t_end=80.0, tau=analysis.default_tau("linear_gamma"))
+    _command(subs, "mgf-order", "kernel-replacement MGF error slopes", cmd_mgf_order,
+             ("--j", "--tau", "--out"), required=("--j",), tau=1.0)
+    _command(subs, "survival", "survival curves or integer-jump sizes", cmd_survival,
+             ("--j", "--tau", "--t", "--t-max", "--n-out", "--jump-at", "--delta", "--out"),
+             tau=1.0, n_out=201)
+    _command(subs, "moment-poly", "moment-matching polynomial roots", cmd_moment_poly,
+             ("--m", "--fj", "--out"))
 
-    sub = subs.add_parser("convergence", help="step-size sweep and fitted order")
-    _add_common_problem_flags(sub)
-    sub.add_argument("--h-list", dest="h_list", default="0.1,0.05,0.025,0.0125")
-    sub.add_argument("--inject-errors", dest="inject_errors",
-                     help="skip solving, fit the given errors")
-    sub.set_defaults(func=cmd_convergence)
-
-    sub = subs.add_parser("compare", help="gamma DDE against its three chains")
-    _add_common_problem_flags(sub)
-    sub.add_argument("--n-out", dest="n_out", type=int, default=501)
-    sub.set_defaults(func=cmd_compare)
-
-    sub = subs.add_parser("stability", help="growth-rate and spectrum comparison")
-    _add_common_problem_flags(sub)
-    sub.set_defaults(func=cmd_stability)
-
-    sub = subs.add_parser("mgf-order", help="kernel-replacement MGF error slopes")
-    sub.add_argument("--j", type=float, required=True)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_mgf_order)
-
-    sub = subs.add_parser("survival", help="survival curves or integer-jump sizes")
-    sub.add_argument("--j", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--t", type=float, default=4.0)
-    sub.add_argument("--t-max", dest="t_max", type=float)
-    sub.add_argument("--n-out", dest="n_out", type=int, default=201)
-    sub.add_argument("--jump-at", dest="jump_at", type=float)
-    sub.add_argument("--delta", type=float, default=1e-6)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_survival)
-
-    sub = subs.add_parser("moment-poly", help="moment-matching polynomial roots")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--fj", type=float, required=True)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_moment_poly)
-
-    sub = subs.add_parser("epi", help="SIR chain: simulate, loglik, fit")
-    sub.add_argument("epi_action", choices=("simulate", "loglik", "fit"))
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--j", type=float)
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--M", type=float)
-    sub.add_argument("--K", type=int)
-    sub.add_argument("--L", type=int)
-    sub.add_argument("--obs-dt", dest="obs_dt", type=float)
-    sub.add_argument("--cases", default="cases.csv")
-    sub.add_argument("--serial", default="serial.csv")
-    sub.add_argument("--max-evals", dest="max_evals", type=int, default=500)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_epi)
-
+    epi = subs.add_parser("epi", help="SIR chain: simulate, loglik, fit", allow_abbrev=False)
+    actions = epi.add_subparsers(dest="epi_action", required=True)
+    _command(actions, "simulate", "seeded synthetic cases and serial intervals",
+             cmd_epi_simulate, ("--seed", "--K", "--L", "--obs-dt") + _SIR, **_SIR_DEFAULTS)
+    _command(actions, "loglik", "log-likelihood of the data at one point",
+             cmd_epi_loglik, _SIR, **_SIR_DEFAULTS)
+    _command(actions, "fit", "maximum-likelihood fit", cmd_epi_fit,
+             _SIR + ("--max-evals", "--out"), **_SIR_DEFAULTS)
     return parser
 
 
-def _apply_config_file(args, argv):
-    """Values from --config fill in flags the command line left unset."""
-    with open(args.config) as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
-        raise ConfigError("config file must hold a JSON object")
-    explicit = {
-        tok.split("=")[0].lstrip("-").replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
-    }
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"config key {key!r} is not a known flag")
-        if attr not in explicit:
-            setattr(args, attr, value)
-    return args
+def _config_flags(parser, path):
+    """The entries of the JSON object in ``path`` as ``--flag=value`` tokens.
+
+    A key is a flag name without its dashes (``t_end`` or ``t-end``).  A
+    numeric flag takes a JSON number and any other flag a JSON string; the
+    command's parser then checks the value as it checks the flag, and
+    rejects a key that is not one of the command's flags.
+    """
+    with open(path) as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        parser.error("config file must hold a JSON object")
+    tokens = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if flag in _FLAGS:
+            numeric = _FLAGS[flag].get("type") in (int, float)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else str):
+                kind = "number" if numeric else "string"
+                parser.error(f"config key {key!r} takes a JSON {kind}, got {json.dumps(value)}")
+        tokens.append(f"{flag}={value}")
+    return tokens
+
+
+def _with_config(parser, argv, args):
+    """``argv`` with the --config entries spliced in right after the command
+    name, so the command's parser reads them before the explicit flags."""
+    at = 0
+    while argv[at] != args.command:  # only --config comes before the command
+        at += 1 if argv[at].startswith("--config=") else 2
+    at += 2 if args.command == "epi" else 1
+    return argv[:at] + _config_flags(parser, args.config) + argv[at:]
 
 
 def main(argv=None):
@@ -504,7 +508,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args = _apply_config_file(args, argv)
+            args = parser.parse_args(_with_config(parser, argv, args))
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         # Parameter validation raises ValueError throughout the library;

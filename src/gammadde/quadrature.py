@@ -7,11 +7,11 @@ the substitution omega = exp(-s^(1/beta) / alpha), giving
     u = C * x(t - sig) * exp(-a sig) * (-log omega)^(beta j - 1) / omega,
     sig = (-alpha log omega)^beta,   C = beta alpha^(beta j) a^j / Gamma(j).
 
-With beta = (k+1)/j + 1 and alpha = (j+1) / a^(1/beta) the transformed
-integrand is k times differentiable with a bounded k-th derivative whenever
+With beta = 5/j + 1 and alpha = (j+1) / a^(1/beta) the transformed
+integrand is 4 times differentiable with a bounded 4th derivative whenever
 the solution is, so a composite open Simpson rule (which never touches the
 endpoints, where u vanishes / is undefined) retains its full order.  The
-quadrature step is tied to the solver step through h_int^q = xi * h^p so
+quadrature step is tied to the solver step through h_int^4 = xi * h^4 so
 neither side limits the other's accuracy.
 """
 
@@ -30,11 +30,10 @@ MAX_PANELS = 1_000_000
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Substitution constants for one gamma kernel and smoothness order k."""
+    """Substitution constants for one gamma kernel."""
 
     alpha: float
     beta: float
-    k: int = 4
 
     def __post_init__(self):
         if self.beta <= 1:
@@ -77,20 +76,18 @@ class QuadConfig:
         return quadrature_step(h, self.xi)
 
 
-def select_transform_params(j, a, k=4):
-    """Substitution constants keeping the transformed integrand k-smooth."""
+def select_transform_params(j, a):
+    """Substitution constants keeping the transformed integrand 4-smooth."""
     if j <= 0 or a <= 0:
         raise ValueError("kernel parameters must be positive")
-    if k < 0:
-        raise ValueError("smoothness order must be nonnegative")
-    beta = (k + 1) / j + 1.0
+    beta = 5 / j + 1.0
     alpha = (j + 1) / a ** (1.0 / beta)
-    return TransformParams(alpha=alpha, beta=beta, k=k)
+    return TransformParams(alpha=alpha, beta=beta)
 
 
-def quadrature_step(h, xi, p=4, q=4):
-    """Quadrature step h_int from the step coupling h_int^q = xi h^p."""
-    return xi ** (1.0 / q) * h ** (p / q)
+def quadrature_step(h, xi):
+    """Quadrature step h_int from the step coupling h_int^4 = xi h^4."""
+    return xi**0.25 * h
 
 
 def _open_simpson_nodes(a, b, panels):

@@ -218,9 +218,9 @@ def test_fm_real_root_counts():
     for m in range(1, 9):
         for _ in range(25):
             poly = analysis.fm_polynomial(m, rng.uniform(0.01, 0.99))
-            count = analysis.real_root_count(poly)
-            assert 1 <= count <= 2
-            assert np.all(analysis.real_roots(poly) > 0)
+            roots = analysis.real_roots(poly)
+            assert 1 <= len(roots) <= 2
+            assert np.all(roots > 0)
 
 
 def test_gm_values_and_checks():

@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gammadde.cli import main
+from gammadde.cli import build_parser, main
 
 
 def run_cli(capsys, *args):
@@ -47,17 +50,6 @@ def test_solve_deterministic(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_convergence_injected_errors(tmp_path, capsys):
-    out = tmp_path / "conv.csv"
-    code, stdout, _ = run_cli(
-        capsys, "convergence", "--h-list", "0.1,0.05,0.025",
-        "--inject-errors", "1e-4,6.25e-6,3.90625e-7", "--out", str(out),
-    )
-    assert code == 0
-    assert json.loads(stdout)["slope"] == pytest.approx(4.0, abs=1e-9)
-    assert out.read_text().splitlines()[0] == "h,max_error"
 
 
 def test_convergence_real_small(tmp_path, capsys):
@@ -170,6 +162,89 @@ def test_config_file_merging(tmp_path, capsys):
     )
     assert code == 0
     assert len(out2.read_text().strip().split("\n")) == 12
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        # A value of the wrong type for its flag.
+        ({"h": "0.1"}, ["solve", "--j", "1"]),
+        ({"n_out": "5"}, ["survival", "--j", "2.5"]),
+        ({"j": "abc"}, ["solve"]),
+        ({"history": 5}, ["solve", "--j", "1"]),
+        # A flag the command does not take, no flag at all, and a value of
+        # no flag's type.
+        ({"rtol": 1e-3}, ["stability", "--j", "2.5", "--alpha", "0.9", "--beta", "-1.1"]),
+        ({"func": 1}, ["solve", "--j", "1"]),
+        ({"j": [1.0]}, ["solve"]),
+        ({"n_out": 5.5}, ["compare", "--j", "2.5"]),
+    ],
+)
+def test_bad_config_file_is_a_usage_error(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "error:" in captured.err
+    assert not out.exists()
+
+
+def test_config_file_reaches_epi_actions(tmp_path, capsys):
+    data = ["--cases", str(tmp_path / "c.csv"), "--serial", str(tmp_path / "s.csv")]
+    assert main(["epi", "simulate", "--K", "30", "--L", "5"] + data) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"j": 3.5, "tau": 4}))
+    _, flags, _ = run_cli(capsys, "epi", "loglik", "--j", "3.5", "--tau", "4", *data)
+    _, merged, _ = run_cli(capsys, "--config", str(cfg), "epi", "loglik", *data)
+    assert merged == flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # stability always solves linear_gamma from history 1, with no chain.
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--problem", "nonlinear"],
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--history", "exp:5:0.3"],
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--rtol", "1e-3"],
+        # convergence takes its steps from --h-list and solves no chain.
+        ["convergence", "--j", "1", "--h", "0.3"],
+        ["convergence", "--j", "1", "--rtol", "1e-3"],
+        ["convergence", "--h-list", "0.1,0.05", "--inject-errors", "1,2,3"],
+        # Each epi action takes only its own flags.
+        ["epi", "loglik", "--cases", "{tmp}/c.csv", "--out", "{tmp}/o.json"],
+        ["epi", "fit", "--cases", "{tmp}/c.csv", "--seed", "3"],
+        ["epi", "simulate", "--cases", "{tmp}/c.csv", "--serial", "{tmp}/s.csv",
+         "--max-evals", "3"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_rejected(argv, tmp_path, capsys):
+    argv = [tok.format(tmp=tmp_path) for tok in argv]
+    if "--out" not in argv and argv[0] != "epi":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_commands_parse():
+    # Every gamma-dde command in README.md's code blocks names only flags
+    # its command takes; the usage line <...> is not a command.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("gamma-dde ") and "<" not in line:
+                commands.append(shlex.split(line)[1:])
+    assert len(commands) >= 17
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_exit_code_config_error(capsys):

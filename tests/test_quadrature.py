@@ -28,11 +28,11 @@ def _kernel_integral(t, accessor, kern, params, panels):
 
 
 def test_select_transform_params():
-    p = select_transform_params(1.0, 1.0, 4)
+    p = select_transform_params(1.0, 1.0)
     assert p.beta == 6.0 and p.alpha == 2.0
-    p = select_transform_params(5.0, 1.0, 4)
+    p = select_transform_params(5.0, 1.0)
     assert p.beta == 2.0 and p.alpha == 6.0
-    p = select_transform_params(2.5, 2.5, 4)
+    p = select_transform_params(2.5, 2.5)
     assert p.beta == pytest.approx(3.0, rel=1e-15)
     assert p.alpha == pytest.approx(3.5 / 2.5 ** (1 / 3), rel=1e-15)
     with pytest.raises(ValueError):
@@ -64,10 +64,9 @@ def test_open_simpson_quartic_refinement_order():
 
 
 def test_couple_stepsizes():
-    # The coupling h_int^q = xi h^p.
+    # The coupling h_int^4 = xi h^4.
     assert quadrature_step(0.1, 16.0) == pytest.approx(0.2, rel=1e-14)
     assert quadrature_step(0.05, 1.0) == pytest.approx(0.05, rel=1e-14)
-    assert quadrature_step(0.1, 1.0, p=4, q=2) == pytest.approx(0.01, rel=1e-14)
 
 
 def test_quad_config():
@@ -82,7 +81,7 @@ def test_transformed_integrand_vanishes_at_origin():
     # The kernel weight of the transformed integrand vanishes towards both
     # ends of (0, 1), so the open rule may skip them.
     kern = GammaKernel(1.0, 1.0)
-    params = select_transform_params(1.0, 1.0, 4)
+    params = select_transform_params(1.0, 1.0)
     log_w, _ = _log_weight(np.array([1e-12, 1.0 - 1e-12]), kern, params)
     assert np.all(np.exp(log_w) < 1e-6)
 
@@ -91,7 +90,7 @@ def test_transformed_integrand_normalization():
     # Constant solution: the transformed integral is the kernel mass, 1.
     for j, a in [(1.0, 1.0), (2.5, 2.5), (6.0, 0.7)]:
         kern = GammaKernel(j, a)
-        params = select_transform_params(j, a, 4)
+        params = select_transform_params(j, a)
         val = _kernel_integral(3.0, lambda s: np.ones_like(s), kern, params, 64)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -105,7 +104,7 @@ def test_kernel_normalization_at_16_panels():
         j = rng.uniform(1.5, 8.0)
         a = rng.uniform(0.2, 5.0)
         kern = GammaKernel(j, a)
-        params = select_transform_params(j, a, 4)
+        params = select_transform_params(j, a)
         val = _kernel_integral(2.0, lambda s: np.ones_like(s), kern, params, 16)
         worst = max(worst, abs(val - 1.0))
     assert worst < 1e-4
@@ -115,7 +114,7 @@ def test_exponential_solution_closed_form():
     # x(s) = e^{0.1 s} convolved with a unit-rate exponential kernel gives
     # e^{0.1 t} / 1.1 exactly.
     kern = GammaKernel(1.0, 1.0)
-    params = select_transform_params(1.0, 1.0, 4)
+    params = select_transform_params(1.0, 1.0)
     accessor = lambda s: np.exp(0.1 * np.asarray(s))
     for t in (0.5, 3.0):
         val = _kernel_integral(t, accessor, kern, params, 128)
@@ -130,7 +129,7 @@ def test_convolution_split_matches_unsplit():
     # For a globally smooth solution the domain split at the history
     # boundary is a no-op up to roundoff-level quadrature differences.
     kern = GammaKernel(2.5, 2.5)
-    params = select_transform_params(2.5, 2.5, 4)
+    params = select_transform_params(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
     cfg = QuadConfig(h_int=1e-3, node_jitter=0.0)
     t = 4.0
@@ -141,7 +140,7 @@ def test_convolution_split_matches_unsplit():
 
 def test_node_jitter_perturbs_little():
     kern = GammaKernel(2.5, 2.5)
-    params = select_transform_params(2.5, 2.5, 4)
+    params = select_transform_params(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
     base = convolution_integral(
         4.0, acc, kern, params, QuadConfig(h_int=1e-3, node_jitter=0.0), 0.1, 0.0
@@ -156,7 +155,7 @@ def test_convolution_history_overflow_is_masked():
     # Histories growing into the past slower than the kernel decay must
     # not poison the quadrature even where the weight underflows.
     kern = GammaKernel(3.7, 0.984)
-    params = select_transform_params(3.7, 0.984, 4)
+    params = select_transform_params(3.7, 0.984)
     acc = _vector_accessor(lambda s: np.exp(-0.194 * s))
     val = convolution_integral(
         5.0, acc, kern, params, QuadConfig(h_int=1e-3), 0.1, 0.0
