@@ -16,7 +16,7 @@ import numpy as np
 
 from . import approximations as approx
 from .chain_reduction import HistoryFunction, build_erlang_system, build_hypoexp_system
-from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival
+from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival, stage_generator
 # Not called here: bench/layer_trace.py times gamma_survival through this
 # module and reports its metrics absent when the name is missing.
 from .distributions import gamma_survival  # noqa: F401
@@ -171,9 +171,9 @@ def chain_trajectory(F, params, history, t_end, times, cfg):
     given chain, started from ``history`` at t = 0 and sampled at ``times``
     with the ODE settings ``cfg``."""
     if params.variant == "erlang":
-        problem = build_erlang_system(F, params, history, 0.0, t_end)
+        problem = build_erlang_system(F, params, history)
     else:
-        problem = build_hypoexp_system(F, params, history, 0.0, t_end)
+        problem = build_hypoexp_system(F, params, history)
     _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
     return states, problem.labels
 
@@ -246,17 +246,17 @@ def integer_jump(j0, tau, t, delta=1e-6):
 
 
 def chain_matrix(alpha, beta, params):
-    """System matrix of the chain reduction of x' = alpha x + beta conv."""
+    """System matrix of the chain reduction of x' = alpha x + beta conv.
+
+    The stages hold the transposed stage generator, fed by x into stage 1.
+    """
     rates = params.rates()
     n = len(rates)
     m = np.zeros((n + 1, n + 1))
     m[0, 0] = alpha
     m[0, n] = beta * rates[-1]
     m[1, 0] = 1.0
-    m[1, 1] = -rates[0]
-    for i in range(1, n):
-        m[i + 1, i] = rates[i - 1]
-        m[i + 1, i + 1] = -rates[i]
+    m[1:, 1:] = stage_generator(rates).T
     return m
 
 

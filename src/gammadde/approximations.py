@@ -49,22 +49,13 @@ class ChainParams:
 
     def rates(self):
         """Stage rates in chain order."""
-        if self.variant == "erlang":
-            return (self.common_rate,) * self.n
         if self.n == 1:
             return (self.mu,)
         return (self.common_rate,) * (self.n - 2) + (self.nu, self.mu)
 
     def kernel(self):
+        """The chain's kernel, which carries its mean and variance."""
         return HypoexpKernel(self.rates())
-
-    @property
-    def mean(self):
-        return sum(1.0 / r for r in self.rates())
-
-    @property
-    def variance(self):
-        return sum(1.0 / r**2 for r in self.rates())
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,16 @@
 A DDE whose delayed term convolves the solution against an Erlang or
 hypoexponential kernel is equivalent to an (n+1)-dimensional ODE: one
 auxiliary compartment per exponential stage, with the delayed term read
-off the final compartment's outflow r_n B_n.  The history function enters
-only through the compartments' initial values
+off the final compartment's outflow r_n B_n.  The compartments follow the
+stage cascade of :func:`stage_cascade`, with the solution as its inflow.
+Chains start at t = 0, and the history function enters only through the
+compartments' initial values
 
-    B_i(0) = int_0^inf psi(t0 - s) / r_i * kappa_i(s) ds,
+    B_i(0) = int_0^inf psi(-s) / r_i * kappa_i(s) ds,
 
 where kappa_i is the density of the first i stages in sequence, the
 convolution of their exponentials.  For an exponential history this has
-the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho); other histories
+the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho); custom histories
 are integrated numerically.  At integer shape every two-moment chain has
 all rates equal, so it reproduces the Erlang reduction exactly.
 """
@@ -26,11 +28,10 @@ from .distributions import HypoexpKernel, gamma_pdf, GammaKernel, hypoexp_pdf
 
 @dataclass(frozen=True)
 class HistoryFunction:
-    """Prescribed solution values on (-inf, t0].
+    """Prescribed solution values on (-inf, t0]; chains start at t0 = 0.
 
-    Kinds: ``constant`` (value c), ``exponential`` (c * exp(rho s)),
-    ``point_mass`` (weight at t0; meaningful only for chain initial
-    conditions), and ``custom`` (any vectorized callable).
+    Two kinds: ``exponential`` (c * exp(rho s); ``constant(c)`` is the one
+    with rho = 0) and ``custom`` (any vectorized callable).
     """
 
     kind: str
@@ -40,15 +41,11 @@ class HistoryFunction:
 
     @classmethod
     def constant(cls, c):
-        return cls(kind="constant", value=float(c))
+        return cls.exponential(c, 0.0)
 
     @classmethod
     def exponential(cls, c, rho):
         return cls(kind="exponential", value=float(c), growth=float(rho))
-
-    @classmethod
-    def point_mass(cls, weight):
-        return cls(kind="point_mass", value=float(weight))
 
     @classmethod
     def custom(cls, fn):
@@ -56,12 +53,8 @@ class HistoryFunction:
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        if self.kind == "constant":
-            out = np.full(s_arr.shape, self.value)
-        elif self.kind == "exponential":
+        if self.kind == "exponential":
             out = self.value * np.exp(self.growth * s_arr)
-        elif self.kind == "point_mass":
-            out = np.zeros(s_arr.shape)
         elif self.kind == "custom":
             out = np.asarray(self.fn(s_arr), dtype=float)
         else:
@@ -71,42 +64,44 @@ class HistoryFunction:
 
 @dataclass(frozen=True)
 class ChainOdeProblem:
-    """Linear-chain reduction: state (Y, B_1..B_n), full right-hand side,
-    and history-derived initial values."""
+    """An ODE on a chain of exponential stages: state (head, stage 1..n),
+    its right-hand side ``rhs(t, state)``, the chain it runs on, and the
+    initial state."""
 
     rhs: callable
     params: object
-    history: HistoryFunction
-    t0: float
-    t_end: float
     y0: np.ndarray
     labels: tuple
 
-    @property
-    def dim(self):
-        return len(self.y0)
+
+def stage_cascade(head, inflow, rates, stages):
+    """Derivative of a chain state (head, B_1..B_n): the head's derivative
+    ``head``, then the stages fed at rate ``inflow``,
+
+        B_1' = inflow - r_1 B_1,    B_i' = r_(i-1) B_(i-1) - r_i B_i.
+
+    ``rates`` and ``stages`` are arrays of the chain's length n.
+    """
+    out = np.empty(len(rates) + 1)
+    out[0] = head
+    out[1] = inflow - rates[0] * stages[0]
+    out[2:] = rates[:-1] * stages[:-1] - rates[1:] * stages[1:]
+    return out
 
 
 def _chain_rhs(F, rates):
     r = np.asarray(rates, dtype=float)
-    n = len(r)
 
     def rhs(t, state):
         y = state[0]
         b = state[1:]
-        conv = r[-1] * b[-1]
-        out = np.empty(n + 1)
-        out[0] = F(y, conv)
-        out[1] = y - r[0] * b[0]
-        if n > 1:
-            out[2:] = r[:-1] * b[:-1] - r[1:] * b[1:]
-        return out
+        return stage_cascade(F(y, r[-1] * b[-1]), y, r, b)
 
     return rhs
 
 
 def _exponential_init(c, rho, rates):
-    """Closed-form compartment integrals for psi(s) = c exp(rho (s - t0))."""
+    """Closed-form compartment integrals for psi(s) = c exp(rho s)."""
     r = np.asarray(rates, dtype=float)
     if np.any(r + rho <= 0):
         raise ValueError(
@@ -115,13 +110,13 @@ def _exponential_init(c, rho, rates):
     return (c / r) * np.cumprod(r / (r + rho))
 
 
-def _custom_init(history, t0, rates, erlang):
+def _custom_init(history, rates, erlang):
     """Adaptive quadrature of the defining integrals for custom histories."""
     r = list(rates)
     out = np.empty(len(r))
 
     def psi(s):
-        return float(history(t0 - s))
+        return float(history(-s))
 
     for i, rate_i in enumerate(r):
         if erlang:
@@ -140,55 +135,30 @@ def _custom_init(history, t0, rates, erlang):
     return out
 
 
-def chain_initial_state(history, params, t0):
-    """Compartment initial values for the given history.
-
-    Point-mass histories bypass the integrals entirely: the whole weight
-    starts in the first compartment.
-    """
+def chain_initial_state(history, params):
+    """Compartment initial values at t = 0 for the given history."""
     rates = params.rates()
-    if history.kind == "point_mass":
-        out = np.zeros(len(rates))
-        out[0] = history.value
-        return out
-    if history.kind == "constant":
-        return history.value / np.asarray(rates)
     if history.kind == "exponential":
-        c_at_t0 = history.value * math.exp(history.growth * t0)
-        return _exponential_init(c_at_t0, history.growth, rates)
-    return _custom_init(history, t0, rates, params.variant == "erlang")
+        return _exponential_init(history.value, history.growth, rates)
+    return _custom_init(history, rates, params.variant == "erlang")
 
 
-def _build(F, params, history, t0, t_end):
+def _build(F, params, history):
     rates = params.rates()
-    b_init = chain_initial_state(history, params, t0)
-    if history.kind == "point_mass":
-        y_start = 0.0
-    else:
-        y_start = float(history(t0))
-    y0 = np.concatenate([[y_start], b_init])
+    y0 = np.concatenate([[float(history(0.0))], chain_initial_state(history, params)])
     labels = ("Y",) + tuple(f"B{i + 1}" for i in range(len(rates)))
-    return ChainOdeProblem(
-        rhs=_chain_rhs(F, rates),
-        params=params,
-        history=history,
-        t0=t0,
-        t_end=t_end,
-        y0=y0,
-        labels=labels,
-    )
+    return ChainOdeProblem(rhs=_chain_rhs(F, rates), params=params, y0=y0, labels=labels)
 
 
-def build_erlang_system(F, params, history, t0, t_end):
+def build_erlang_system(F, params, history):
     """ODE reduction of the Erlang-kernel DDE y' = F(y, b A_n)."""
     if params.variant != "erlang":
         raise ValueError("params must come from the erlang approximation")
-    return _build(F, params, history, t0, t_end)
+    return _build(F, params, history)
 
 
-def build_hypoexp_system(F, params, history, t0, t_end):
+def build_hypoexp_system(F, params, history):
     """ODE reduction of the hypoexponential-kernel DDE y' = F(y, mu B_n)."""
     if params.variant == "erlang":
         raise ValueError("params must come from a hypoexponential approximation")
-    return _build(F, params, history, t0, t_end)
-
+    return _build(F, params, history)

@@ -164,6 +164,10 @@ def cmd_solve(args):
 
 def cmd_convergence(args):
     h_list = [float(tok) for tok in args.h_list.split(",")]
+    if len(h_list) < 3:
+        raise ConfigError(f"--h-list needs at least three steps, got {len(h_list)}")
+    if not all(0 < h < float("inf") for h in h_list):
+        raise ConfigError(f"--h-list steps must be positive and finite, got {args.h_list}")
     t_end = _positive(args, "t_end")
     problem, reference, _ = _problem(args, t_end)
     if reference is None:

@@ -124,8 +124,10 @@ def hypoexp_mgf(kernel, theta):
     return out if out.ndim else float(out)
 
 
-def _generator(rates):
-    """Upper-bidiagonal generator of the sequential Markov chain."""
+def stage_generator(rates):
+    """Generator Q of a chain of exponential stages, the Markov chain that
+    moves stage i on to stage i + 1 at rate r_i and absorbs from the last:
+    upper bidiagonal, Q[i, i] = -r_i and Q[i, i + 1] = r_i."""
     n = len(rates)
     q = np.zeros((n, n))
     for i, r in enumerate(rates):
@@ -140,7 +142,7 @@ def _occupancies(kernel, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
-    q = _generator(kernel.rates)
+    q = stage_generator(kernel.rates)
     return expm(q * t_arr[:, None, None])[:, 0, :]
 
 

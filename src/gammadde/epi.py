@@ -8,6 +8,7 @@ The model tracks susceptibles S and n infectious stages I_1..I_n:
     I_1' = beta S I - g_1 I_1
     I_i' = g_{i-1} I_{i-1} - g_i I_i
 
+the stage cascade of a chain of exponentials fed by the incidence beta S I,
 with the stage rates g_i taken from a two-moment chain approximation of
 the Gamma(j, j/tau) infectious period.  Observations are daily case
 counts C_k ~ Poisson(M * (S(t_{k-1}) - S(t_k))) and serial intervals
@@ -17,14 +18,14 @@ drawn from the stationary forward recurrence density survival(t)/tau.
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .approximations import ApproxConfig, chain_params
-from .chain_reduction import ChainOdeProblem, HistoryFunction
+from .chain_reduction import ChainOdeProblem, stage_cascade
 from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
 from .ode_solver import OdeConfig, rk45_adaptive
 
@@ -79,7 +80,9 @@ class EpiData:
 def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     """Chain ODE for the SIR model; state (S, I_1..I_n), n = ceil(j).
 
-    The infection starts as a point mass: S(0) = 1 - eps, I_1(0) = eps.
+    The stages follow :func:`~gammadde.chain_reduction.stage_cascade` with
+    inflow beta S I, and the infection starts in the first stage:
+    S(0) = 1 - eps, I_1(0) = eps.
     """
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
     rates = np.asarray(chain.rates())
@@ -87,28 +90,15 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     beta = params.beta
 
     def rhs(t, state):
-        s = state[0]
         stages = state[1:]
-        force = beta * s * stages.sum()
-        out = np.empty(n + 1)
-        out[0] = -force
-        out[1] = force - rates[0] * stages[0]
-        if n > 1:
-            out[2:] = rates[:-1] * stages[:-1] - rates[1:] * stages[1:]
-        return out
+        force = beta * state[0] * stages.sum()
+        return stage_cascade(-force, force, rates, stages)
 
     y0 = np.zeros(n + 1)
     y0[0] = 1.0 - params.eps
     y0[1] = params.eps
-    t_end = params.obs_times[-1] if params.obs_times else params.tau * 20
     return ChainOdeProblem(
-        rhs=rhs,
-        params=chain,
-        history=HistoryFunction.point_mass(params.eps),
-        t0=0.0,
-        t_end=t_end,
-        y0=y0,
-        labels=("S",) + tuple(f"I{i + 1}" for i in range(n)),
+        rhs=rhs, params=chain, y0=y0, labels=("S",) + tuple(f"I{i + 1}" for i in range(n))
     )
 
 
@@ -188,7 +178,6 @@ class FitResult:
     loglik: float
     n_evals: int
     converged: bool
-    trace: tuple = field(repr=False, default=())
 
     def to_dict(self):
         return {
@@ -225,24 +214,19 @@ def fit_log_likelihood(params, data):
     )
 
 
-def mle_fit(data, init, bounds=None, max_evals=500):
+def mle_fit(data, init, max_evals=500):
     """Maximize the evidence-synthesis likelihood over (beta, tau, j, eps).
 
     Nelder-Mead over (log beta, log tau, j, log eps), with every candidate
-    clamped to the bounds box, so the search is gradient-free and immune
-    to the square-root sensitivity of the chain rates near integer j.
-    ``init`` is a :class:`SirParams` carrying the starting point and the
-    observation design (grid, M).
+    clamped to the ``DEFAULT_BOUNDS`` box, so the search is gradient-free
+    and immune to the square-root sensitivity of the chain rates near
+    integer j.  ``init`` is a :class:`SirParams` carrying the starting
+    point and the observation design (grid, M).
     """
-    bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
-    if bounds["j"][0] <= 1.01:
-        raise ValueError("lower bound on j must exceed 1.01")
 
     def clamp(name, value):
-        lo, hi = bounds[name]
+        lo, hi = DEFAULT_BOUNDS[name]
         return min(max(value, lo), hi)
-
-    trace = []
 
     def unpack(z):
         return (
@@ -256,7 +240,6 @@ def mle_fit(data, init, bounds=None, max_evals=500):
         beta, tau, j, eps = unpack(z)
         params = replace(init, beta=beta, tau=tau, j=j, eps=eps)
         ll = fit_log_likelihood(params, data)
-        trace.append(ll)
         return -ll if math.isfinite(ll) else 1e12
 
     z0 = np.array(
@@ -287,7 +270,6 @@ def mle_fit(data, init, bounds=None, max_evals=500):
         loglik=-float(result.fun),
         n_evals=int(result.nfev),
         converged=bool(result.success),
-        trace=tuple(trace),
     )
 
 

@@ -26,23 +26,20 @@ TOLERANCE_DIVISOR = 1000.0
 #: Smallest relative tolerance handed to LSODA: near 2e-14 it rejects the
 #: call as illegal input and returns garbage.
 RTOL_FLOOR = 1e-13
+#: LSODA's ``mxstep``: it bounds the steps taken between two consecutive
+#: output times, not over the whole solve.  The package's own solves take at
+#: most about 5500 (the logistic reference over [0, 600] in one interval); a
+#: solve stalled in ever smaller steps fails within seconds at this budget.
+MAX_STEPS = 100_000
 _SUCCESS = "Integration successful."
 
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Tolerances and the step budget.
-
-    ``max_steps`` is LSODA's ``mxstep``: it bounds the steps taken between
-    two consecutive output times, not over the whole solve.  The package's
-    own solves take at most about 5500 (the logistic reference over
-    [0, 600] in one interval); a solve stalled in ever smaller steps fails
-    within seconds at the default.
-    """
+    """Relative and absolute tolerances."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 100_000
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -82,7 +79,7 @@ def rk45_adaptive(rhs, y0, t0, t_end, cfg=None, *, t_eval):
                 grid,
                 rtol=max(cfg.rtol / TOLERANCE_DIVISOR, RTOL_FLOOR),
                 atol=cfg.atol / TOLERANCE_DIVISOR,
-                mxstep=cfg.max_steps,
+                mxstep=MAX_STEPS,
                 tfirst=True,
                 full_output=True,
             )

@@ -26,6 +26,9 @@ import numpy as np
 #: 03 at h = 0.005), in the benchmark 513; at the budget one plan's arrays
 #: take 24 MB each.
 MAX_PANELS = 1_000_000
+#: Quadrature nodes closer than this many solver steps to a mesh point are
+#: moved that far off it, so no node sits on a step's kink.
+NODE_JITTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class TransformParams:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Coupling constant xi and the mesh-avoidance jitter (relative to h).
+    """Coupling constant xi, or a pinned quadrature step h_int.
 
     The default xi = (1/8)^4, i.e. h_int = h / 8, keeps the composite rule
     in its asymptotic regime at everyday step sizes.  The bare coupling
@@ -58,14 +61,11 @@ class QuadConfig:
     """
 
     xi: float = (1.0 / 8.0) ** 4
-    node_jitter: float = 1e-9
     h_int: float | None = None
 
     def __post_init__(self):
         if self.xi <= 0:
             raise ValueError("xi must be positive")
-        if self.node_jitter < 0:
-            raise ValueError("node_jitter must be nonnegative")
         if self.h_int is not None and self.h_int <= 0:
             raise ValueError("h_int must be positive")
 
@@ -146,7 +146,7 @@ def convolution_integral(t, accessor, kernel, params, cfg, h, t0):
 
     The omega domain is split at the image of t0 whenever t > t0, so the
     kink where the interpolant hands over to the history always sits on a
-    panel boundary.  Quadrature nodes falling within the configured jitter
+    panel boundary.  Quadrature nodes falling within ``NODE_JITTER * h``
     of a solver mesh point are nudged off it before the accessor is called.
     ``accessor`` must accept an array of times and may return per-time
     vectors for multi-component states.
@@ -186,7 +186,7 @@ def convolution_integral(t, accessor, kernel, params, cfg, h, t0):
     log_w, sigma = _log_weight(omega, kernel, params)
     factor = np.exp(log_w) * wts
     live = factor != 0.0
-    s_times = _jitter_times(t - sigma[live], t0, h, cfg.node_jitter * h)
+    s_times = _jitter_times(t - sigma[live], t0, h, NODE_JITTER * h)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(accessor(s_times), dtype=float)
     if vals.ndim == 1:

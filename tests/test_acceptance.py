@@ -111,11 +111,11 @@ def test_criterion_04_moment_matching():
         j = rng.uniform(1.01, 20.0)
         tau = rng.uniform(0.1, 10.0)
         for builder in (approx.fixed_hypoexp, approx.smoothed_hypoexp):
-            p = builder(j, tau)
+            k = builder(j, tau).kernel()
             worst = max(
                 worst,
-                abs(p.mean - tau) / tau,
-                abs(p.variance - tau * tau / j) / (tau * tau / j),
+                abs(k.mean - tau) / tau,
+                abs(k.variance - tau * tau / j) / (tau * tau / j),
             )
     exact = True
     for j in (1, 2, 3, 11):

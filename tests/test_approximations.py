@@ -47,7 +47,7 @@ def test_erlang_examples():
     assert p.rates() == (1.5, 1.5, 1.5)
     p = erlang_approx(0.4, 1.0)
     assert p.n == 1 and p.rates() == (1.0,)
-    assert p.mean == 1.0  # mean always matched
+    assert p.kernel().mean == 1.0  # mean always matched
 
 
 def test_fixed_examples():
@@ -55,8 +55,8 @@ def test_fixed_examples():
     assert p.n == 3 and p.common_rate == 3.0
     assert 1 / p.nu == pytest.approx(FIXED_2p5_INV_NU, rel=1e-14)
     assert 1 / p.mu == pytest.approx(FIXED_2p5_INV_MU, rel=1e-14)
-    assert p.mean == pytest.approx(1.0, rel=1e-12)
-    assert p.variance == pytest.approx(0.4, rel=1e-12)
+    assert p.kernel().mean == pytest.approx(1.0, rel=1e-12)
+    assert p.kernel().variance == pytest.approx(0.4, rel=1e-12)
 
     p = fixed_hypoexp(3.0, 2.0)
     assert p.rates() == (1.5, 1.5, 1.5)
@@ -66,8 +66,8 @@ def test_fixed_examples():
     assert p.rates() == (p.nu, p.mu)  # no common stages
     assert 1 / p.nu == pytest.approx(FIXED_1p3_INV_NU, rel=1e-14)
     assert 1 / p.mu == pytest.approx(FIXED_1p3_INV_MU, rel=1e-14)
-    assert p.mean == pytest.approx(1.0, rel=1e-12)
-    assert p.variance == pytest.approx(1 / 1.3, rel=1e-12)
+    assert p.kernel().mean == pytest.approx(1.0, rel=1e-12)
+    assert p.kernel().variance == pytest.approx(1 / 1.3, rel=1e-12)
 
 
 def test_fixed_infeasible_near_one():
@@ -82,8 +82,8 @@ def test_smoothed_examples():
     assert p.common_rate == 2.5
     assert 1 / p.mu == pytest.approx(SMOOTH_2p5_INV_MU, rel=1e-14)
     assert 1 / p.nu == pytest.approx(SMOOTH_2p5_INV_NU, rel=1e-14)
-    assert p.mean == pytest.approx(1.0, rel=1e-12)
-    assert p.variance == pytest.approx(0.4, rel=1e-12)
+    assert p.kernel().mean == pytest.approx(1.0, rel=1e-12)
+    assert p.kernel().variance == pytest.approx(0.4, rel=1e-12)
 
     p = smoothed_hypoexp(4.0, 5.0)
     assert p.rates() == (0.8, 0.8, 0.8, 0.8)
@@ -113,10 +113,10 @@ def test_integer_collapse_exact():
 @given(st.floats(1.01, 20.0), st.floats(0.1, 10.0))
 def test_two_moment_identities(j, tau):
     for builder in (fixed_hypoexp, smoothed_hypoexp):
-        p = builder(j, tau)
-        assert abs(p.mean - tau) <= 1e-12 * tau
+        k = builder(j, tau).kernel()
+        assert abs(k.mean - tau) <= 1e-12 * tau
         target = tau * tau / j
-        assert abs(p.variance - target) <= 1e-12 * target
+        assert abs(k.variance - target) <= 1e-12 * target
 
 
 def test_smoothed_continuous_fixed_jumps():
@@ -157,7 +157,7 @@ def test_regularized_mean_exact_for_any_eps():
                     regularized_smoothed(j, 1.7, ApproxConfig(eps=eps, hbar=eps))
                 continue
             p = regularized_smoothed(j, 1.7, ApproxConfig(eps=eps, hbar=eps))
-            assert p.mean == pytest.approx(1.7, rel=1e-13)
+            assert p.kernel().mean == pytest.approx(1.7, rel=1e-13)
 
 
 def test_regularized_bounds_rates_near_integer():
@@ -182,13 +182,13 @@ def test_regularized_variance_bound():
         hbar = rng.uniform(0.0, 0.1)
         p = regularized_smoothed(j, tau, ApproxConfig(eps=eps, hbar=hbar))
         target = tau * tau / j
-        assert abs(p.variance - target) <= 2.0 * (eps + hbar**2) * target + 1e-12
+        assert abs(p.kernel().variance - target) <= 2.0 * (eps + hbar**2) * target + 1e-12
 
 
 def test_regularized_at_shape_one():
     p = regularized_smoothed(1.0, 2.0, ApproxConfig(eps=1e-2, hbar=1e-2))
     assert p.n == 2  # one near-instantaneous stage plus the bulk stage
-    assert p.mean == pytest.approx(2.0, rel=1e-13)
+    assert p.kernel().mean == pytest.approx(2.0, rel=1e-13)
     assert min(p.rates()) == pytest.approx(0.5, rel=2e-2)
 
 
@@ -196,13 +196,13 @@ def test_regularized_integer_shape_mean_exact():
     for j in (2.0, 3.0, 5.0):
         p = regularized_smoothed(j, 1.7, ApproxConfig(eps=1e-3, hbar=1e-3))
         assert p.n == int(j) + 1
-        assert p.mean == pytest.approx(1.7, rel=1e-13)
+        assert p.kernel().mean == pytest.approx(1.7, rel=1e-13)
 
 
 def _stiffness_ratio(params):
     """Fastest stage rate over the mean stage rate n / mean."""
     rates = params.rates()
-    return max(rates) * params.mean / len(rates)
+    return max(rates) * params.kernel().mean / len(rates)
 
 
 def test_stiffness_check():

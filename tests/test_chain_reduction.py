@@ -21,26 +21,25 @@ def test_history_kinds():
     h = HistoryFunction.constant(0.5)
     assert h(-3.0) == 0.5
     assert np.array_equal(h(np.array([-1.0, 0.0])), [0.5, 0.5])
+    assert h == HistoryFunction.exponential(0.5, 0.0)
     h = HistoryFunction.exponential(0.1, 0.1)
     assert h(-2.0) == pytest.approx(0.1 * math.exp(-0.2), rel=1e-15)
-    h = HistoryFunction.point_mass(1e-3)
-    assert h(-1.0) == 0.0 and h.value == 1e-3
     h = HistoryFunction.custom(lambda s: np.cos(s))
     assert h(0.0) == 1.0
 
 
 def test_constant_history_inits():
     params = erlang_approx(2.8, 1.0)  # b = 3
-    init = chain_initial_state(HistoryFunction.constant(1.0), params, 0.0)
+    init = chain_initial_state(HistoryFunction.constant(1.0), params)
     assert np.allclose(init, 1.0 / 3.0, rtol=1e-15)
     params = fixed_hypoexp(2.5, 1.0)
-    init = chain_initial_state(HistoryFunction.constant(2.0), params, 0.0)
+    init = chain_initial_state(HistoryFunction.constant(2.0), params)
     assert np.allclose(init, 2.0 / np.asarray(params.rates()), rtol=1e-15)
 
 
 def test_zero_history_inits():
     params = fixed_hypoexp(2.5, 1.0)
-    init = chain_initial_state(HistoryFunction.constant(0.0), params, 0.0)
+    init = chain_initial_state(HistoryFunction.constant(0.0), params)
     assert np.all(init == 0.0)
 
 
@@ -49,7 +48,7 @@ def test_exponential_history_erlang_closed_form():
     # per-stage transform value lam/(lam+rho).
     params = erlang_approx(2.8, 1.0)
     lam = 3.0
-    init = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params, 0.0)
+    init = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params)
     for i, val in enumerate(init, start=1):
         assert val == pytest.approx((0.1 / lam) * (lam / 3.1) ** i, rel=1e-14)
 
@@ -58,7 +57,7 @@ def test_exponential_history_against_quadrature():
     params = fixed_hypoexp(2.5, 1.0)
     rates = params.rates()
     rho, c = 0.1, 0.1
-    init = chain_initial_state(HistoryFunction.exponential(c, rho), params, 0.0)
+    init = chain_initial_state(HistoryFunction.exponential(c, rho), params)
 
     def oracle(i):
         # Defining integral psi(-s)/r_i * kappa_i(s), kappa_i the density of
@@ -74,31 +73,25 @@ def test_exponential_history_against_quadrature():
 
 def test_custom_history_matches_closed_form():
     for params in (fixed_hypoexp(2.5, 1.0), erlang_approx(2.8, 1.0)):
-        closed = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params, 0.0)
+        closed = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params)
         custom = chain_initial_state(
-            HistoryFunction.custom(lambda s: 0.1 * np.exp(0.1 * s)), params, 0.0
+            HistoryFunction.custom(lambda s: 0.1 * np.exp(0.1 * s)), params
         )
         assert np.allclose(custom, closed, rtol=1e-7)
-
-
-def test_point_mass_init():
-    params = fixed_hypoexp(2.5, 1.0)
-    init = chain_initial_state(HistoryFunction.point_mass(1e-3), params, 0.0)
-    assert init[0] == 1e-3 and np.all(init[1:] == 0.0)
 
 
 def test_divergent_history_rejected():
     params = fixed_hypoexp(2.5, 1.0)  # min rate 1.938
     with pytest.raises(ValueError):
-        chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params, 0.0)
+        chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params)
 
 
 def test_variant_guards():
     hist = HistoryFunction.constant(1.0)
     with pytest.raises(ValueError):
-        build_erlang_system(lambda y, c: 0.0, fixed_hypoexp(2.5, 1.0), hist, 0.0, 1.0)
+        build_erlang_system(lambda y, c: 0.0, fixed_hypoexp(2.5, 1.0), hist)
     with pytest.raises(ValueError):
-        build_hypoexp_system(lambda y, c: 0.0, erlang_approx(2.5, 1.0), hist, 0.0, 1.0)
+        build_hypoexp_system(lambda y, c: 0.0, erlang_approx(2.5, 1.0), hist)
 
 
 def test_integer_shape_chains_coincide():
@@ -106,12 +99,19 @@ def test_integer_shape_chains_coincide():
     # history must then give identical trajectories.
     F = lambda y, conv: 0.8 * y - 1.1 * conv
     hist = HistoryFunction.constant(1.0)
-    erl = build_erlang_system(F, erlang_approx(3, 1.0), hist, 0.0, 10.0)
-    hyp = build_hypoexp_system(F, fixed_hypoexp(3, 1.0), hist, 0.0, 10.0)
+    erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
+    hyp = build_hypoexp_system(F, fixed_hypoexp(3, 1.0), hist)
     times = np.linspace(0.0, 10.0, 101)
     _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, 10.0, TIGHT, t_eval=times)
     _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, 10.0, TIGHT, t_eval=times)
     assert np.max(np.abs(ye - yh)) < 1e-10
+
+
+def _unit_mass_in_stage_1(prob):
+    """Initial state with Y = 0 and all mass in the first stage."""
+    y0 = np.zeros_like(prob.y0)
+    y0[1] = 1.0
+    return y0
 
 
 def test_impulse_response_reproduces_kernel_density():
@@ -119,11 +119,9 @@ def test_impulse_response_reproduces_kernel_density():
     # chain kernel's density, equivalently -d/dt of its survival.
     params = fixed_hypoexp(2.5, 1.0)
     rates = params.rates()
-    prob = build_hypoexp_system(
-        lambda y, conv: 0.0, params, HistoryFunction.point_mass(1.0), 0.0, 6.0
-    )
+    prob = build_hypoexp_system(lambda y, conv: 0.0, params, HistoryFunction.constant(0.0))
     times = np.linspace(0.05, 6.0, 60)
-    _, states = rk45_adaptive(prob.rhs, prob.y0, 0.0, 6.0, TIGHT, t_eval=times)
+    _, states = rk45_adaptive(prob.rhs, _unit_mass_in_stage_1(prob), 0.0, 6.0, TIGHT, t_eval=times)
     outflow = rates[-1] * states[:, -1]
     assert np.max(np.abs(outflow - hypoexp_pdf(params.kernel(), times))) < 1e-6
 
@@ -131,15 +129,13 @@ def test_impulse_response_reproduces_kernel_density():
 def test_pure_transit_conserves_mass():
     params = smoothed_hypoexp(3.4, 2.0)
     rates = np.asarray(params.rates())
-    prob = build_hypoexp_system(
-        lambda y, conv: 0.0, params, HistoryFunction.point_mass(1.0), 0.0, 10.0
-    )
+    prob = build_hypoexp_system(lambda y, conv: 0.0, params, HistoryFunction.constant(0.0))
 
     def augmented(t, state):
         core = prob.rhs(t, state[:-1])
         return np.append(core, rates[-1] * state[-2])
 
-    y0 = np.append(prob.y0, 0.0)
+    y0 = np.append(_unit_mass_in_stage_1(prob), 0.0)
     times = np.linspace(0.0, 10.0, 30)
     _, states = rk45_adaptive(augmented, y0, 0.0, 10.0, TIGHT, t_eval=times)
     totals = states[:, 1:].sum(axis=1)  # stages + absorbed (Y stays 0)
@@ -155,8 +151,6 @@ def test_delayed_term_tracks_equilibrium():
         lambda y, conv: 5.0 * (target - y),
         params,
         HistoryFunction.constant(0.0),
-        0.0,
-        40.0,
     )
     _, states = rk45_adaptive(prob.rhs, prob.y0, 0.0, 40.0, TIGHT, t_eval=[40.0])
     assert params.rates()[-1] * states[-1][-1] == pytest.approx(target, abs=1e-6)
@@ -169,8 +163,8 @@ def test_integer_shape_exponential_history_matches_erlang(builder):
     # well.
     F = lambda y, conv: 0.8 * y - 1.1 * conv
     hist = HistoryFunction.exponential(1.0, 0.5)
-    erl = build_erlang_system(F, erlang_approx(3, 1.0), hist, 0.0, 10.0)
-    hyp = build_hypoexp_system(F, builder(3, 1.0), hist, 0.0, 10.0)
+    erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
+    hyp = build_hypoexp_system(F, builder(3, 1.0), hist)
     times = np.linspace(0.0, 10.0, 201)
     _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, 10.0, TIGHT, t_eval=times)
     _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, 10.0, TIGHT, t_eval=times)

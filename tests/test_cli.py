@@ -94,6 +94,22 @@ def test_n_out_checked_before_solving(argv, monkeypatch, capsys):
     assert err.startswith("error: --n-out") and err.count("\n") == 1
 
 
+_BAD_H_LISTS = ["0.01", "0.1,0.05", "0.1,-0.05,0.025", "0.1,0,0.025", "0.1,nan,0.025", "inf,0.1,0.05"]
+
+
+@pytest.mark.parametrize("h_list", _BAD_H_LISTS)
+def test_h_list_checked_before_solving(h_list, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the reference or solved before validating --h-list")
+
+    monkeypatch.setattr("gammadde.cli.fcrk4_solve", refuse)
+    monkeypatch.setattr("gammadde.analysis.dde_problem", refuse)
+    code, stdout, err = run_cli(capsys, "convergence", "--j", "1", "--h-list", h_list)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: --h-list") and err.count("\n") == 1
+
+
 def test_compare_integer_shape_agrees(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code, stdout, _ = run_cli(
@@ -275,6 +291,9 @@ def test_exit_code_config_error(capsys):
          "--alpha", "0.3"],
         ["convergence", "--problem", "linear_gamma", "--j", "2.5", "--beta", "0.5",
          "--history", "const:1"],
+        # Too few steps, and a step that is not positive.
+        ["convergence", "--j", "1", "--h-list", "0.01"],
+        ["convergence", "--j", "1", "--h-list", "0.1,-0.05,0.025"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):

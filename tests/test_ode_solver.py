@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from gammadde import analysis
+from gammadde import analysis, ode_solver
 from gammadde.approximations import erlang_approx
 from gammadde.chain_reduction import HistoryFunction, build_erlang_system
 from gammadde.epi import FIT_APPROX_CFG, SirParams, build_sir_chain, simulate_incidence
@@ -60,9 +60,10 @@ def test_rk45_logistic_chain_equilibrium():
     assert abs(reference(600.0) - 2.0) < 1e-6
 
 
-def test_rk45_budget_exceeded():
-    # max_steps bounds the steps between consecutive output times.
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12, max_steps=10)
+def test_rk45_budget_exceeded(monkeypatch):
+    # MAX_STEPS bounds the steps between consecutive output times.
+    monkeypatch.setattr(ode_solver, "MAX_STEPS", 10)
+    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
     with pytest.raises(OdeFailure, match="Excess work"):
         rk45_adaptive(
             lambda t, y: np.array([math.cos(20 * t)]), 0.0, 0.0, 50.0, cfg, t_eval=[0.0, 50.0]
@@ -89,15 +90,11 @@ def test_rk45_tolerance_consistency():
             lambda y, conv: 0.8 * y - 1.1 * conv,
             fixed_hypoexp(2.5, 1.0),
             HistoryFunction.constant(1.0),
-            0.0,
-            10.0,
         ),
         build_hypoexp_system(
             lambda y, conv: y - y * conv / 2.0,
             fixed_hypoexp(3.4, 2.25),
             HistoryFunction.constant(1.0),
-            0.0,
-            10.0,
         ),
     ]
     times = np.linspace(0.0, 10.0, 51)
@@ -155,6 +152,6 @@ def test_work_precision_erlang_reference():
     # error the reference is compared with (8e-10).
     times = np.linspace(0.0, 10.0, 1001)
     dde, reference = analysis.dde_problem("nonlinear", 14)
-    problem = build_erlang_system(dde.rhs, erlang_approx(14, 2.25), dde.history, 0.0, 10.0)
+    problem = build_erlang_system(dde.rhs, erlang_approx(14, 2.25), dde.history)
     ref = _dop853(problem.rhs, problem.y0, times)[:, 0]
     assert np.max(np.abs(reference(times) - ref)) < 1e-12

@@ -48,3 +48,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and not any(node.name in names for _, other, names in statements if other is not node)
     ]
     assert not test_only, f"public names without a caller outside tests/: {test_only}"
+
+
+def test_benchmark_trace_finds_every_hook(monkeypatch):
+    # bench/layer_trace.py finds the functions it times by name and reports
+    # a metric absent when a name is gone; a refactor must not blank one.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layer_trace
+
+    tracer = layer_trace.install(layer_trace.Tracer())
+    try:
+        assert not tracer.missing
+        present, absent = layer_trace.layer_metrics(tracer)
+    finally:
+        tracer.uninstall()
+    assert not absent
+    assert len(present) == len(layer_trace.LAYER_METRICS)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gammadde import quadrature
 from gammadde.distributions import GammaKernel
 from gammadde.quadrature import (
     QuadConfig,
@@ -125,29 +126,28 @@ def _vector_accessor(fn):
     return lambda s: np.asarray(fn(np.asarray(s)))[:, None]
 
 
-def test_convolution_split_matches_unsplit():
+def test_convolution_split_matches_unsplit(monkeypatch):
     # For a globally smooth solution the domain split at the history
     # boundary is a no-op up to roundoff-level quadrature differences.
+    monkeypatch.setattr(quadrature, "NODE_JITTER", 0.0)
     kern = GammaKernel(2.5, 2.5)
     params = select_transform_params(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
-    cfg = QuadConfig(h_int=1e-3, node_jitter=0.0)
+    cfg = QuadConfig(h_int=1e-3)
     t = 4.0
     split = convolution_integral(t, acc, kern, params, cfg, 0.1, 0.0)
     unsplit = convolution_integral(t, acc, kern, params, cfg, 0.1, t)
     assert abs(float(split[0]) - float(unsplit[0])) < 1e-10
 
 
-def test_node_jitter_perturbs_little():
+def test_node_jitter_perturbs_little(monkeypatch):
     kern = GammaKernel(2.5, 2.5)
     params = select_transform_params(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
-    base = convolution_integral(
-        4.0, acc, kern, params, QuadConfig(h_int=1e-3, node_jitter=0.0), 0.1, 0.0
-    )
-    jit = convolution_integral(
-        4.0, acc, kern, params, QuadConfig(h_int=1e-3, node_jitter=1e-9), 0.1, 0.0
-    )
+    cfg = QuadConfig(h_int=1e-3)
+    jit = convolution_integral(4.0, acc, kern, params, cfg, 0.1, 0.0)
+    monkeypatch.setattr(quadrature, "NODE_JITTER", 0.0)
+    base = convolution_integral(4.0, acc, kern, params, cfg, 0.1, 0.0)
     assert abs(float(base[0]) - float(jit[0])) < 1e-8
 
 
