@@ -28,7 +28,7 @@ from .chain_reduction import (
     build_hypoexp_system,
 )
 from .fcrk import DdeProblem, FcrkTableau, Solution, fcrk4_solve
-from .quadrature import QuadConfig, TransformParams, select_transform_params
+from .quadrature import QuadConfig
 
 __all__ = [
     "ApproxConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "QuadConfig",
     "Rng",
     "Solution",
-    "TransformParams",
     "build_erlang_system",
     "build_hypoexp_system",
     "chain_params",
@@ -50,6 +49,5 @@ __all__ = [
     "fcrk4_solve",
     "fixed_hypoexp",
     "regularized_smoothed",
-    "select_transform_params",
     "smoothed_hypoexp",
 ]

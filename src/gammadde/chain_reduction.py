@@ -12,18 +12,19 @@ compartments' initial values
 
 where kappa_i is the density of the first i stages in sequence, the
 convolution of their exponentials.  For an exponential history this has
-the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho); custom histories
-are integrated numerically.  At integer shape every two-moment chain has
+the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho); for a custom
+history all compartments are integrated numerically in one vector
+quadrature over the chain's generator.  At integer shape every two-moment chain has
 all rates equal, so it reproduces the Erlang reduction exactly.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
+from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
-from .distributions import HypoexpKernel, gamma_pdf, GammaKernel, hypoexp_pdf
+from .distributions import stage_generator
 
 
 @dataclass(frozen=True)
@@ -110,29 +111,19 @@ def _exponential_init(c, rho, rates):
     return (c / r) * np.cumprod(r / (r + rho))
 
 
-def _custom_init(history, rates, erlang):
-    """Adaptive quadrature of the defining integrals for custom histories."""
-    r = list(rates)
-    out = np.empty(len(r))
-
-    def psi(s):
-        return float(history(-s))
-
-    for i, rate_i in enumerate(r):
-        if erlang:
-            # All stages share one rate: the first i+1 form a gamma density.
-            kern = GammaKernel(shape=i + 1.0, rate=r[0])
-            dens = lambda s, k=kern: gamma_pdf(k, s)
-        else:
-            kern = HypoexpKernel(tuple(r[: i + 1]))
-            dens = lambda s, k=kern: float(hypoexp_pdf(k, s))
-        val, err = _scipy_quad(
-            lambda s: psi(s) * dens(s) / rate_i, 0.0, np.inf, limit=200
-        )
-        if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-            raise ValueError(f"history integral for compartment {i + 1} diverges")
-        out[i] = val
-    return out
+def _custom_init(history, rates):
+    """Adaptive vector quadrature of the defining integrals for custom
+    histories: B(0) = int_0^inf psi(-s) e_1 exp(Q s) ds, since the
+    occupancy of stage i, row e_1 exp(Q s) of the chain's generator Q, is
+    kappa_i(s) / r_i."""
+    q = stage_generator(rates)
+    # A history growing too fast into the past overflows; the non-finite
+    # result is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, err = quad_vec(lambda s: float(history(-s)) * expm(q * s)[0], 0.0, np.inf)
+    if not np.all(np.isfinite(val)) or not err <= 1e-6 * max(1.0, np.linalg.norm(val)):
+        raise ValueError("history integral over the chain compartments diverges")
+    return val
 
 
 def chain_initial_state(history, params):
@@ -140,7 +131,7 @@ def chain_initial_state(history, params):
     rates = params.rates()
     if history.kind == "exponential":
         return _exponential_init(history.value, history.growth, rates)
-    return _custom_init(history, rates, params.variant == "erlang")
+    return _custom_init(history, rates)
 
 
 def _build(F, params, history):

@@ -18,6 +18,7 @@ exact); scalar results are printed as JSON on stdout.  Exit codes:
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -94,14 +95,22 @@ def _parse_history(spec):
     raise ConfigError(f"bad history spec {spec!r} (use const:c or exp:c:rho)")
 
 
-def _positive(args, flag):
-    """A numeric flag's value, which must be set and positive."""
+def _finite(args, flag):
+    """A numeric flag's value, which must be set and finite."""
     value = getattr(args, flag)
     name = "--" + flag.replace("_", "-")
     if value is None:
         raise ConfigError(f"{name} is required")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(args, flag):
+    """A numeric flag's value, which must be set, finite and positive."""
+    value = _finite(args, flag)
     if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+        raise ConfigError(f"--{flag.replace('_', '-')} must be positive, got {value}")
     return value
 
 
@@ -274,14 +283,13 @@ def cmd_mgf_order(args):
 def cmd_survival(args):
     tau = _positive(args, "tau")
     if args.jump_at is not None:
-        jump_fixed, jump_smoothed = analysis.integer_jump(
-            args.jump_at, tau, args.t, delta=args.delta
-        )
+        t = _finite(args, "t")
+        jump_fixed, jump_smoothed = analysis.integer_jump(args.jump_at, tau, t, delta=args.delta)
         _emit_json(
             {
                 "jump_fixed": float(jump_fixed),
                 "jump_smoothed": float(jump_smoothed),
-                "t": args.t,
+                "t": t,
                 "delta": args.delta,
             },
             args.out,
@@ -289,7 +297,7 @@ def cmd_survival(args):
         return 0
     j = _positive(args, "j")
     n_out = _n_out(args)
-    t_max = args.t_max if args.t_max is not None else 4.0 * tau
+    t_max = _finite(args, "t_max") if args.t_max is not None else 4.0 * tau
     times = np.linspace(0.0, t_max, n_out)
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
     fixed_kernel = approx.fixed_hypoexp(j, tau).kernel()

@@ -11,14 +11,21 @@ which is not finished yet ("overlapping").  The partial stage interpolant
 
 covers exactly that stretch, completed steps are covered by their step
 interpolants, and everything before t0 by the history function.
+
+The :class:`Solution` is the solve's state: the solver fills its mesh and
+stage values step by step and returns it.  One lookup places a time in the
+history, a completed step or the running step, with its step index and
+offset theta; ``Solution.query`` and the rows the quadrature reads while a
+step is in progress both go through it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .quadrature import QuadConfig, convolution_integral, select_transform_params
+from .quadrature import QuadConfig, convolution_integral
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,8 @@ class DdeProblem:
     t_end: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError(f"t0 and t_end must be finite, got {self.t0}, {self.t_end}")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
 
@@ -99,120 +108,91 @@ def _history_values(history, times, dim):
     return vals
 
 
-def _step_interpolant(tableau, h, x, k, step, theta):
-    """Completed-step interpolants x_m + h sum_s b_s(theta) K_ms at the
-    given step indices m and offsets theta."""
-    return x[step] + h * np.einsum("ms,msd->md", tableau.b_at(theta), k[step])
-
-
 class Solution:
     """Piecewise-polynomial interpolant produced by one FCRK solve.
 
     ``query(t)`` (or calling the object) is defined for every t <= t_end:
     history values for t <= t0, step interpolants beyond.  Continuity at
     mesh points holds by construction since b(0) = 0 and each step starts
-    from the previous interpolant's endpoint.
+    from the previous interpolant's endpoint.  :func:`fcrk4_solve` fills
+    the mesh values ``x`` and stage values ``k`` step by step; the returned
+    object is not changed again.
     """
 
-    def __init__(self, tableau, history, t0, h, x, k, scalar):
-        self.tableau = tableau
+    def __init__(self, history, t0, h, n_steps, dim, scalar):
         self.history = history
         self.t0 = t0
         self.h = h
-        self.x = x  # (n_steps + 1, dim)
-        self.k = k  # (n_steps, stages, dim)
+        self.n_steps = n_steps
         self.scalar = scalar
-        self.n_steps = len(k)
-        self.t_end = t0 + self.n_steps * h
+        self.t_end = t0 + n_steps * h
+        self.x = np.empty((n_steps + 1, dim))
+        self.k = np.empty((n_steps, TABLEAU4.stages, dim))
 
-    @property
-    def mesh(self):
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
-
-    @property
-    def mesh_values(self):
-        return self.x[:, 0] if self.scalar else self.x
-
-    def _interp(self, times):
-        """Interpolant values for times in (t0, t_end]."""
+    def _locate(self, times, last):
+        """Where each time falls: the history mask with the history values
+        there, and the step index (clipped to 0..last) with the offset theta
+        within that step."""
+        hist = times <= self.t0
+        hist_vals = (
+            _history_values(self.history, times[hist], self.x.shape[1])
+            if hist.any()
+            else np.empty((0, self.x.shape[1]))
+        )
         theta_total = (times - self.t0) / self.h
-        step = np.minimum(np.floor(theta_total), self.n_steps - 1).astype(int)
-        return _step_interpolant(
-            self.tableau, self.h, self.x, self.k, step, theta_total - step
+        step = np.clip(np.floor(theta_total), 0, last).astype(int)
+        return hist, hist_vals, step, theta_total - step
+
+    def _interp(self, step, theta):
+        """Completed-step interpolants x_m + h sum_s b_s(theta) K_ms at the
+        given step indices m and offsets theta."""
+        return self.x[step] + self.h * np.einsum(
+            "ms,msd->md", TABLEAU4.b_at(theta), self.k[step]
         )
 
     def query(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr > self.t_end + 1e-9 * max(1.0, abs(self.t_end))):
             raise ValueError("query beyond the end of the solve")
+        hist, hist_vals, step, theta = self._locate(t_arr, self.n_steps - 1)
         out = np.empty((t_arr.size, self.x.shape[1]))
-        hist = t_arr <= self.t0
-        if hist.any():
-            out[hist] = _history_values(self.history, t_arr[hist], self.x.shape[1])
-        if (~hist).any():
-            out[~hist] = self._interp(t_arr[~hist])
+        out[hist] = hist_vals
+        out[~hist] = self._interp(step[~hist], theta[~hist])
         if self.scalar:
             out = out[:, 0]
         return out if np.ndim(t) else out[0]
 
     __call__ = query
 
+    def _stage_rows(self, n, times):
+        """Solution lookup for the convolution quadrature while step n is
+        in progress.
 
-class _StageAccessor:
-    """Vectorized solution lookup used by the convolution quadrature while
-    step n is in progress.
-
-    The quadrature is linear in the solution values, so one plan at time t
-    serves every stage evaluated at t.  Each node gets a row of ``dim + 4``
-    columns: the solution value where it is already known (history, or a
-    completed step's interpolant), then ``(1, theta, theta^2, theta^3)`` at
-    the nodes inside the running step.  One ``convolution_integral`` call
-    thus returns ``(fixed, w, m)``, and a stage with partial row
-    ``Y_i(theta) = x_n + h sum_j A_ij(theta) K_j`` has convolution
-    ``fixed + w x_n + h (m . A_i) K``.
-    """
-
-    def __init__(self, solve_state, step):
-        self.s = solve_state
-        self.step = step
-
-    def __call__(self, times):
-        s = self.s
-        out = np.zeros((len(times), s.dim + 4))
-        hist = times <= s.t0
-        if hist.any():
-            out[hist, : s.dim] = _history_values(s.history, times[hist], s.dim)
-        theta_total = (times - s.t0) / s.h
-        # Nodes beyond the running step's start all belong to it.
-        step_idx = np.clip(np.floor(theta_total), 0, self.step).astype(int)
-        theta = theta_total - step_idx
-        done = ~hist & (step_idx < self.step)
-        if done.any():
-            out[done, : s.dim] = _step_interpolant(
-                s.tableau, s.h, s.x, s.k, step_idx[done], theta[done]
-            )
-        cur = ~hist & (step_idx == self.step)
-        if cur.any():
-            out[cur, s.dim :] = theta[cur, None] ** np.arange(4)
+        The quadrature is linear in the solution values, so one plan at time
+        t serves every stage evaluated at t.  Each node gets a row of
+        ``dim + 4`` columns: the solution value where it is already known
+        (history, or a completed step's interpolant), then ``(1, theta,
+        theta^2, theta^3)`` at the nodes inside the running step (every
+        node past its start).  One ``convolution_integral`` call thus
+        returns ``(fixed, w, m)``, and a stage with partial row
+        ``Y_i(theta) = x_n + h sum_j A_ij(theta) K_j`` has convolution
+        ``fixed + w x_n + h (m . A_i) K``.
+        """
+        dim = self.x.shape[1]
+        hist, hist_vals, step, theta = self._locate(times, n)
+        out = np.zeros((len(times), dim + 4))
+        out[hist, :dim] = hist_vals
+        done = ~hist & (step < n)
+        out[done, :dim] = self._interp(step[done], theta[done])
+        cur = ~hist & (step == n)
+        out[cur, dim:] = theta[cur, None] ** np.arange(4)
         return out
-
-
-class _SolveState:
-    def __init__(self, tableau, history, kernel, t0, h, n_steps, dim):
-        self.tableau = tableau
-        self.history = history
-        self.kernel = kernel
-        self.t0 = t0
-        self.h = h
-        self.dim = dim
-        self.x = np.empty((n_steps + 1, dim))
-        self.k = np.empty((n_steps, tableau.stages, dim))
 
 
 def _plan_conv(plan, x_n, h, coef, k):
     """Convolution of the partial row x_n + h sum_j (coef_j . (theta,
     theta^2, theta^3)) K_j from one shared quadrature plan (see
-    :class:`_StageAccessor`)."""
+    :meth:`Solution._stage_rows`)."""
     dim = len(x_n)
     return plan[:dim] + plan[dim] * x_n + h * (coef @ plan[dim + 1 :]) @ k
 
@@ -229,11 +209,11 @@ def fcrk4_solve(problem, h, quad=None):
     is complete, the plan at t_n + h applied to the step interpolant is
     stage 0's convolution in the next step, so a solve makes
     ``2 n_steps + 1`` quadrature calls.
-    The returned :class:`Solution` is immutable and may be queried from
-    multiple threads.
+    The returned :class:`Solution` is not changed after the solve and may
+    be queried from multiple threads.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     history = problem.history
     if getattr(history, "kind", None) == "exponential" and (
         history.growth <= -problem.kernel.rate
@@ -253,11 +233,10 @@ def fcrk4_solve(problem, h, quad=None):
     x0 = np.atleast_1d(np.asarray(problem.history(problem.t0), dtype=float))
     dim = x0.size
     scalar = dim == 1 and np.ndim(problem.history(problem.t0)) == 0
-    params = select_transform_params(problem.kernel.shape, problem.kernel.rate)
+    sol = Solution(problem.history, problem.t0, h, n_steps, dim, scalar)
+    sol.x[0] = x0
 
     tableau = TABLEAU4
-    state = _SolveState(tableau, problem.history, problem.kernel, problem.t0, h, n_steps, dim)
-    state.x[0] = x0
     c = tableau.c
     a_at_c = [tableau.a_at(c[i])[i, :i] for i in range(tableau.stages)]
     a_rows = [tableau.a_coef[i, :i] for i in range(tableau.stages)]
@@ -266,9 +245,8 @@ def fcrk4_solve(problem, h, quad=None):
     def plan(n, theta):
         return convolution_integral(
             problem.t0 + n * h + theta * h,
-            _StageAccessor(state, n),
+            partial(sol._stage_rows, n),
             problem.kernel,
-            params,
             quad,
             h,
             problem.t0,
@@ -277,17 +255,17 @@ def fcrk4_solve(problem, h, quad=None):
     # Every node of the plan at t0 lies in the history.
     conv_start = plan(0, 0.0)[:dim]
     for n in range(n_steps):
-        k_step = state.k[n]
+        k_step = sol.k[n]
         plans = {}
         for i in range(tableau.stages):
             if i and c[i] not in plans:
                 plans[c[i]] = plan(n, c[i])
-            y_i = state.x[n] + h * (a_at_c[i] @ k_step[:i]) if i else state.x[n].copy()
+            y_i = sol.x[n] + h * (a_at_c[i] @ k_step[:i]) if i else sol.x[n].copy()
             # An overflowing solution is reported by the check below, with
             # its step and stage, instead of by a numpy warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 conv = (
-                    _plan_conv(plans[c[i]], state.x[n], h, a_rows[i], k_step[:i])
+                    _plan_conv(plans[c[i]], sol.x[n], h, a_rows[i], k_step[:i])
                     if i
                     else conv_start
                 )
@@ -298,7 +276,7 @@ def fcrk4_solve(problem, h, quad=None):
                 raise FloatingPointError(
                     f"non-finite stage value at step {n}, stage {i}"
                 )
-        state.x[n + 1] = state.x[n] + h * (b_end @ k_step)
-        conv_start = _plan_conv(plans[1.0], state.x[n], h, tableau.b_coef, k_step)
+        sol.x[n + 1] = sol.x[n] + h * (b_end @ k_step)
+        conv_start = _plan_conv(plans[1.0], sol.x[n], h, tableau.b_coef, k_step)
 
-    return Solution(tableau, problem.history, problem.t0, h, state.x, state.k, scalar)
+    return sol

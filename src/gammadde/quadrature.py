@@ -10,9 +10,10 @@ the substitution omega = exp(-s^(1/beta) / alpha), giving
 With beta = 5/j + 1 and alpha = (j+1) / a^(1/beta) the transformed
 integrand is 4 times differentiable with a bounded 4th derivative whenever
 the solution is, so a composite open Simpson rule (which never touches the
-endpoints, where u vanishes / is undefined) retains its full order.  The
-quadrature step is tied to the solver step through h_int^4 = xi * h^4 so
-neither side limits the other's accuracy.
+endpoints, where u vanishes / is undefined) retains its full order.  Both
+constants depend on the kernel alone, so :func:`convolution_integral`
+derives them itself.  The quadrature step is tied to the solver step
+through h_int^4 = xi * h^4 so neither side limits the other's accuracy.
 """
 
 import math
@@ -29,20 +30,6 @@ MAX_PANELS = 1_000_000
 #: Quadrature nodes closer than this many solver steps to a mesh point are
 #: moved that far off it, so no node sits on a step's kink.
 NODE_JITTER = 1e-9
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Substitution constants for one gamma kernel."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,24 +57,19 @@ class QuadConfig:
             raise ValueError("h_int must be positive")
 
     def step(self, h):
-        """Effective quadrature step for solver step h."""
+        """Effective quadrature step for solver step h: the pinned h_int,
+        else the coupling h_int^4 = xi h^4."""
         if self.h_int is not None:
             return self.h_int
-        return quadrature_step(h, self.xi)
+        return self.xi**0.25 * h
 
 
-def select_transform_params(j, a):
-    """Substitution constants keeping the transformed integrand 4-smooth."""
-    if j <= 0 or a <= 0:
-        raise ValueError("kernel parameters must be positive")
+def _transform_params(kernel):
+    """Substitution constants (alpha, beta) keeping the transformed
+    integrand of this kernel 4-smooth."""
+    j, a = kernel.shape, kernel.rate
     beta = 5 / j + 1.0
-    alpha = (j + 1) / a ** (1.0 / beta)
-    return TransformParams(alpha=alpha, beta=beta)
-
-
-def quadrature_step(h, xi):
-    """Quadrature step h_int from the step coupling h_int^4 = xi h^4."""
-    return xi**0.25 * h
+    return (j + 1) / a ** (1.0 / beta), beta
 
 
 def _open_simpson_nodes(a, b, panels):
@@ -103,14 +85,13 @@ def _open_simpson_nodes(a, b, panels):
     return nodes, weights
 
 
-def _log_weight(omega, kernel, params):
+def _log_weight(omega, kernel, alpha, beta):
     """log of the solution-independent factor of u(t, omega).
 
     Computed in log space: the factor underflows to zero at both endpoints
     instead of overflowing through the 1/omega pole.
     """
     j, a = kernel.shape, kernel.rate
-    alpha, beta = params.alpha, params.beta
     big_l = -np.log(omega)
     log_c = (
         math.log(beta) + beta * j * math.log(alpha) + j * math.log(a) - math.lgamma(j)
@@ -124,8 +105,6 @@ def _log_weight(omega, kernel, params):
 def _jitter_times(s, t0, h, delta):
     """Shift times lying within delta of a mesh point t0 + k h into the
     interior of their piece; the history side (s <= t0) is left alone."""
-    if delta <= 0:
-        return s
     k = np.round((s - t0) / h)
     mesh = t0 + k * h
     near = (np.abs(s - mesh) < delta) & (s > t0)
@@ -136,34 +115,21 @@ def _jitter_times(s, t0, h, delta):
     return s
 
 
-def omega_of_lag(lag, params):
-    """Transform variable corresponding to a positive lag t - s."""
-    return math.exp(-(lag ** (1.0 / params.beta)) / params.alpha)
-
-
-def convolution_integral(t, accessor, kernel, params, cfg, h, t0):
+def convolution_integral(t, accessor, kernel, cfg, h, t0):
     """Quadrature value of int_0^inf x(t - s) g(s) ds at time t.
 
-    The omega domain is split at the image of t0 whenever t > t0, so the
-    kink where the interpolant hands over to the history always sits on a
-    panel boundary.  Quadrature nodes falling within ``NODE_JITTER * h``
+    The substitution constants follow from ``kernel``.  The omega domain
+    is split at the image of t0 whenever t > t0, so the kink where the
+    interpolant hands over to the history always sits on a panel
+    boundary.  Quadrature nodes falling within ``NODE_JITTER * h``
     of a solver mesh point are nudged off it before the accessor is called.
     ``accessor`` must accept an array of times and may return per-time
     vectors for multi-component states.
     """
     h_int = cfg.step(h)
-    pieces = []
-    if t > t0:
-        split = omega_of_lag(t - t0, params)
-        if split >= 1.0:
-            split = None
-    else:
-        split = None
-    if split is not None and 0.0 < split < 1.0:
-        pieces.append((0.0, split))
-        pieces.append((split, 1.0))
-    else:
-        pieces.append((0.0, 1.0))
+    alpha, beta = _transform_params(kernel)
+    split = math.exp(-((t - t0) ** (1.0 / beta)) / alpha) if t > t0 else 1.0
+    pieces = [(0.0, split), (split, 1.0)] if 0.0 < split < 1.0 else [(0.0, 1.0)]
 
     # Checked in floating point before anything is allocated: a tiny h_int
     # makes the panel count overflow an integer conversion.
@@ -183,7 +149,7 @@ def convolution_integral(t, accessor, kernel, params, cfg, h, t0):
     omega = np.concatenate(nodes)
     wts = np.concatenate(weights)
 
-    log_w, sigma = _log_weight(omega, kernel, params)
+    log_w, sigma = _log_weight(omega, kernel, alpha, beta)
     factor = np.exp(log_w) * wts
     live = factor != 0.0
     s_times = _jitter_times(t - sigma[live], t0, h, NODE_JITTER * h)

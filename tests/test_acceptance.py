@@ -19,7 +19,6 @@ from gammadde.quadrature import (
     QuadConfig,
     _open_simpson_nodes,
     convolution_integral,
-    select_transform_params,
 )
 
 # Coupled-quadrature constant used for the order measurements on the two
@@ -245,8 +244,7 @@ def test_criterion_09_quadrature():
         j = rng.uniform(1.5, 8.0)
         a = rng.uniform(0.2, 5.0)
         kern = GammaKernel(j, a)
-        params = select_transform_params(j, a)
-        val = convolution_integral(2.0, ones, kern, params, quad, 0.1, 2.0)
+        val = convolution_integral(2.0, ones, kern, quad, 0.1, 2.0)
         worst = max(worst, abs(val - 1.0))
     panels = [4, 8, 16, 32]
     errs = []

@@ -1,10 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gammadde.approximations import erlang_approx, fixed_hypoexp, smoothed_hypoexp
+from gammadde.approximations import (
+    VARIANTS,
+    chain_params,
+    erlang_approx,
+    fixed_hypoexp,
+    smoothed_hypoexp,
+)
 from gammadde.chain_reduction import (
     HistoryFunction,
     build_erlang_system,
@@ -72,7 +79,7 @@ def test_exponential_history_against_quadrature():
 
 
 def test_custom_history_matches_closed_form():
-    for params in (fixed_hypoexp(2.5, 1.0), erlang_approx(2.8, 1.0)):
+    for params in (chain_params(v, j, 1.0) for v in VARIANTS for j in (2.5, 6.3)):
         closed = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params)
         custom = chain_initial_state(
             HistoryFunction.custom(lambda s: 0.1 * np.exp(0.1 * s)), params
@@ -82,8 +89,12 @@ def test_custom_history_matches_closed_form():
 
 def test_divergent_history_rejected():
     params = fixed_hypoexp(2.5, 1.0)  # min rate 1.938
-    with pytest.raises(ValueError):
-        chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params)
+        with pytest.raises(ValueError, match="diverges"):
+            chain_initial_state(HistoryFunction.custom(lambda s: np.exp(-5.0 * s)), params)
 
 
 def test_variant_guards():

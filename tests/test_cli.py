@@ -294,6 +294,15 @@ def test_exit_code_config_error(capsys):
         # Too few steps, and a step that is not positive.
         ["convergence", "--j", "1", "--h-list", "0.01"],
         ["convergence", "--j", "1", "--h-list", "0.1,-0.05,0.025"],
+        # Steps, horizons and survival times that are not finite.
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--h", "inf"],
+        ["compare", "--j", "2.5", "--h", "inf", "--t-end", "1"],
+        ["compare", "--j", "2.5", "--t-end", "inf"],
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--t-end", "inf"],
+        ["survival", "--j", "2.5", "--t-max", "inf", "--n-out", "3"],
+        ["survival", "--jump-at", "3", "--t", "inf"],
+        ["solve", "--j", "2.5", "--h", "nan"],
+        ["survival", "--j", "2.5", "--t-max", "nan", "--n-out", "3"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):

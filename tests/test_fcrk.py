@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -41,9 +42,14 @@ def _problem(rhs, j=1.0, tau=1.0, t_end=1.0, history=None):
     )
 
 
+def _mesh(sol):
+    """Mesh times of a solve and its (scalar) values there."""
+    return sol.t0 + sol.h * np.arange(sol.n_steps + 1), sol.x[:, 0]
+
+
 def test_zero_rhs_keeps_history_value():
     sol = fcrk4_solve(_problem(lambda x, conv: 0.0), 0.1)
-    assert np.all(sol.mesh_values == 1.0)
+    assert np.all(sol.x == 1.0)
     assert sol.query(0.55) == 1.0
 
 
@@ -62,7 +68,8 @@ def test_query_contract():
     sol = fcrk4_solve(_problem(lambda x, conv: -x + conv, t_end=2.0), 0.1)
     assert sol.query(0.0) == 1.0  # history value at the junction
     assert sol.query(-3.7) == 1.0
-    assert np.array_equal(sol.query(sol.mesh), sol.mesh_values)
+    times, values = _mesh(sol)
+    assert np.array_equal(sol.query(times), values)
     with pytest.raises(ValueError):
         sol.query(2.5)
     assert sol(1.0) == sol.query(1.0)
@@ -72,7 +79,7 @@ def test_interpolant_agrees_with_refined_solve():
     prob = analysis.dde_problem("linear", 1.0, t_end=4.0)[0]
     coarse = fcrk4_solve(prob, 0.1, quad=QuadConfig(xi=XI))
     fine = fcrk4_solve(prob, 0.05, quad=QuadConfig(xi=XI))
-    mids = fine.mesh[1::2]  # half-step points of the coarse mesh
+    mids = _mesh(fine)[0][1::2]  # half-step points of the coarse mesh
     gap = np.max(np.abs(coarse.query(mids) - fine.query(mids)))
     assert gap < 2e-3  # O(h^4)-scale agreement at h = 0.1
 
@@ -102,8 +109,8 @@ def test_discrete_and_global_order_both_fourth():
     discrete, global_ = [], []
     for h in hs:
         sol = fcrk4_solve(prob, h, quad=QuadConfig(xi=(1 / 16) ** 4))
-        discrete.append(np.max(np.abs(
-            sol.mesh_values - analysis.linear_test_reference(1, sol.mesh))))
+        times, values = _mesh(sol)
+        discrete.append(np.max(np.abs(values - analysis.linear_test_reference(1, times))))
         global_.append(np.max(np.abs(sol.query(dense) - ref_dense)))
     for errs in (discrete, global_):
         slope = np.polyfit(np.log10(hs), np.log10(errs), 1)[0]
@@ -169,8 +176,18 @@ def test_nonfinite_stage_raises():
 
 
 def test_bad_step_rejected():
-    with pytest.raises(ValueError):
-        fcrk4_solve(_problem(lambda x, conv: -x), -0.1)
+    for h in (-0.1, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step size"):
+            fcrk4_solve(_problem(lambda x, conv: -x), h)
+
+
+def test_nonfinite_horizon_rejected():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            _problem(lambda x, conv: -x, t_end=bad)
+        with pytest.raises(ValueError, match="finite"):
+            DdeProblem(lambda x, conv: -x, GammaKernel(1.0, 1.0), HistoryFunction.constant(1.0),
+                       t0=-bad, t_end=1.0)
 
 
 def test_divergent_exponential_history_rejected():
@@ -212,8 +229,32 @@ def test_one_quadrature_per_distinct_abscissa(problem, monkeypatch):
     sol = fcrk4_solve(problem, 0.05)
     assert sol.n_steps == 20
     assert len(times) == 2 * sol.n_steps + 1
-    expected = [0.0] + [t + d for t in sol.mesh[:-1] for d in (0.05, 0.025)]
+    expected = [0.0] + [t + d for t in _mesh(sol)[0][:-1] for d in (0.05, 0.025)]
     assert times == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", analysis.PROBLEMS)
+def test_stage_zero_sees_the_solutions_own_convolution(name):
+    # Stage 0 of step n + 1 is the plan at t_n + h applied to the finished
+    # step n; it must equal the returned solution's own convolution at that
+    # mesh point.
+    coefficients = {"alpha": -0.9, "beta": 0.5} if name == "linear_gamma" else {}
+    prob = analysis.dde_problem(name, 2.57, t_end=2.0, **coefficients)[0]
+    convs = []
+
+    def recording(x, conv):
+        convs.append(conv)
+        return prob.rhs(x, conv)
+
+    quad = QuadConfig()
+    sol = fcrk4_solve(dataclasses.replace(prob, rhs=recording), 0.1, quad=quad)
+    stage_zero = np.array(convs[:: TABLEAU4.stages])
+    assert len(stage_zero) == sol.n_steps
+    times = _mesh(sol)[0][:-1]
+    expected = np.array([
+        fcrk.convolution_integral(t, sol.query, prob.kernel, quad, sol.h, sol.t0) for t in times
+    ])
+    assert np.all(np.abs(stage_zero - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_panel_budget_checked_before_allocation():
@@ -264,7 +305,7 @@ def test_linear_in_the_history(h1, h2, c1, c2, alpha, beta, j, tau):
     rhs = lambda x, conv: alpha * x + beta * conv  # noqa: E731
     combined = HistoryFunction.custom(lambda s: c1 * h1(s) + c2 * h2(s))
     sols = [
-        fcrk4_solve(_problem(rhs, j=j, tau=tau, t_end=2.0, history=hist), 0.1).mesh_values
+        fcrk4_solve(_problem(rhs, j=j, tau=tau, t_end=2.0, history=hist), 0.1).x[:, 0]
         for hist in (h1, h2, combined)
     ]
     parts = np.abs(c1 * sols[0]) + np.abs(c2 * sols[1])
@@ -285,7 +326,7 @@ def test_constant_solution_preserved_at_default_coupling(c, j, tau):
     prob = _problem(lambda x, conv: -x + conv, j=j, tau=tau, t_end=3.0,
                     history=HistoryFunction.constant(c))
     sol = fcrk4_solve(prob, 0.1)
-    assert np.max(np.abs(sol.mesh_values - c)) <= 1e-4 * max(1.0, abs(c))
+    assert np.max(np.abs(sol.x - c)) <= 1e-4 * max(1.0, abs(c))
 
 
 # Worst of acceptance criterion 01's errors at h = 0.05 (j = 1, against the

@@ -9,9 +9,8 @@ from gammadde.quadrature import (
     QuadConfig,
     _log_weight,
     _open_simpson_nodes,
+    _transform_params,
     convolution_integral,
-    quadrature_step,
-    select_transform_params,
 )
 
 
@@ -21,23 +20,19 @@ def _open_simpson(f, panels):
     return float(weights @ f(nodes))
 
 
-def _kernel_integral(t, accessor, kern, params, panels):
+def _kernel_integral(t, accessor, kern, panels):
     """The solver's convolution at t of a history-only accessor, on
     ``panels`` open-Simpson panels over the whole of (0, 1)."""
     quad = QuadConfig(h_int=1.0 / (4 * panels))
-    return convolution_integral(t, accessor, kern, params, quad, 0.1, t)
+    return convolution_integral(t, accessor, kern, quad, 0.1, t)
 
 
-def test_select_transform_params():
-    p = select_transform_params(1.0, 1.0)
-    assert p.beta == 6.0 and p.alpha == 2.0
-    p = select_transform_params(5.0, 1.0)
-    assert p.beta == 2.0 and p.alpha == 6.0
-    p = select_transform_params(2.5, 2.5)
-    assert p.beta == pytest.approx(3.0, rel=1e-15)
-    assert p.alpha == pytest.approx(3.5 / 2.5 ** (1 / 3), rel=1e-15)
-    with pytest.raises(ValueError):
-        select_transform_params(-1.0, 1.0)
+def test_transform_params_from_kernel():
+    assert _transform_params(GammaKernel(1.0, 1.0)) == (2.0, 6.0)
+    assert _transform_params(GammaKernel(5.0, 1.0)) == (6.0, 2.0)
+    alpha, beta = _transform_params(GammaKernel(2.5, 2.5))
+    assert beta == pytest.approx(3.0, rel=1e-15)
+    assert alpha == pytest.approx(3.5 / 2.5 ** (1 / 3), rel=1e-15)
 
 
 def test_open_simpson_exactness():
@@ -64,15 +59,10 @@ def test_open_simpson_quartic_refinement_order():
     assert abs(slope - 4.0) < 0.1
 
 
-def test_couple_stepsizes():
-    # The coupling h_int^4 = xi h^4.
-    assert quadrature_step(0.1, 16.0) == pytest.approx(0.2, rel=1e-14)
-    assert quadrature_step(0.05, 1.0) == pytest.approx(0.05, rel=1e-14)
-
-
 def test_quad_config():
-    cfg = QuadConfig(xi=16.0)
-    assert cfg.step(0.1) == pytest.approx(0.2)
+    # The coupling h_int^4 = xi h^4, unless h_int is pinned.
+    assert QuadConfig(xi=16.0).step(0.1) == pytest.approx(0.2, rel=1e-14)
+    assert QuadConfig(xi=1.0).step(0.05) == pytest.approx(0.05, rel=1e-14)
     assert QuadConfig(h_int=0.01).step(0.1) == 0.01
     with pytest.raises(ValueError):
         QuadConfig(xi=0.0)
@@ -82,8 +72,7 @@ def test_transformed_integrand_vanishes_at_origin():
     # The kernel weight of the transformed integrand vanishes towards both
     # ends of (0, 1), so the open rule may skip them.
     kern = GammaKernel(1.0, 1.0)
-    params = select_transform_params(1.0, 1.0)
-    log_w, _ = _log_weight(np.array([1e-12, 1.0 - 1e-12]), kern, params)
+    log_w, _ = _log_weight(np.array([1e-12, 1.0 - 1e-12]), kern, *_transform_params(kern))
     assert np.all(np.exp(log_w) < 1e-6)
 
 
@@ -91,8 +80,7 @@ def test_transformed_integrand_normalization():
     # Constant solution: the transformed integral is the kernel mass, 1.
     for j, a in [(1.0, 1.0), (2.5, 2.5), (6.0, 0.7)]:
         kern = GammaKernel(j, a)
-        params = select_transform_params(j, a)
-        val = _kernel_integral(3.0, lambda s: np.ones_like(s), kern, params, 64)
+        val = _kernel_integral(3.0, lambda s: np.ones_like(s), kern, 64)
         assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -105,8 +93,7 @@ def test_kernel_normalization_at_16_panels():
         j = rng.uniform(1.5, 8.0)
         a = rng.uniform(0.2, 5.0)
         kern = GammaKernel(j, a)
-        params = select_transform_params(j, a)
-        val = _kernel_integral(2.0, lambda s: np.ones_like(s), kern, params, 16)
+        val = _kernel_integral(2.0, lambda s: np.ones_like(s), kern, 16)
         worst = max(worst, abs(val - 1.0))
     assert worst < 1e-4
 
@@ -115,10 +102,9 @@ def test_exponential_solution_closed_form():
     # x(s) = e^{0.1 s} convolved with a unit-rate exponential kernel gives
     # e^{0.1 t} / 1.1 exactly.
     kern = GammaKernel(1.0, 1.0)
-    params = select_transform_params(1.0, 1.0)
     accessor = lambda s: np.exp(0.1 * np.asarray(s))
     for t in (0.5, 3.0):
-        val = _kernel_integral(t, accessor, kern, params, 128)
+        val = _kernel_integral(t, accessor, kern, 128)
         assert val == pytest.approx(math.exp(0.1 * t) / 1.1, rel=1e-9)
 
 
@@ -131,23 +117,21 @@ def test_convolution_split_matches_unsplit(monkeypatch):
     # boundary is a no-op up to roundoff-level quadrature differences.
     monkeypatch.setattr(quadrature, "NODE_JITTER", 0.0)
     kern = GammaKernel(2.5, 2.5)
-    params = select_transform_params(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
     cfg = QuadConfig(h_int=1e-3)
     t = 4.0
-    split = convolution_integral(t, acc, kern, params, cfg, 0.1, 0.0)
-    unsplit = convolution_integral(t, acc, kern, params, cfg, 0.1, t)
+    split = convolution_integral(t, acc, kern, cfg, 0.1, 0.0)
+    unsplit = convolution_integral(t, acc, kern, cfg, 0.1, t)
     assert abs(float(split[0]) - float(unsplit[0])) < 1e-10
 
 
 def test_node_jitter_perturbs_little(monkeypatch):
     kern = GammaKernel(2.5, 2.5)
-    params = select_transform_params(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
     cfg = QuadConfig(h_int=1e-3)
-    jit = convolution_integral(4.0, acc, kern, params, cfg, 0.1, 0.0)
+    jit = convolution_integral(4.0, acc, kern, cfg, 0.1, 0.0)
     monkeypatch.setattr(quadrature, "NODE_JITTER", 0.0)
-    base = convolution_integral(4.0, acc, kern, params, cfg, 0.1, 0.0)
+    base = convolution_integral(4.0, acc, kern, cfg, 0.1, 0.0)
     assert abs(float(base[0]) - float(jit[0])) < 1e-8
 
 
@@ -155,10 +139,9 @@ def test_convolution_history_overflow_is_masked():
     # Histories growing into the past slower than the kernel decay must
     # not poison the quadrature even where the weight underflows.
     kern = GammaKernel(3.7, 0.984)
-    params = select_transform_params(3.7, 0.984)
     acc = _vector_accessor(lambda s: np.exp(-0.194 * s))
     val = convolution_integral(
-        5.0, acc, kern, params, QuadConfig(h_int=1e-3), 0.1, 0.0
+        5.0, acc, kern, QuadConfig(h_int=1e-3), 0.1, 0.0
     )
     expected = math.exp(-0.194 * 5.0) * (0.984 / (0.984 - 0.194)) ** 3.7
     assert float(val[0]) == pytest.approx(expected, rel=1e-6)
