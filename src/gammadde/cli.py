@@ -5,7 +5,9 @@
 
 Each command takes exactly the flags it reads: ``_FLAGS`` declares every
 flag's type and help once, and each command lists the flags it takes with
-its own defaults.  Flags are matched by their full names only.  A --config
+its own defaults.  A flag that only one mode of a command reads (``solve
+--method``, ``survival --jump-at``) is refused in the other mode.  Flags
+are matched by their full names only.  A --config
 file is a JSON object keyed by the command's flag names; its entries are
 parsed by the command's parser ahead of the explicit flags, so they are
 validated like flags and explicit flags win.
@@ -137,11 +139,19 @@ def _n_out(args):
 
 
 def _quad_config(args):
-    return QuadConfig(xi=args.xi, h_int=args.quad_step)
+    return QuadConfig(xi=QuadConfig.xi if args.xi is None else args.xi, h_int=args.quad_step)
 
 
 def _chain_cfg(args):
-    return OdeConfig(rtol=args.rtol, atol=args.rtol * 1e-2)
+    rtol = CHAIN_RTOL if args.rtol is None else args.rtol
+    return OdeConfig(rtol=rtol, atol=rtol * 1e-2)
+
+
+def _refuse_unread(args, mode, flags):
+    """Refuse a flag that the command takes but ``mode`` does not read."""
+    for flag in flags:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+            raise ConfigError(f"{flag} is not read by {mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +159,10 @@ def _chain_cfg(args):
 
 
 def cmd_solve(args):
+    if args.method == "fcrk4":
+        _refuse_unread(args, "solve --method fcrk4", ("--variant", "--rtol"))
+    else:
+        _refuse_unread(args, "solve --method chain", _QUAD)
     t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h")
@@ -159,7 +173,8 @@ def cmd_solve(args):
         rows = [(float(t), float(v)) for t, v in zip(times, values)]
         _write_csv(args.out, ["t", "x"], rows)
     else:
-        params = approx.chain_params(args.variant, args.j, tau)
+        variant = CHAIN_VARIANT if args.variant is None else args.variant
+        params = approx.chain_params(variant, args.j, tau)
         states, labels = analysis.chain_trajectory(
             problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
         )
@@ -283,18 +298,20 @@ def cmd_mgf_order(args):
 def cmd_survival(args):
     tau = _positive(args, "tau")
     if args.jump_at is not None:
-        t = _finite(args, "t")
-        jump_fixed, jump_smoothed = analysis.integer_jump(args.jump_at, tau, t, delta=args.delta)
+        t = JUMP_T if args.t is None else _finite(args, "t")
+        delta = JUMP_DELTA if args.delta is None else args.delta
+        jump_fixed, jump_smoothed = analysis.integer_jump(args.jump_at, tau, t, delta=delta)
         _emit_json(
             {
                 "jump_fixed": float(jump_fixed),
                 "jump_smoothed": float(jump_smoothed),
                 "t": t,
-                "delta": args.delta,
+                "delta": delta,
             },
             args.out,
         )
         return 0
+    _refuse_unread(args, "survival without --jump-at", ("--t", "--delta"))
     j = _positive(args, "j")
     n_out = _n_out(args)
     t_max = _finite(args, "t_max") if args.t_max is not None else 4.0 * tau
@@ -390,6 +407,13 @@ def cmd_epi_fit(args):
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
+# Defaults of the flags that only one mode of a command reads.  These flags
+# default to None, so a mode that does not read one can refuse it when given.
+CHAIN_RTOL = 1e-10
+CHAIN_VARIANT = "fixed"
+JUMP_T = 4.0
+JUMP_DELTA = 1e-6
+
 # Every flag's argparse settings, declared once and shared by the commands
 # that take it.  A default here holds wherever the flag is taken; a default
 # that differs between commands is given where the command is declared.
@@ -403,16 +427,20 @@ _FLAGS = {
     "--t-end": dict(type=float, help="end of the time window"),
     "--h": dict(type=float, default=0.05, help="FCRK step"),
     "--h-list": dict(default="0.1,0.05,0.025,0.0125", help="comma-separated FCRK steps"),
-    "--xi": dict(type=float, default=QuadConfig.xi, help="step coupling h_int^4 = xi h^4"),
+    "--xi": dict(type=float, help="step coupling h_int^4 = xi h^4 (default (1/8)^4)"),
     "--quad-step": dict(type=float, help="quadrature step h_int, overriding --xi"),
-    "--rtol": dict(type=float, default=1e-10, help="chain ODE relative tolerance"),
+    "--rtol": dict(type=float, help=f"chain ODE relative tolerance (default {CHAIN_RTOL:g})"),
     "--method": dict(default="fcrk4", choices=("fcrk4", "chain")),
-    "--variant": dict(default="fixed", help="chain variant: " + ", ".join(approx.VARIANTS)),
+    "--variant": dict(
+        help=f"chain variant (default {CHAIN_VARIANT}): " + ", ".join(approx.VARIANTS)
+    ),
     "--n-out": dict(type=int, help="number of output times"),
-    "--t": dict(type=float, default=4.0, help="time of the survival jump"),
+    "--t": dict(type=float, help=f"time of the survival jump (default {JUMP_T:g})"),
     "--t-max": dict(type=float, help="end of the survival grid (default 4 tau)"),
     "--jump-at": dict(type=float, help="integer shape: print the survival jumps there"),
-    "--delta": dict(type=float, default=1e-6, help="shape offset either side of --jump-at"),
+    "--delta": dict(
+        type=float, help=f"shape offset either side of --jump-at (default {JUMP_DELTA:g})"
+    ),
     "--m": dict(type=int, required=True, help="polynomial degree"),
     "--fj": dict(type=float, required=True, help="fractional part of the shape"),
     "--seed": dict(type=int, default=0),

@@ -15,17 +15,24 @@ interpolants, and everything before t0 by the history function.
 The :class:`Solution` is the solve's state: the solver fills its mesh and
 stage values step by step and returns it.  One lookup places a time in the
 history, a completed step or the running step, with its step index and
-offset theta; ``Solution.query`` and the rows the quadrature reads while a
-step is in progress both go through it.
+offset theta; ``Solution.query`` and the quadrature plans both go through it.
+
+A quadrature plan (its nodes and their factors) depends on the kernel, h,
+the quadrature configuration and t0 only, never on the solution.  So the
+solver builds the plans of a block of steps at once, before the first of
+them runs, and reduces each to what the solution contributes: its history
+sum, and per step its nodes fall in the moments ``sum f theta^(0..3)``.
+A step then only contracts the moments of the completed steps with their
+interpolants' coefficients, and hands the running step's moments to its
+stages.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .quadrature import QuadConfig, convolution_integral
+from .quadrature import QuadConfig, convolution_integral, plan_nodes, plan_panels
 
 
 @dataclass(frozen=True)
@@ -129,19 +136,25 @@ class Solution:
         self.x = np.empty((n_steps + 1, dim))
         self.k = np.empty((n_steps, TABLEAU4.stages, dim))
 
+    def _place(self, times, last):
+        """Step index (at most ``last``, which may vary per time) and offset
+        theta within that step of each time after t0, as floats."""
+        theta_total = (times - self.t0) / self.h
+        step = np.minimum(np.floor(theta_total), last)
+        return step, theta_total - step
+
     def _locate(self, times, last):
         """Where each time falls: the history mask with the history values
-        there, and the step index (clipped to 0..last) with the offset theta
-        within that step."""
+        there, and for the other times the step index (at most last) with
+        the offset theta within that step."""
         hist = times <= self.t0
         hist_vals = (
             _history_values(self.history, times[hist], self.x.shape[1])
             if hist.any()
             else np.empty((0, self.x.shape[1]))
         )
-        theta_total = (times - self.t0) / self.h
-        step = np.clip(np.floor(theta_total), 0, last).astype(int)
-        return hist, hist_vals, step, theta_total - step
+        step, theta = self._place(times, last)
+        return hist, hist_vals, step.astype(int), theta
 
     def _interp(self, step, theta):
         """Completed-step interpolants x_m + h sum_s b_s(theta) K_ms at the
@@ -164,35 +177,93 @@ class Solution:
 
     __call__ = query
 
-    def _stage_rows(self, n, times):
-        """Solution lookup for the convolution quadrature while step n is
-        in progress.
 
-        The quadrature is linear in the solution values, so one plan at time
-        t serves every stage evaluated at t.  Each node gets a row of
-        ``dim + 4`` columns: the solution value where it is already known
-        (history, or a completed step's interpolant), then ``(1, theta,
-        theta^2, theta^3)`` at the nodes inside the running step (every
-        node past its start).  One ``convolution_integral`` call thus
-        returns ``(fixed, w, m)``, and a stage with partial row
-        ``Y_i(theta) = x_n + h sum_j A_ij(theta) K_j`` has convolution
-        ``fixed + w x_n + h (m . A_i) K``.
-        """
-        dim = self.x.shape[1]
-        hist, hist_vals, step, theta = self._locate(times, n)
-        out = np.zeros((len(times), dim + 4))
-        out[hist, :dim] = hist_vals
-        done = ~hist & (step < n)
-        out[done, :dim] = self._interp(step[done], theta[done])
-        cur = ~hist & (step == n)
-        out[cur, dim:] = theta[cur, None] ** np.arange(4)
-        return out
+#: Quadrature nodes per plan block: bounds the memory a block's arrays take
+#: while keeping numpy's per-call overhead small against the work per node.
+BLOCK_NODES = 4096
+
+
+def _segment_sums(values, counts):
+    """Sums of consecutive segments of ``counts[r]`` rows of ``values``,
+    zero for an empty segment."""
+    out = np.zeros((len(counts),) + values.shape[1:])
+    full = counts > 0
+    if full.any():
+        out[full] = np.add.reduceat(values, (np.cumsum(counts) - counts)[full], axis=0)
+    return out
+
+
+class _PlanBlock:
+    """The quadrature plans at t_n + h/2 and t_n + h of the steps
+    n0 <= n < n1, reduced to what the solution contributes to them.
+
+    Row ``2 (n - n0)`` holds the plan of step n at t_n + h/2, the next row
+    the one at t_n + h.  On the completed steps m < n a plan's value is its
+    history sum plus ``sum_m S_m . P_m``, where ``S_m`` holds the moments
+    ``sum f theta^(0..3)`` of the plan's nodes in step m and ``P_m`` the
+    coefficients of step m's interpolant in powers of theta (see
+    :func:`fcrk4_solve`).  The nodes in the running step n enter through
+    their moments too, which serve any partial row (:func:`_plan_conv`).
+    The nodes of a plan ascend in time, so each step's nodes are one run of
+    the row and the moments are sums over runs.
+    """
+
+    def __init__(self, sol, kernel, quad, n0, n1):
+        h, dim = sol.h, sol.x.shape[1]
+        self.n0 = n0
+        last = np.repeat(np.arange(n0, n1), 2)
+        times = sol.t0 + last * h
+        times[0::2] += 0.5 * h
+        times[1::2] += h
+        (past_f, past_s), (factor, s) = plan_nodes(times, kernel, quad, h, sol.t0)
+        # Per plan: the value on the completed steps (the history sum so
+        # far), then the running step's moments.
+        self.plan = np.zeros((len(times), dim + 4))
+
+        live = past_f != 0.0
+        vals = (
+            _history_values(sol.history, past_s[live], dim) * past_f[live][:, None]
+            if live.any()
+            else np.empty((0, dim))
+        )
+        self.plan[:, :dim] = _segment_sums(vals, live.sum(axis=1))
+
+        # A run of nodes in one step starts wherever the step changes
+        # along a row; its moments come from one reduceat over all rows.
+        step, theta = sol._place(s, last[:, None])
+        starts = np.ones(step.shape, dtype=bool)
+        np.not_equal(step[:, 1:], step[:, :-1], out=starts[:, 1:])
+        starts = np.flatnonzero(starts)
+        powers = np.empty((4, factor.size))
+        powers[0] = factor.ravel()
+        theta = theta.ravel()
+        for q in (1, 2, 3):
+            np.multiply(powers[q - 1], theta, out=powers[q])
+        moments = np.add.reduceat(powers, starts, axis=1).T
+        row = starts // step.shape[1]
+        seg_step = step.ravel()[starts]
+        running = seg_step == last[row]
+        self.plan[row[running], dim:] = moments[running]
+        done = ~running
+        self.moments = moments[done]
+        self.steps = seg_step[done].astype(int)
+        self.ptr = np.searchsorted(row[done], np.arange(len(times) + 1)).tolist()
+
+    def plans(self, poly, n):
+        """The plan vectors of step n at t_n + h/2 and t_n + h, given the
+        interpolant coefficients ``poly`` of the completed steps."""
+        r = 2 * (n - self.n0)
+        dim = poly.shape[2]
+        for row in (r, r + 1):
+            a, b = self.ptr[row], self.ptr[row + 1]
+            completed = poly[self.steps[a:b]].reshape(-1, dim)
+            self.plan[row, :dim] += self.moments[a:b].ravel() @ completed
+        return self.plan[r], self.plan[r + 1]
 
 
 def _plan_conv(plan, x_n, h, coef, k):
     """Convolution of the partial row x_n + h sum_j (coef_j . (theta,
-    theta^2, theta^3)) K_j from one shared quadrature plan (see
-    :meth:`Solution._stage_rows`)."""
+    theta^2, theta^3)) K_j from one plan (see :meth:`_PlanBlock.plans`)."""
     dim = len(x_n)
     return plan[:dim] + plan[dim] * x_n + h * (coef @ plan[dim + 1 :]) @ k
 
@@ -203,12 +274,13 @@ def fcrk4_solve(problem, h, quad=None):
     Each stage value is fed the quadrature approximation of the convolution
     at its own abscissa, built from the history, all completed step
     interpolants, and the lower-triangular portion of the current step.
-    The quadrature runs once per distinct abscissa: stages 1, 3 and 5 share
-    the plan at t_n + h, stages 2 and 4 the plan at t_n + h/2, and each
-    stage applies it to its own partial row in a few flops.  Once the step
-    is complete, the plan at t_n + h applied to the step interpolant is
-    stage 0's convolution in the next step, so a solve makes
-    ``2 n_steps + 1`` quadrature calls.
+    One plan serves each distinct abscissa: stages 1, 3 and 5 share the
+    plan at t_n + h, stages 2 and 4 the plan at t_n + h/2, and each stage
+    applies it to its own partial row in a few flops.  Once the step is
+    complete, the plan at t_n + h applied to the step interpolant is stage
+    0's convolution in the next step, so a solve uses ``2 n_steps + 1``
+    plans: the one at t0, which reads the history only, and two per step,
+    built in blocks of steps (:class:`_PlanBlock`).
     The returned :class:`Solution` is not changed after the solve and may
     be queried from multiple threads.
     """
@@ -224,6 +296,7 @@ def fcrk4_solve(problem, h, quad=None):
             "delayed convolution diverges"
         )
     quad = quad or QuadConfig()
+    block_steps = max(1, BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)))
     span = problem.t_end - problem.t0
     n_steps = int(round(span / h))
     if abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
@@ -241,42 +314,46 @@ def fcrk4_solve(problem, h, quad=None):
     a_at_c = [tableau.a_at(c[i])[i, :i] for i in range(tableau.stages)]
     a_rows = [tableau.a_coef[i, :i] for i in range(tableau.stages)]
     b_end = tableau.b_at(1.0)
-
-    def plan(n, theta):
-        return convolution_integral(
-            problem.t0 + n * h + theta * h,
-            partial(sol._stage_rows, n),
-            problem.kernel,
-            quad,
-            h,
-            problem.t0,
-        )
+    # Step m's interpolant x_m + h sum_s b_s(theta) K_ms as coefficients of
+    # (1, theta, theta^2, theta^3), filled as each step completes.
+    b_poly = tableau.b_coef.T
+    poly = np.empty((n_steps, 4, dim))
 
     # Every node of the plan at t0 lies in the history.
-    conv_start = plan(0, 0.0)[:dim]
-    for n in range(n_steps):
-        k_step = sol.k[n]
-        plans = {}
-        for i in range(tableau.stages):
-            if i and c[i] not in plans:
-                plans[c[i]] = plan(n, c[i])
-            y_i = sol.x[n] + h * (a_at_c[i] @ k_step[:i]) if i else sol.x[n].copy()
-            # An overflowing solution is reported by the check below, with
-            # its step and stage, instead of by a numpy warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                conv = (
-                    _plan_conv(plans[c[i]], sol.x[n], h, a_rows[i], k_step[:i])
-                    if i
-                    else conv_start
-                )
+    conv_start = convolution_integral(
+        problem.t0,
+        lambda times: _history_values(history, times, dim),
+        problem.kernel,
+        quad,
+        h,
+        problem.t0,
+    )
+    block_end = 0
+    # An overflowing history or solution is reported by the stage check,
+    # with its step and stage, instead of by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            if n == block_end:
+                block_end = min(n + block_steps, n_steps)
+                block = _PlanBlock(sol, problem.kernel, quad, n, block_end)
+            plans = dict(zip((0.5, 1.0), block.plans(poly, n)))
+            k_step = sol.k[n]
+            for i in range(tableau.stages):
+                if i:
+                    y_i = sol.x[n] + h * (a_at_c[i] @ k_step[:i])
+                    conv = _plan_conv(plans[c[i]], sol.x[n], h, a_rows[i], k_step[:i])
+                else:
+                    y_i, conv = sol.x[n].copy(), conv_start
                 k_step[i] = problem.rhs(
                     y_i if dim > 1 else y_i[0], conv if dim > 1 else float(conv[0])
                 )
-            if not np.all(np.isfinite(k_step[i])):
-                raise FloatingPointError(
-                    f"non-finite stage value at step {n}, stage {i}"
-                )
-        sol.x[n + 1] = sol.x[n] + h * (b_end @ k_step)
-        conv_start = _plan_conv(plans[1.0], sol.x[n], h, tableau.b_coef, k_step)
+                if not np.isfinite(k_step[i]).all():
+                    raise FloatingPointError(
+                        f"non-finite stage value at step {n}, stage {i}"
+                    )
+            sol.x[n + 1] = sol.x[n] + h * (b_end @ k_step)
+            poly[n, 0] = sol.x[n]
+            poly[n, 1:] = h * (b_poly @ k_step)
+            conv_start = _plan_conv(plans[1.0], sol.x[n], h, tableau.b_coef, k_step)
 
     return sol

@@ -11,9 +11,16 @@ With beta = 5/j + 1 and alpha = (j+1) / a^(1/beta) the transformed
 integrand is 4 times differentiable with a bounded 4th derivative whenever
 the solution is, so a composite open Simpson rule (which never touches the
 endpoints, where u vanishes / is undefined) retains its full order.  Both
-constants depend on the kernel alone, so :func:`convolution_integral`
-derives them itself.  The quadrature step is tied to the solver step
-through h_int^4 = xi * h^4 so neither side limits the other's accuracy.
+constants depend on the kernel alone, so the quadrature derives them
+itself.  The quadrature step is tied to the solver step through
+h_int^4 = xi * h^4 so neither side limits the other's accuracy.
+
+A quadrature *plan* is the set of nodes of one convolution: per node, the
+factor (rule weight times kernel weight) that multiplies the solution, and
+the time where the solution is read.  It depends on the kernel, the
+quadrature configuration, the solver step, t0 and the time of the
+convolution, never on the solution, so :func:`plan_nodes` builds the plans
+of many times at once; :func:`convolution_integral` is its one-plan case.
 """
 
 import math
@@ -51,10 +58,11 @@ class QuadConfig:
     h_int: float | None = None
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
-        if self.h_int is not None and self.h_int <= 0:
-            raise ValueError("h_int must be positive")
+        # An infinite step would put the whole of (0, 1) on one panel.
+        if not 0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        if self.h_int is not None and not 0 < self.h_int < math.inf:
+            raise ValueError(f"h_int must be positive and finite, got {self.h_int}")
 
     def step(self, h):
         """Effective quadrature step for solver step h: the pinned h_int,
@@ -72,17 +80,35 @@ def _transform_params(kernel):
     return (j + 1) / a ** (1.0 / beta), beta
 
 
-def _open_simpson_nodes(a, b, panels):
-    """Nodes and weights of the composite 3-point open rule on [a, b].
+def _open_simpson_grid(lo, hi, panels):
+    """Nodes and weights of the composite 3-point open rule on [lo_r, hi_r]
+    with panels_r panels, one row r per interval.
 
     Per panel of width w: nodes at the interior quarter points, weights
-    (2w/3, -w/3, 2w/3).  Panel endpoints are never evaluated.
+    (2w/3, -w/3, 2w/3).  Panel endpoints are never evaluated.  Rows are
+    padded to the most panels with zero-weight nodes at omega = 1, where
+    the kernel weight vanishes.
     """
-    w = (b - a) / panels
-    edges = a + w * np.arange(panels)[:, None]
-    nodes = (edges + w * np.array([0.25, 0.5, 0.75])).ravel()
-    weights = np.tile(np.array([2.0, -1.0, 2.0]) * (w / 3.0), panels)
-    return nodes, weights
+    width = ((hi - lo) / np.maximum(panels, 1))[:, None]
+    col = np.arange(panels.max(initial=0))
+    real = col < panels[:, None]
+    w = np.where(real, width, 0.0)
+    edges = np.where(real, lo[:, None] + width * col, 1.0)
+    third = w / 3.0
+    # Filled one quarter point at a time, so each operation runs along
+    # whole rows of panels rather than over the three nodes of a panel.
+    nodes = np.empty(w.shape + (3,))
+    weights = np.empty(w.shape + (3,))
+    for q, (offset, rule) in enumerate(((0.25, 2.0), (0.5, -1.0), (0.75, 2.0))):
+        np.add(edges, w * offset, out=nodes[:, :, q])
+        np.multiply(rule, third, out=weights[:, :, q])
+    return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
+
+
+def _open_simpson_nodes(a, b, panels):
+    """Nodes and weights of the composite 3-point open rule on [a, b]."""
+    nodes, weights = _open_simpson_grid(np.array([a]), np.array([b]), np.array([panels]))
+    return nodes[0], weights[0]
 
 
 def _log_weight(omega, kernel, alpha, beta):
@@ -92,69 +118,108 @@ def _log_weight(omega, kernel, alpha, beta):
     instead of overflowing through the 1/omega pole.
     """
     j, a = kernel.shape, kernel.rate
-    big_l = -np.log(omega)
     log_c = (
         math.log(beta) + beta * j * math.log(alpha) + j * math.log(a) - math.lgamma(j)
     )
-    sigma = (alpha * big_l) ** beta
+    big_l = np.log(omega)
+    np.negative(big_l, out=big_l)
+    sigma = alpha * big_l
+    sigma **= beta
+    # log_c + (beta j - 1) log L - a sigma + L, without temporaries.
     with np.errstate(divide="ignore"):
-        out = log_c + (beta * j - 1.0) * np.log(big_l) - a * sigma + big_l
+        out = np.log(big_l)
+    out *= beta * j - 1.0
+    out += log_c
+    out -= a * sigma
+    out += big_l
     return out, sigma
 
 
 def _jitter_times(s, t0, h, delta):
     """Shift times lying within delta of a mesh point t0 + k h into the
-    interior of their piece; the history side (s <= t0) is left alone."""
-    k = np.round((s - t0) / h)
-    mesh = t0 + k * h
-    near = (np.abs(s - mesh) < delta) & (s > t0)
-    below = near & (s <= mesh)
-    above = near & (s > mesh)
-    s = np.where(below, mesh - delta, s)
-    s = np.where(above, mesh + delta, s)
+    interior of their piece, in place; the history side (s <= t0) is left
+    alone."""
+    mesh = s - t0
+    mesh /= h
+    np.round(mesh, out=mesh)
+    mesh *= h
+    mesh += t0
+    near = np.abs(s - mesh) < delta
+    if near.any():
+        near &= s > t0
+        s_near, mesh_near = s[near], mesh[near]
+        s[near] = np.where(s_near <= mesh_near, mesh_near - delta, mesh_near + delta)
     return s
+
+
+def plan_panels(cfg, h):
+    """Open-Simpson panels of the rule over the whole of (0, 1) at solver
+    step h; a plan split at the image of t0 takes at most one more.
+
+    Refuses more than ``MAX_PANELS``.  Checked in floating point before
+    anything is allocated: a tiny quadrature step makes the panel count
+    overflow an integer conversion.
+    """
+    h_int = cfg.step(h)
+    if not 4.0 * h_int * MAX_PANELS >= 1.0:
+        raise ValueError(
+            f"quadrature step {h_int:.3g} needs {1.0 / (4.0 * h_int):.3g} panels per "
+            f"convolution, above the budget of {MAX_PANELS}: raise the "
+            "quadrature step or xi"
+        )
+    return math.ceil(1.0 / (4.0 * h_int))
+
+
+def _plan_part(times, lo, hi, panels, kernel, alpha, beta):
+    """(factor, s) of the nodes of one omega piece per plan."""
+    omega, weights = _open_simpson_grid(lo, hi, panels)
+    log_w, sigma = _log_weight(omega, kernel, alpha, beta)
+    factor = np.exp(log_w, out=log_w)
+    factor *= weights
+    return factor, np.subtract(times[:, None], sigma, out=sigma)
+
+
+def plan_nodes(times, kernel, cfg, h, t0):
+    """Quadrature plans of int_0^inf x(t - s) g(s) ds at each t of ``times``.
+
+    Returns ``(past, recent)``, each a pair ``(factor, s)`` of arrays with
+    one row per time: the quadrature value at t is the sum of ``factor *
+    x(s)`` over both.  The omega domain is split at the image of t0, so the
+    kink where the solution hands over to the history always sits on a
+    panel boundary: ``past`` holds the nodes with s <= t0, ``recent`` those
+    after t0, nudged off the solver mesh when they fall within
+    ``NODE_JITTER * h`` of a mesh point.  Along a row s ascends.  Rows are
+    padded with zero factors, and a kernel weight that underflows gives a
+    zero factor too; only nodes with a nonzero factor need x.
+    """
+    plan_panels(cfg, h)  # refuses an oversized plan before allocating it
+    h_int = cfg.step(h)
+    alpha, beta = _transform_params(kernel)
+    times = np.asarray(times, dtype=float)
+    # The image of t0: all of (0, 1) lies in the history when t <= t0.
+    split = np.exp(-(np.maximum(times - t0, 0.0) ** (1.0 / beta)) / alpha)
+    # Each piece present takes at least one panel.
+    past_panels = np.maximum(np.ceil(split / (4.0 * h_int)), split > 0.0)
+    recent_panels = np.maximum(np.ceil((1.0 - split) / (4.0 * h_int)), split < 1.0)
+    past = _plan_part(times, np.zeros_like(split), split, past_panels, kernel, alpha, beta)
+    factor, s = _plan_part(times, split, np.ones_like(split), recent_panels, kernel, alpha, beta)
+    return past, (factor, _jitter_times(s, t0, h, NODE_JITTER * h))
 
 
 def convolution_integral(t, accessor, kernel, cfg, h, t0):
     """Quadrature value of int_0^inf x(t - s) g(s) ds at time t.
 
-    The substitution constants follow from ``kernel``.  The omega domain
-    is split at the image of t0 whenever t > t0, so the kink where the
-    interpolant hands over to the history always sits on a panel
-    boundary.  Quadrature nodes falling within ``NODE_JITTER * h``
-    of a solver mesh point are nudged off it before the accessor is called.
-    ``accessor`` must accept an array of times and may return per-time
-    vectors for multi-component states.
+    The one-plan case of :func:`plan_nodes`.  ``accessor`` is called once
+    with the ascending times of the nodes whose factor is nonzero; it must
+    accept an array of times and may return per-time vectors for
+    multi-component states.
     """
-    h_int = cfg.step(h)
-    alpha, beta = _transform_params(kernel)
-    split = math.exp(-((t - t0) ** (1.0 / beta)) / alpha) if t > t0 else 1.0
-    pieces = [(0.0, split), (split, 1.0)] if 0.0 < split < 1.0 else [(0.0, 1.0)]
-
-    # Checked in floating point before anything is allocated: a tiny h_int
-    # makes the panel count overflow an integer conversion.
-    widths = [(hi - lo) / (4.0 * h_int) for lo, hi in pieces]
-    if not sum(widths) <= MAX_PANELS:
-        raise ValueError(
-            f"quadrature step {h_int:.3g} needs {sum(widths):.3g} panels per "
-            f"convolution, above the budget of {MAX_PANELS}: raise the "
-            "quadrature step or xi"
-        )
-    nodes = []
-    weights = []
-    for (lo, hi), width in zip(pieces, widths):
-        nd, wt = _open_simpson_nodes(lo, hi, max(1, math.ceil(width)))
-        nodes.append(nd)
-        weights.append(wt)
-    omega = np.concatenate(nodes)
-    wts = np.concatenate(weights)
-
-    log_w, sigma = _log_weight(omega, kernel, alpha, beta)
-    factor = np.exp(log_w) * wts
+    (past_f, past_s), (recent_f, recent_s) = plan_nodes([t], kernel, cfg, h, t0)
+    factor = np.concatenate([past_f[0], recent_f[0]])
     live = factor != 0.0
-    s_times = _jitter_times(t - sigma[live], t0, h, NODE_JITTER * h)
+    times = np.concatenate([past_s[0], recent_s[0]])[live]
+    # A history that overflows is reported by the caller's own checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(accessor(s_times), dtype=float)
-    if vals.ndim == 1:
-        return float(factor[live] @ vals)
-    return factor[live] @ vals
+        vals = np.asarray(accessor(times), dtype=float)
+        out = factor[live] @ vals
+    return float(out) if vals.ndim == 1 else out

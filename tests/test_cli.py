@@ -303,6 +303,16 @@ def test_exit_code_config_error(capsys):
         ["survival", "--jump-at", "3", "--t", "inf"],
         ["solve", "--j", "2.5", "--h", "nan"],
         ["survival", "--j", "2.5", "--t-max", "nan", "--n-out", "3"],
+        # An infinite quadrature step or coupling would put the whole
+        # convolution on one panel.
+        ["solve", "--j", "2.5", "--t-end", "1", "--xi", "inf"],
+        ["solve", "--j", "2.5", "--t-end", "1", "--quad-step", "inf"],
+        ["compare", "--j", "2.5", "--t-end", "1", "--xi", "inf"],
+        ["compare", "--j", "2.5", "--t-end", "1", "--quad-step", "inf"],
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--xi", "inf"],
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--quad-step", "inf"],
+        ["convergence", "--j", "1", "--t-end", "1", "--xi", "inf"],
+        ["convergence", "--j", "1", "--t-end", "1", "--quad-step", "inf"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -344,6 +354,42 @@ def test_exit_code_numerical_failure(capsys):
     assert code == 3
     assert stdout == ""
     assert "numerical" in err and "non-finite stage value at step" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--t-end", "2", "--method", "chain", "--xi", "5"],
+         "--xi is not read by solve --method chain"),
+        (["solve", "--t-end", "2", "--method", "chain", "--quad-step", "0.3"],
+         "--quad-step is not read by solve --method chain"),
+        (["solve", "--t-end", "2", "--variant", "smoothed"],
+         "--variant is not read by solve --method fcrk4"),
+        (["solve", "--t-end", "2", "--method", "fcrk4", "--rtol", "1e-8"],
+         "--rtol is not read by solve --method fcrk4"),
+        (["survival", "--t", "3"], "--t is not read by survival without --jump-at"),
+        (["survival", "--delta", "1e-3"], "--delta is not read by survival without --jump-at"),
+    ],
+)
+def test_flag_the_mode_does_not_read_is_refused(argv, message, tmp_path, capsys):
+    # Each of these commands takes the flag, but only in its other mode.
+    out = tmp_path / "o.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--j", "2.5", "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+
+
+def test_non_finite_history_is_a_numerical_failure_without_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(
+            capsys, "solve", "--j", "2.5", "--t-end", "1", "--history", "const:inf"
+        )
+    assert code == 3
+    assert stdout == ""
+    assert err == "numerical failure: non-finite stage value at step 0, stage 0\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_exit_code_numerical_failure_chain(capsys):

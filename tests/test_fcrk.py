@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammadde import analysis, fcrk
+from gammadde import analysis, fcrk, quadrature
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel
 from gammadde.fcrk import TABLEAU4, DdeProblem, fcrk4_solve
@@ -217,19 +217,20 @@ def test_divergent_exponential_history_rejected():
 def test_one_quadrature_per_distinct_abscissa(problem, monkeypatch):
     # The tableau has three distinct abscissae (0, 1/2, 1), and the plan at
     # t_n + h also serves stage 0 of the next step: one plan at t0, then
-    # two per step.
-    quadrature = fcrk.convolution_integral
+    # two per step, each built once.
+    build = quadrature.plan_nodes
     times = []
 
-    def counted(t, *args):
-        times.append(t)
-        return quadrature(t, *args)
+    def counted(plan_times, *args):
+        times.extend(np.atleast_1d(plan_times).tolist())
+        return build(plan_times, *args)
 
-    monkeypatch.setattr(fcrk, "convolution_integral", counted)
+    monkeypatch.setattr(quadrature, "plan_nodes", counted)
+    monkeypatch.setattr(fcrk, "plan_nodes", counted)
     sol = fcrk4_solve(problem, 0.05)
     assert sol.n_steps == 20
     assert len(times) == 2 * sol.n_steps + 1
-    expected = [0.0] + [t + d for t in _mesh(sol)[0][:-1] for d in (0.05, 0.025)]
+    expected = [0.0] + [t + d for t in _mesh(sol)[0][:-1] for d in (0.025, 0.05)]
     assert times == pytest.approx(expected, abs=1e-14)
 
 
@@ -272,6 +273,29 @@ def test_panel_budget_checked_before_allocation():
     # A step so small that the panel count overflows a float is refused too.
     with pytest.raises(ValueError, match="budget"):
         fcrk4_solve(prob, 0.1, quad=QuadConfig(h_int=5e-324))
+
+
+@pytest.mark.parametrize(
+    "name, j, tau, coefficients, t_end, h, quad",
+    [
+        # The stability command's solve at criterion 07's first point.
+        ("linear_gamma", 2.5, 1.0, {"alpha": 0.89, "beta": -1.15}, 80.0, 0.05, QuadConfig()),
+        # Criterion 03's floor solve: 2,400 quadrature nodes per plan.
+        ("linear_gamma", 3.70, 3.76, {"beta": 0.35}, 10.0, 0.005, QuadConfig(xi=(1 / 16) ** 4)),
+    ],
+    ids=["stability", "criterion_03_floor"],
+)
+def test_solve_memory_stays_small(name, j, tau, coefficients, t_end, h, quad):
+    # Plans are built in blocks of a bounded node count, so a long or
+    # node-heavy solve holds little beyond its own mesh and stage values.
+    prob = analysis.dde_problem(name, j, tau, t_end=t_end, **coefficients)[0]
+    tracemalloc.start()
+    try:
+        fcrk4_solve(prob, h, quad=quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 _AMPLITUDES = st.floats(-2.0, 2.0)

@@ -66,6 +66,12 @@ def test_quad_config():
     assert QuadConfig(h_int=0.01).step(0.1) == 0.01
     with pytest.raises(ValueError):
         QuadConfig(xi=0.0)
+    # An infinite step would put all of (0, 1) on one panel.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(xi=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(h_int=bad)
 
 
 def test_transformed_integrand_vanishes_at_origin():
