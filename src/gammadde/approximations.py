@@ -20,6 +20,11 @@ from dataclasses import dataclass
 
 from .distributions import HypoexpKernel
 
+#: Most stages a chain may have.  The largest chain the tests build has 20
+#: stages and the benchmark's 7; the SIR fitter's bounds allow 13.  At the
+#: budget a chain's generator matrix takes 8 MB.
+MAX_STAGES = 1000
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -40,8 +45,8 @@ class ChainParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n < 1:
-            raise ValueError("need at least one stage")
+        if not 1 <= self.n <= MAX_STAGES:
+            raise ValueError(f"a chain takes 1 to {MAX_STAGES} stages, got {self.n:.6g}")
         for name in ("common_rate", "nu", "mu"):
             r = getattr(self, name)
             if not (r > 0 and math.isfinite(r)):

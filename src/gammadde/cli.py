@@ -279,18 +279,19 @@ def cmd_stability(args):
 
 def cmd_mgf_order(args):
     tau = _positive(args, "tau")
+    variants = ("erlang", "fixed", "smoothed")
+    # Every chain is built first, so an infeasible one is refused before any fit.
+    for variant in variants:
+        approx.chain_params(variant, args.j, tau)
     if float(args.j).is_integer():
         phis = np.logspace(-3, -1, 10) * args.j / tau
         zeros = {
             variant: float(np.max(analysis.mgf_error(args.j, tau, variant, phis)))
-            for variant in ("erlang", "fixed", "smoothed")
+            for variant in variants
         }
         _emit_json({"identically_zero": True, "max_abs_error": zeros}, args.out)
         return 0
-    slopes = {
-        variant: analysis.mgf_error_order(args.j, tau, variant)
-        for variant in ("erlang", "fixed", "smoothed")
-    }
+    slopes = {variant: analysis.mgf_error_order(args.j, tau, variant) for variant in variants}
     _emit_json({"identically_zero": False, "slopes": slopes}, args.out)
     return 0
 
@@ -298,6 +299,7 @@ def cmd_mgf_order(args):
 def cmd_survival(args):
     tau = _positive(args, "tau")
     if args.jump_at is not None:
+        _refuse_unread(args, "survival --jump-at", ("--t-max", "--n-out", "--j"))
         t = JUMP_T if args.t is None else _finite(args, "t")
         delta = JUMP_DELTA if args.delta is None else args.delta
         jump_fixed, jump_smoothed = analysis.integer_jump(args.jump_at, tau, t, delta=delta)
@@ -313,7 +315,7 @@ def cmd_survival(args):
         return 0
     _refuse_unread(args, "survival without --jump-at", ("--t", "--delta"))
     j = _positive(args, "j")
-    n_out = _n_out(args)
+    n_out = SURVIVAL_N_OUT if args.n_out is None else _n_out(args)
     t_max = _finite(args, "t_max") if args.t_max is not None else 4.0 * tau
     times = np.linspace(0.0, t_max, n_out)
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
@@ -413,6 +415,7 @@ CHAIN_RTOL = 1e-10
 CHAIN_VARIANT = "fixed"
 JUMP_T = 4.0
 JUMP_DELTA = 1e-6
+SURVIVAL_N_OUT = 201
 
 # Every flag's argparse settings, declared once and shared by the commands
 # that take it.  A default here holds wherever the flag is taken; a default
@@ -493,7 +496,7 @@ def build_parser():
              ("--j", "--tau", "--out"), required=("--j",), tau=1.0)
     _command(subs, "survival", "survival curves or integer-jump sizes", cmd_survival,
              ("--j", "--tau", "--t", "--t-max", "--n-out", "--jump-at", "--delta", "--out"),
-             tau=1.0, n_out=201)
+             tau=1.0)
     _command(subs, "moment-poly", "moment-matching polynomial roots", cmd_moment_poly,
              ("--m", "--fj", "--out"))
 

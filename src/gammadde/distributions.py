@@ -137,11 +137,22 @@ def stage_generator(rates):
     return q
 
 
+#: Most entries, stages^2 x times, of one call's stacked exponentials: the
+#: benchmark's largest call has 98,049 (7 stages at 2,001 times), the
+#: tests' 540, and at the budget scipy's ``expm`` holds up to 256 MB.
+MAX_EXPM_ENTRIES = 2**22
+
+
 def _occupancies(kernel, t):
     """Stage-occupancy row vectors p(t) = e1 exp(Q t), one row per time."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
+    if len(kernel.rates) ** 2 * t_arr.size > MAX_EXPM_ENTRIES:
+        raise ValueError(
+            f"{t_arr.size} times of a {len(kernel.rates)}-stage chain exceed the budget "
+            f"of {MAX_EXPM_ENTRIES} matrix entries: ask for fewer times"
+        )
     q = stage_generator(kernel.rates)
     return expm(q * t_arr[:, None, None])[:, 0, :]
 

@@ -12,19 +12,21 @@ which is not finished yet ("overlapping").  The partial stage interpolant
 covers exactly that stretch, completed steps are covered by their step
 interpolants, and everything before t0 by the history function.
 
-The :class:`Solution` is the solve's state: the solver fills its mesh and
-stage values step by step and returns it.  One lookup places a time in the
-history, a completed step or the running step, with its step index and
-offset theta; ``Solution.query`` and the quadrature plans both go through it.
+Every step interpolant and partial row is a cubic in theta, kept in one
+format: its coefficients in powers (1, theta, theta^2, theta^3).  The
+:class:`Solution` is the solve's state: the solver fills its mesh values
+and step coefficients ``poly`` step by step and returns it.  One lookup
+places a time in a step with its offset theta, for ``Solution.query`` and
+the quadrature plans alike.
 
 A quadrature plan (its nodes and their factors) depends on the kernel, h,
 the quadrature configuration and t0 only, never on the solution.  So the
 solver builds the plans of a block of steps at once, before the first of
 them runs, and reduces each to what the solution contributes: its history
 sum, and per step its nodes fall in the moments ``sum f theta^(0..3)``.
-A step then only contracts the moments of the completed steps with their
-interpolants' coefficients, and hands the running step's moments to its
-stages.
+A step then contracts the moments of the completed steps with their
+``poly`` rows, and its stages contract the running step's moments with
+their rows' coefficients.
 """
 
 import math
@@ -48,17 +50,6 @@ class FcrkTableau:
     @property
     def stages(self):
         return len(self.c)
-
-    def a_at(self, theta):
-        """A(theta) as a (stages, stages) matrix."""
-        powers = np.array([theta, theta**2, theta**3])
-        return self.a_coef @ powers
-
-    def b_at(self, theta):
-        """b(theta); theta may be an array, giving shape (..., stages)."""
-        theta = np.asarray(theta, dtype=float)
-        powers = np.stack([theta, theta**2, theta**3], axis=-1)
-        return powers @ self.b_coef.T
 
 
 def _tableau4():
@@ -119,11 +110,12 @@ class Solution:
     """Piecewise-polynomial interpolant produced by one FCRK solve.
 
     ``query(t)`` (or calling the object) is defined for every t <= t_end:
-    history values for t <= t0, step interpolants beyond.  Continuity at
-    mesh points holds by construction since b(0) = 0 and each step starts
-    from the previous interpolant's endpoint.  :func:`fcrk4_solve` fills
-    the mesh values ``x`` and stage values ``k`` step by step; the returned
-    object is not changed again.
+    history values for t <= t0, step interpolants beyond.  ``poly[m]``
+    holds step m's interpolant x_m + h sum_s b_s(theta) K_ms in powers
+    (1, theta, theta^2, theta^3): its constant term is the mesh value
+    ``x[m]`` and its value at theta = 1 is ``x[m + 1]``, so it is continuous
+    at mesh points.  :func:`fcrk4_solve` fills ``x`` and ``poly`` step by
+    step; the returned object is not changed again.
     """
 
     def __init__(self, history, t0, h, n_steps, dim, scalar):
@@ -134,7 +126,7 @@ class Solution:
         self.scalar = scalar
         self.t_end = t0 + n_steps * h
         self.x = np.empty((n_steps + 1, dim))
-        self.k = np.empty((n_steps, TABLEAU4.stages, dim))
+        self.poly = np.empty((n_steps, 4, dim))
 
     def _place(self, times, last):
         """Step index (at most ``last``, which may vary per time) and offset
@@ -143,34 +135,21 @@ class Solution:
         step = np.minimum(np.floor(theta_total), last)
         return step, theta_total - step
 
-    def _locate(self, times, last):
-        """Where each time falls: the history mask with the history values
-        there, and for the other times the step index (at most last) with
-        the offset theta within that step."""
-        hist = times <= self.t0
-        hist_vals = (
-            _history_values(self.history, times[hist], self.x.shape[1])
-            if hist.any()
-            else np.empty((0, self.x.shape[1]))
-        )
-        step, theta = self._place(times, last)
-        return hist, hist_vals, step.astype(int), theta
-
-    def _interp(self, step, theta):
-        """Completed-step interpolants x_m + h sum_s b_s(theta) K_ms at the
-        given step indices m and offsets theta."""
-        return self.x[step] + self.h * np.einsum(
-            "ms,msd->md", TABLEAU4.b_at(theta), self.k[step]
-        )
-
     def query(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr > self.t_end + 1e-9 * max(1.0, abs(self.t_end))):
             raise ValueError("query beyond the end of the solve")
-        hist, hist_vals, step, theta = self._locate(t_arr, self.n_steps - 1)
         out = np.empty((t_arr.size, self.x.shape[1]))
-        out[hist] = hist_vals
-        out[~hist] = self._interp(step[~hist], theta[~hist])
+        hist = t_arr <= self.t0
+        if hist.any():
+            out[hist] = _history_values(self.history, t_arr[hist], self.x.shape[1])
+        # The step interpolants, by Horner's rule on their coefficients.
+        step, theta = self._place(t_arr[~hist], self.n_steps - 1)
+        poly, theta = self.poly[step.astype(int)], theta[:, None]
+        steps = poly[:, 3]
+        for q in (2, 1, 0):
+            steps = poly[:, q] + theta * steps
+        out[~hist] = steps
         if self.scalar:
             out = out[:, 0]
         return out if np.ndim(t) else out[0]
@@ -201,11 +180,11 @@ class _PlanBlock:
     the one at t_n + h.  On the completed steps m < n a plan's value is its
     history sum plus ``sum_m S_m . P_m``, where ``S_m`` holds the moments
     ``sum f theta^(0..3)`` of the plan's nodes in step m and ``P_m`` the
-    coefficients of step m's interpolant in powers of theta (see
-    :func:`fcrk4_solve`).  The nodes in the running step n enter through
-    their moments too, which serve any partial row (:func:`_plan_conv`).
-    The nodes of a plan ascend in time, so each step's nodes are one run of
-    the row and the moments are sums over runs.
+    coefficients ``Solution.poly[m]`` of step m's interpolant.  The nodes
+    in the running step n enter through their moments too, which serve any
+    partial row of the step (see :func:`fcrk4_solve`).  The nodes of a plan
+    ascend in time, so each step's nodes are one run of the row and the
+    moments are sums over runs.
     """
 
     def __init__(self, sol, kernel, quad, n0, n1):
@@ -250,22 +229,15 @@ class _PlanBlock:
         self.ptr = np.searchsorted(row[done], np.arange(len(times) + 1)).tolist()
 
     def plans(self, poly, n):
-        """The plan vectors of step n at t_n + h/2 and t_n + h, given the
-        interpolant coefficients ``poly`` of the completed steps."""
+        """The plan vectors of step n at t_n + h/2 and t_n + h as two rows,
+        given the interpolant coefficients ``poly`` of the completed steps."""
         r = 2 * (n - self.n0)
         dim = poly.shape[2]
         for row in (r, r + 1):
             a, b = self.ptr[row], self.ptr[row + 1]
             completed = poly[self.steps[a:b]].reshape(-1, dim)
             self.plan[row, :dim] += self.moments[a:b].ravel() @ completed
-        return self.plan[r], self.plan[r + 1]
-
-
-def _plan_conv(plan, x_n, h, coef, k):
-    """Convolution of the partial row x_n + h sum_j (coef_j . (theta,
-    theta^2, theta^3)) K_j from one plan (see :meth:`_PlanBlock.plans`)."""
-    dim = len(x_n)
-    return plan[:dim] + plan[dim] * x_n + h * (coef @ plan[dim + 1 :]) @ k
+        return self.plan[r : r + 2]
 
 
 def fcrk4_solve(problem, h, quad=None):
@@ -276,11 +248,12 @@ def fcrk4_solve(problem, h, quad=None):
     interpolants, and the lower-triangular portion of the current step.
     One plan serves each distinct abscissa: stages 1, 3 and 5 share the
     plan at t_n + h, stages 2 and 4 the plan at t_n + h/2, and each stage
-    applies it to its own partial row in a few flops.  Once the step is
-    complete, the plan at t_n + h applied to the step interpolant is stage
-    0's convolution in the next step, so a solve uses ``2 n_steps + 1``
-    plans: the one at t0, which reads the history only, and two per step,
-    built in blocks of steps (:class:`_PlanBlock`).
+    is one product of two weight rows with the earlier stages, giving its
+    row value and its convolution.  The plan at t_n + h contracted with the
+    finished step's coefficients is stage 0's convolution in the next step,
+    so a solve uses ``2 n_steps + 1`` plans: the one at t0, which reads the
+    history only, and two per step, built in blocks of steps
+    (:class:`_PlanBlock`).
     The returned :class:`Solution` is not changed after the solve and may
     be queried from multiple threads.
     """
@@ -308,16 +281,20 @@ def fcrk4_solve(problem, h, quad=None):
     scalar = dim == 1 and np.ndim(problem.history(problem.t0)) == 0
     sol = Solution(problem.history, problem.t0, h, n_steps, dim, scalar)
     sol.x[0] = x0
+    poly = sol.poly
 
     tableau = TABLEAU4
+    h_a = h * tableau.a_coef
+    b_poly = h * tableau.b_coef.T
+    # Stage i is base[i] + weights[i, :, :i] @ K[:i]: row 0 of each gives
+    # its value at theta = c_i, row 1 its convolution, read from the plan
+    # at t_n + h/2 (plan row 0) or t_n + h (plan row 1).
     c = tableau.c
-    a_at_c = [tableau.a_at(c[i])[i, :i] for i in range(tableau.stages)]
-    a_rows = [tableau.a_coef[i, :i] for i in range(tableau.stages)]
-    b_end = tableau.b_at(1.0)
-    # Step m's interpolant x_m + h sum_s b_s(theta) K_ms as coefficients of
-    # (1, theta, theta^2, theta^3), filled as each step completes.
-    b_poly = tableau.b_coef.T
-    poly = np.empty((n_steps, 4, dim))
+    plan_row = np.where(c == 0.5, 0, 1)
+    weights = np.empty((tableau.stages, 2, tableau.stages))
+    weights[:, 0] = np.einsum("ijq,iq->ij", h_a, c[:, None] ** np.arange(1, 4))
+    base = np.empty((tableau.stages, 2, dim))
+    k_step = np.empty((tableau.stages, dim))
 
     # Every node of the plan at t0 lies in the history.
     conv_start = convolution_integral(
@@ -336,24 +313,25 @@ def fcrk4_solve(problem, h, quad=None):
             if n == block_end:
                 block_end = min(n + block_steps, n_steps)
                 block = _PlanBlock(sol, problem.kernel, quad, n, block_end)
-            plans = dict(zip((0.5, 1.0), block.plans(poly, n)))
-            k_step = sol.k[n]
+            plans = block.plans(poly, n)
+            stage_plans = plans[plan_row]
+            x_n = sol.x[n]
+            weights[:, 1] = np.einsum("ijq,iq->ij", h_a, stage_plans[:, dim + 1 :])
+            base[:, 0] = x_n
+            base[:, 1] = stage_plans[:, :dim] + stage_plans[:, dim, None] * x_n
+            base[0, 1] = conv_start
             for i in range(tableau.stages):
-                if i:
-                    y_i = sol.x[n] + h * (a_at_c[i] @ k_step[:i])
-                    conv = _plan_conv(plans[c[i]], sol.x[n], h, a_rows[i], k_step[:i])
-                else:
-                    y_i, conv = sol.x[n].copy(), conv_start
+                y_i, conv = base[i] + weights[i, :, :i] @ k_step[:i]
                 k_step[i] = problem.rhs(
                     y_i if dim > 1 else y_i[0], conv if dim > 1 else float(conv[0])
                 )
-                if not np.isfinite(k_step[i]).all():
-                    raise FloatingPointError(
-                        f"non-finite stage value at step {n}, stage {i}"
-                    )
-            sol.x[n + 1] = sol.x[n] + h * (b_end @ k_step)
-            poly[n, 0] = sol.x[n]
-            poly[n, 1:] = h * (b_poly @ k_step)
-            conv_start = _plan_conv(plans[1.0], sol.x[n], h, tableau.b_coef, k_step)
+            if not np.isfinite(k_step).all():
+                stage = np.isfinite(k_step).all(axis=1).argmin()
+                raise FloatingPointError(f"non-finite stage value at step {n}, stage {stage}")
+            poly[n, 0] = x_n
+            poly[n, 1:] = b_poly @ k_step
+            # The interpolant at theta = 1, summed as Solution.query sums it.
+            sol.x[n + 1] = poly[n, 0] + (poly[n, 1] + (poly[n, 2] + poly[n, 3]))
+            conv_start = plans[1, :dim] + plans[1, dim:] @ poly[n]
 
     return sol

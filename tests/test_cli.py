@@ -313,6 +313,14 @@ def test_exit_code_config_error(capsys):
         ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--quad-step", "inf"],
         ["convergence", "--j", "1", "--t-end", "1", "--xi", "inf"],
         ["convergence", "--j", "1", "--t-end", "1", "--quad-step", "inf"],
+        # Over the chain-stage budget, refused before any rates exist (at
+        # 1e300 stages the rates tuple cannot be built, at a million the
+        # generator would take 8 TB).
+        ["mgf-order", "--j", "1e300"],
+        ["survival", "--j", "1e300"],
+        ["survival", "--j", "1e6", "--tau", "7"],
+        # 201 stacked 301 x 301 exponentials: over the expm budget.
+        ["survival", "--j", "300.5"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -321,6 +329,17 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_infeasible_chain_refused_before_any_error_is_fitted(capsys):
+    # The Erlang chain exists at j = 1e-300 and its MGF error is 0, whose
+    # log would warn; the fixed chain does not exist, and is refused first.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, "mgf-order", "--j", "1e-300")
+    assert code == 2
+    assert stdout == "" and err.startswith("error: two-moment chain infeasible")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_removed_initial_condition_flag_rejected(capsys):
@@ -369,6 +388,10 @@ def test_exit_code_numerical_failure(capsys):
          "--rtol is not read by solve --method fcrk4"),
         (["survival", "--t", "3"], "--t is not read by survival without --jump-at"),
         (["survival", "--delta", "1e-3"], "--delta is not read by survival without --jump-at"),
+        (["survival", "--jump-at", "3", "--t-max", "5"], "--t-max is not read by survival --jump-at"),
+        (["survival", "--jump-at", "3", "--n-out", "7"], "--n-out is not read by survival --jump-at"),
+        # The --j every case here is given.
+        (["survival", "--jump-at", "3"], "--j is not read by survival --jump-at"),
     ],
 )
 def test_flag_the_mode_does_not_read_is_refused(argv, message, tmp_path, capsys):

@@ -18,18 +18,25 @@ XI = (1 / 8) ** 4
 
 
 def test_tableau_structure():
-    assert np.array_equal(TABLEAU4.a_at(0.0), np.zeros((6, 6)))
-    assert np.array_equal(TABLEAU4.b_at(0.0), np.zeros(6))
-    assert TABLEAU4.b_at(1.0).sum() == pytest.approx(1.0, abs=1e-15)
+    # A(theta) and b(theta) from their coefficients of (theta, theta^2, theta^3).
+    def a_at(theta):
+        return TABLEAU4.a_coef @ np.array([theta, theta**2, theta**3])
+
+    def b_at(theta):
+        return TABLEAU4.b_coef @ np.array([theta, theta**2, theta**3])
+
+    assert np.array_equal(a_at(0.0), np.zeros((6, 6)))
+    assert np.array_equal(b_at(0.0), np.zeros(6))
+    assert b_at(1.0).sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(TABLEAU4.c >= 0.0)
     # Lower triangular: stage i only sees earlier stages.
-    a1 = TABLEAU4.a_at(1.0)
+    a1 = a_at(1.0)
     assert np.allclose(a1, np.tril(a1, -1))
     # Row sums at theta equal theta (consistency of the stage interpolants).
     for theta in (0.25, 0.5, 1.0):
-        rows = TABLEAU4.a_at(theta)[1:].sum(axis=1)
+        rows = a_at(theta)[1:].sum(axis=1)
         assert np.allclose(rows, theta)
-    assert TABLEAU4.b_at(1.0) == pytest.approx([1 / 6, 0, 0, 0, 2 / 3, 1 / 6])
+    assert b_at(1.0) == pytest.approx([1 / 6, 0, 0, 0, 2 / 3, 1 / 6])
 
 
 def _problem(rhs, j=1.0, tau=1.0, t_end=1.0, history=None):
@@ -173,6 +180,21 @@ def test_nonfinite_stage_raises():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="stage"):
             fcrk4_solve(prob, 0.1)
+
+
+def test_nonfinite_stage_named_by_step_and_stage():
+    # The rhs turns infinite on its 15th call, stage 2 of step 2; the step's
+    # later stages still run before the step is checked, and the error names
+    # the first non-finite stage.
+    calls = []
+
+    def rhs(x, conv):
+        calls.append(len(calls) + 1)
+        return math.inf if len(calls) == 15 else -x + conv
+
+    with pytest.raises(FloatingPointError, match="at step 2, stage 2$"):
+        fcrk4_solve(_problem(rhs, t_end=1.0), 0.1)
+    assert len(calls) == 3 * TABLEAU4.stages
 
 
 def test_bad_step_rejected():
