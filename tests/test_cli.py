@@ -390,7 +390,7 @@ def test_exit_code_numerical_failure(capsys):
         (["survival", "--delta", "1e-3"], "--delta is not read by survival without --jump-at"),
         (["survival", "--jump-at", "3", "--t-max", "5"], "--t-max is not read by survival --jump-at"),
         (["survival", "--jump-at", "3", "--n-out", "7"], "--n-out is not read by survival --jump-at"),
-        # The --j every case here is given.
+        # Every case here is given --j 2.5.
         (["survival", "--jump-at", "3"], "--j is not read by survival --jump-at"),
     ],
 )
