@@ -218,13 +218,20 @@ def mgf_error_order(j, tau, variant):
     """Fitted slope of log |MGF difference| against log(phi/a).
 
     Defined for non-integer shapes; at integer shapes the difference
-    vanishes identically and there is nothing to fit.
+    vanishes identically and there is nothing to fit.  Raises ValueError
+    when the errors do not grow strictly over the window, which happens at
+    large shapes once the window leaves the small-phi regime.
     """
     if float(j).is_integer():
         raise ValueError("MGF error vanishes identically at integer shapes")
     a = j / tau
     rel = np.logspace(-3, -1, 10)
     errs = mgf_error(j, tau, variant, rel * a)
+    if not np.all(np.diff(errs) > 0):
+        raise ValueError(
+            f"{variant} chain's MGF errors at shape {j:g} do not grow over "
+            "phi/a in [1e-3, 1e-1]: the window has left the small-phi regime"
+        )
     slope, _ = np.polyfit(np.log10(rel), np.log10(errs), 1)
     return float(slope)
 

@@ -217,11 +217,15 @@ def cmd_compare(args):
     problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h")
     times = np.linspace(0.0, t_end, n_out)
+    # Every chain is built first, so an infeasible one is refused before the solve.
+    chains = {
+        variant: approx.chain_params(variant, args.j, tau)
+        for variant in ("fixed", "smoothed", "erlang")
+    }
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}
-    for variant in ("fixed", "smoothed", "erlang"):
-        params = approx.chain_params(variant, args.j, tau)
+    for variant, params in chains.items():
         states, _ = analysis.chain_trajectory(
             problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
         )
@@ -256,11 +260,13 @@ def cmd_stability(args):
         history=HistoryFunction.constant(1.0),
         t_end=t_end,
     )
+    # Both chains are built first, so an infeasible one is refused before the solve.
+    hypo, erlang = approx.fixed_hypoexp(j, tau), approx.erlang_approx(j, tau)
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     times = np.linspace(0.0, t_end, 4001)
     gamma_growth = analysis.growth_rate(times, sol.query(times))
-    lam_hypo = analysis.dominant_eigenvalue(alpha, beta, approx.fixed_hypoexp(j, tau))
-    lam_erl = analysis.dominant_eigenvalue(alpha, beta, approx.erlang_approx(j, tau))
+    lam_hypo = analysis.dominant_eigenvalue(alpha, beta, hypo)
+    lam_erl = analysis.dominant_eigenvalue(alpha, beta, erlang)
     _emit_json(
         {
             "gamma_growth_rate": gamma_growth,

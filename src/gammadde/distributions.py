@@ -137,24 +137,40 @@ def stage_generator(rates):
     return q
 
 
-#: Most entries, stages^2 x times, of one call's stacked exponentials: the
-#: benchmark's largest call has 98,049 (7 stages at 2,001 times), the
-#: tests' 540, and at the budget scipy's ``expm`` holds up to 256 MB.
+#: Most entries, stages^2 x times, of one call's occupancies: it bounds the
+#: propagation's work and the stack of exponentials over the distinct time
+#: steps, which holds at most one matrix per time.  The benchmark's largest
+#: call has 98,049 (7 stages at 2,001 times), the tests' 540, and at the
+#: budget, with every step distinct, scipy's ``expm`` holds up to 256 MB.
 MAX_EXPM_ENTRIES = 2**22
 
 
 def _occupancies(kernel, t):
-    """Stage-occupancy row vectors p(t) = e1 exp(Q t), one row per time."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    """Stage-occupancy row vectors p(t) = e1 exp(Q t), one row per time.
+
+    p is carried through the sorted times, p <- p exp(Q dt), with one
+    exponential per distinct step dt: a linspace grid rounds to about a
+    dozen distinct steps, however many times it has.
+    """
+    t_arr = np.asarray(t, dtype=float).ravel()
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
-    if len(kernel.rates) ** 2 * t_arr.size > MAX_EXPM_ENTRIES:
+    n = len(kernel.rates)
+    if n**2 * t_arr.size > MAX_EXPM_ENTRIES:
         raise ValueError(
-            f"{t_arr.size} times of a {len(kernel.rates)}-stage chain exceed the budget "
+            f"{t_arr.size} times of a {n}-stage chain exceed the budget "
             f"of {MAX_EXPM_ENTRIES} matrix entries: ask for fewer times"
         )
-    q = stage_generator(kernel.rates)
-    return expm(q * t_arr[:, None, None])[:, 0, :]
+    order = np.argsort(t_arr, kind="stable")
+    steps, step_of = np.unique(np.diff(t_arr[order], prepend=0.0), return_inverse=True)
+    propagators = expm(stage_generator(kernel.rates) * steps[:, None, None])
+    out = np.empty((t_arr.size, n))
+    p = np.zeros(n)
+    p[0] = 1.0
+    for at, k in zip(order.tolist(), step_of.tolist()):
+        p = p @ propagators[k]
+        out[at] = p
+    return out
 
 
 def hypoexp_survival(kernel, t):

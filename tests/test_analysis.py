@@ -111,6 +111,15 @@ def test_mgf_error_orders():
         analysis.mgf_error_order(3.0, 1.0, "erlang")
 
 
+@pytest.mark.parametrize("j", [100.5, 999.5])
+def test_mgf_error_order_refuses_a_window_past_small_phi(j):
+    # At large shapes the errors over phi/a in [1e-3, 1e-1] stop growing,
+    # and a fitted slope (about -14 at j = 999.5) would mean nothing.
+    for variant in ("erlang", "fixed", "smoothed"):
+        with pytest.raises(ValueError, match="small-phi regime"):
+            analysis.mgf_error_order(j, 1.0, variant)
+
+
 def test_mgf_error_vanishes_at_integer_shape():
     phis = np.logspace(-3, -1, 10) * 3.0 / 2.0
     for variant in ("erlang", "fixed", "smoothed"):

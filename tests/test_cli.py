@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gammadde import cli
 from gammadde.cli import build_parser, main
 
 
@@ -319,8 +320,14 @@ def test_exit_code_config_error(capsys):
         ["mgf-order", "--j", "1e300"],
         ["survival", "--j", "1e300"],
         ["survival", "--j", "1e6", "--tau", "7"],
-        # 201 stacked 301 x 301 exponentials: over the expm budget.
+        # 201 times of a 301-stage chain: over the occupancy budget.
         ["survival", "--j", "300.5"],
+        # An infeasible chain, refused before the FCRK solve.
+        ["compare", "--j", "1e-300", "--t-end", "1"],
+        ["stability", "--j", "1e-300", "--alpha", "0.89", "--beta", "-1.15"],
+        # The MGF fit window has left the small-phi regime.
+        ["mgf-order", "--j", "100.5"],
+        ["mgf-order", "--j", "999.5"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -340,6 +347,25 @@ def test_infeasible_chain_refused_before_any_error_is_fitted(capsys):
     assert code == 2
     assert stdout == "" and err.startswith("error: two-moment chain infeasible")
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--j", "1e-300", "--t-end", "1"],
+        ["stability", "--j", "1e-300", "--alpha", "0.89", "--beta", "-1.15"],
+    ],
+)
+def test_infeasible_chain_refused_before_the_solve(argv, capsys, monkeypatch):
+    # The fixed chain does not exist at j = 1e-300, where the solve's
+    # quadrature substitution would overflow; it is refused first.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the FCRK solve ran")
+
+    monkeypatch.setattr(cli, "fcrk4_solve", no_solve)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and err.startswith("error: two-moment chain infeasible")
 
 
 def test_removed_initial_condition_flag_rejected(capsys):

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import mpmath
 from scipy.integrate import quad
+from scipy.linalg import expm
 
+from gammadde import distributions
 from gammadde.distributions import (
     GammaKernel,
     HypoexpKernel,
@@ -18,6 +20,7 @@ from gammadde.distributions import (
     hypoexp_pdf,
     hypoexp_survival,
     sample_equilibrium_gamma,
+    stage_generator,
 )
 
 # High-precision values computed with mpmath (30 digits) from the defining
@@ -168,6 +171,50 @@ def test_hypoexp_pdf_is_survival_derivative():
     for t in (0.4, 1.1, 2.5):
         fd = (hypoexp_survival(k, t - h) - hypoexp_survival(k, t + h)) / (2 * h)
         assert hypoexp_pdf(k, t) == pytest.approx(fd, rel=1e-7)
+
+
+PROPAGATION_KERNEL = HypoexpKernel((2.9, 2.9, 2.9, 2.9, 2.9, 1.6, 7.4))
+# Unsorted, repeated and unevenly spaced, with 0 in the middle.
+PROPAGATION_TIMES = np.array([3.7, 0.25, 0.0, 11.0, 0.25, 1e-9, 3.7, 6.02, 0.0, 0.5, 2.0, 19.5])
+
+
+def _per_time_occupancies(kernel, t):
+    q = stage_generator(kernel.rates)
+    return np.array([expm(q * s)[0] for s in np.ravel(t)]).reshape(np.shape(t) + (len(q),))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [PROPAGATION_TIMES, PROPAGATION_TIMES.reshape(3, 4), 3.7, 0.0],
+    ids=["1-D", "2-D", "scalar", "zero"],
+)
+def test_propagated_occupancies_match_per_time_expm(t):
+    k = PROPAGATION_KERNEL
+    occ = _per_time_occupancies(k, t)
+    surv, pdf = hypoexp_survival(k, t), hypoexp_pdf(k, t)
+    assert np.shape(surv) == np.shape(t) and np.shape(pdf) == np.shape(t)
+    assert isinstance(surv, float) == np.isscalar(t)
+    assert np.max(np.abs(surv - np.clip(occ.sum(axis=-1), 0.0, 1.0))) < 1e-14
+    assert np.max(np.abs(pdf - k.rates[-1] * occ[..., -1])) < 1e-14
+
+
+def test_survival_on_a_sorted_grid_starts_at_one_and_never_increases():
+    surv = hypoexp_survival(PROPAGATION_KERNEL, np.linspace(0.0, 40.0, 2001))
+    assert surv[0] == 1.0
+    assert np.all(np.diff(surv) <= 0.0)
+
+
+def test_linspace_curve_needs_few_exponentials(monkeypatch):
+    # One exponential per distinct step of the grid, not one per time.
+    stacks = []
+
+    def counting_expm(a):
+        stacks.append(len(a))
+        return expm(a)
+
+    monkeypatch.setattr(distributions, "expm", counting_expm)
+    hypoexp_survival(PROPAGATION_KERNEL, np.linspace(0.0, 45.0, 2001))
+    assert len(stacks) == 1 and stacks[0] <= 20
 
 
 def test_rng_reproducible():
