@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import approximations as approx
 from .chain_reduction import HistoryFunction, build_erlang_system, build_hypoexp_system
@@ -160,21 +161,22 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     def chain_reference(t):
         t_arr = np.asarray(t, dtype=float)
         times = np.atleast_1d(t_arr)
-        states, _ = chain_trajectory(rhs, params, history, float(times.max()), times, cfg)
+        states, _ = chain_trajectory(rhs, params, history, times, cfg)
         return states[:, 0].reshape(t_arr.shape) if t_arr.ndim else float(states[0, 0])
 
     return problem, chain_reference
 
 
-def chain_trajectory(F, params, history, t_end, times, cfg):
+def chain_trajectory(F, params, history, times, cfg):
     """(states, labels) of the chain reduction of x' = F(x, conv) with the
-    given chain, started from ``history`` at t = 0 and sampled at ``times``
-    with the ODE settings ``cfg``."""
+    given chain, started from ``history`` at t = 0 and sampled at the
+    increasing ``times``, up to the last of them, with the ODE settings
+    ``cfg``."""
     if params.variant == "erlang":
         problem = build_erlang_system(F, params, history)
     else:
         problem = build_hypoexp_system(F, params, history)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, t_end, cfg, t_eval=times)
+    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, times[-1], cfg, t_eval=times)
     return states, problem.labels
 
 
@@ -313,6 +315,12 @@ def fm_polynomial(m, frac):
         raise ValueError("degree must be at least 1")
     if not (0.0 < frac < 1.0):
         raise ValueError("fractional part must lie in (0, 1)")
+    return MomentPolynomial(degree=m, frac=frac, coefficients=_moment_coefficients(m, frac))
+
+
+def _moment_coefficients(m, frac):
+    """c_k = (-1)^k (m-1+frac)_k / k! for k = 0..m, any m >= 0: f_m's
+    coefficients in descending powers and g_m's in ascending ones."""
     coeffs = []
     poch = 1.0
     factorial = 1.0
@@ -321,7 +329,7 @@ def fm_polynomial(m, frac):
             poch *= m - k + frac  # (m-1+frac)_k from (m-1+frac)_(k-1)
             factorial *= k
         coeffs.append((-1.0) ** k * poch / factorial)
-    return MomentPolynomial(degree=m, frac=frac, coefficients=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def real_roots(poly):
@@ -334,15 +342,7 @@ def real_roots(poly):
 
 def gm_value(m, frac, x):
     """g_m(x) = x^m f_m(1/x) = sum_k (-1)^k x^k (m-1+frac)_k / k!."""
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(x_arr)
-    poch = 1.0
-    factorial = 1.0
-    for k in range(m + 1):
-        if k > 0:
-            poch *= m - k + frac
-            factorial *= k
-        out = out + (-1.0) ** k * poch / factorial * x_arr**k
+    out = polyval(np.asarray(x, dtype=float), _moment_coefficients(m, frac))
     return out if out.ndim else float(out)
 
 

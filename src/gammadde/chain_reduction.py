@@ -3,10 +3,11 @@
 A DDE whose delayed term convolves the solution against an Erlang or
 hypoexponential kernel is equivalent to an (n+1)-dimensional ODE: one
 auxiliary compartment per exponential stage, with the delayed term read
-off the final compartment's outflow r_n B_n.  The compartments follow the
-stage cascade of :func:`stage_cascade`, with the solution as its inflow.
-Chains start at t = 0, and the history function enters only through the
-compartments' initial values
+off the final compartment's outflow r_n B_n.  The compartments evolve as
+B' = Q^T B + x e_1, with Q the generator of
+:func:`~gammadde.distributions.stage_generator`, the one place the chain's
+transition rule is written.  Chains start at t = 0, and the history
+function enters only through the compartments' initial values
 
     B_i(0) = int_0^inf psi(-s) / r_i * kappa_i(s) ds,
 
@@ -75,28 +76,18 @@ class ChainOdeProblem:
     labels: tuple
 
 
-def stage_cascade(head, inflow, rates, stages):
-    """Derivative of a chain state (head, B_1..B_n): the head's derivative
-    ``head``, then the stages fed at rate ``inflow``,
-
-        B_1' = inflow - r_1 B_1,    B_i' = r_(i-1) B_(i-1) - r_i B_i.
-
-    ``rates`` and ``stages`` are arrays of the chain's length n.
-    """
-    out = np.empty(len(rates) + 1)
-    out[0] = head
-    out[1] = inflow - rates[0] * stages[0]
-    out[2:] = rates[:-1] * stages[:-1] - rates[1:] * stages[1:]
-    return out
-
-
 def _chain_rhs(F, rates):
     r = np.asarray(rates, dtype=float)
+    q_t = stage_generator(r).T
 
     def rhs(t, state):
-        y = state[0]
+        x = state[0]
         b = state[1:]
-        return stage_cascade(F(y, r[-1] * b[-1]), y, r, b)
+        out = np.empty(len(state))
+        out[0] = F(x, r[-1] * b[-1])
+        out[1:] = q_t @ b
+        out[1] += x
+        return out
 
     return rhs
 

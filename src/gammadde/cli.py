@@ -19,6 +19,7 @@ exact); scalar results are printed as JSON on stdout.  Exit codes:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -176,7 +177,7 @@ def cmd_solve(args):
         variant = CHAIN_VARIANT if args.variant is None else args.variant
         params = approx.chain_params(variant, args.j, tau)
         states, labels = analysis.chain_trajectory(
-            problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
+            problem.rhs, params, problem.history, times, _chain_cfg(args)
         )
         header = ["t", "x"] + list(labels[1:])
         rows = [
@@ -227,7 +228,7 @@ def cmd_compare(args):
     columns = {"gamma_dde": gamma_traj}
     for variant, params in chains.items():
         states, _ = analysis.chain_trajectory(
-            problem.rhs, params, problem.history, t_end, times, _chain_cfg(args)
+            problem.rhs, params, problem.history, times, _chain_cfg(args)
         )
         columns[variant] = states[:, 0]
     rows = [
@@ -408,7 +409,7 @@ def cmd_epi_fit(args):
     result = mle_fit(data, _sir_params(args, obs_times), max_evals=args.max_evals)
     if args.out:
         write_fit_report(args.out, result)
-    _emit_json(result.to_dict())
+    _emit_json(dataclasses.asdict(result))
     return 0
 
 

@@ -81,12 +81,9 @@ def gamma_pdf(kernel, s):
     log_norm = j * math.log(a) - math.lgamma(j)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(log_norm + (j - 1.0) * np.log(s_arr) - a * s_arr)
-    if j == 1.0:
-        out = np.where(s_arr == 0.0, a, out)
-    elif j > 1.0:
-        out = np.where(s_arr == 0.0, 0.0, out)
-    else:
-        out = np.where(s_arr == 0.0, np.inf, out)
+    at_zero = a if j == 1.0 else (0.0 if j > 1.0 else np.inf)
+    out = np.where(s_arr == 0.0, at_zero, out)
+    out = np.where(s_arr == np.inf, 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -150,7 +147,8 @@ def _occupancies(kernel, t):
 
     p is carried through the sorted times, p <- p exp(Q dt), with one
     exponential per distinct step dt: a linspace grid rounds to about a
-    dozen distinct steps, however many times it has.
+    dozen distinct steps, however many times it has.  At t = +inf all mass
+    is absorbed and the row is zero.
     """
     t_arr = np.asarray(t, dtype=float).ravel()
     if np.any(t_arr < 0):
@@ -162,9 +160,10 @@ def _occupancies(kernel, t):
             f"of {MAX_EXPM_ENTRIES} matrix entries: ask for fewer times"
         )
     order = np.argsort(t_arr, kind="stable")
+    order = order[t_arr[order] != np.inf]
     steps, step_of = np.unique(np.diff(t_arr[order], prepend=0.0), return_inverse=True)
     propagators = expm(stage_generator(kernel.rates) * steps[:, None, None])
-    out = np.empty((t_arr.size, n))
+    out = np.zeros((t_arr.size, n))
     p = np.zeros(n)
     p[0] = 1.0
     for at, k in zip(order.tolist(), step_of.tolist()):

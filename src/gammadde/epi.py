@@ -8,25 +8,26 @@ The model tracks susceptibles S and n infectious stages I_1..I_n:
     I_1' = beta S I - g_1 I_1
     I_i' = g_{i-1} I_{i-1} - g_i I_i
 
-the stage cascade of a chain of exponentials fed by the incidence beta S I,
-with the stage rates g_i taken from a two-moment chain approximation of
-the Gamma(j, j/tau) infectious period.  Observations are daily case
-counts C_k ~ Poisson(M * (S(t_{k-1}) - S(t_k))) and serial intervals
-drawn from the stationary forward recurrence density survival(t)/tau.
+that is I' = Q^T I + beta S I e_1, with Q the generator of a chain of
+exponential stages fed by the incidence beta S I.  The stage rates g_i come
+from a two-moment chain approximation of the Gamma(j, j/tau) infectious
+period.  Observations are daily case counts
+C_k ~ Poisson(M * (S(t_{k-1}) - S(t_k))) and serial intervals drawn from
+the stationary forward recurrence density survival(t)/tau.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .approximations import ApproxConfig, chain_params
-from .chain_reduction import ChainOdeProblem, stage_cascade
-from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
+from .chain_reduction import ChainOdeProblem
+from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma, stage_generator
 from .ode_solver import OdeConfig, rk45_adaptive
 
 
@@ -80,19 +81,25 @@ class EpiData:
 def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     """Chain ODE for the SIR model; state (S, I_1..I_n), n = ceil(j).
 
-    The stages follow :func:`~gammadde.chain_reduction.stage_cascade` with
-    inflow beta S I, and the infection starts in the first stage:
-    S(0) = 1 - eps, I_1(0) = eps.
+    The stages move on by the transposed
+    :func:`~gammadde.distributions.stage_generator` with inflow beta S I,
+    and the infection starts in the first stage: S(0) = 1 - eps,
+    I_1(0) = eps.
     """
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
     rates = np.asarray(chain.rates())
     n = len(rates)
     beta = params.beta
+    q_t = stage_generator(rates).T
 
     def rhs(t, state):
         stages = state[1:]
         force = beta * state[0] * stages.sum()
-        return stage_cascade(-force, force, rates, stages)
+        out = np.empty(n + 1)
+        out[0] = -force
+        out[1:] = q_t @ stages
+        out[1] += force
+        return out
 
     y0 = np.zeros(n + 1)
     y0[0] = 1.0 - params.eps
@@ -137,13 +144,7 @@ def simulate_dataset(rng, params, n_serial):
 
 def _poisson_loglik(counts, mu):
     counts = np.asarray(counts, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    out = np.full(counts.shape, -np.inf)
-    ok = mu > 0
-    out[ok] = counts[ok] * np.log(mu[ok]) - mu[ok] - gammaln(counts[ok] + 1.0)
-    zero = (~ok) & (counts == 0)
-    out[zero] = 0.0
-    return out
+    return xlogy(counts, mu) - mu - gammaln(counts + 1.0)
 
 
 def log_likelihood(params, data, rate_variant="fixed", approx_cfg=None, rtol=1e-10):
@@ -178,17 +179,6 @@ class FitResult:
     loglik: float
     n_evals: int
     converged: bool
-
-    def to_dict(self):
-        return {
-            "beta": self.beta,
-            "tau": self.tau,
-            "j": self.j,
-            "eps": self.eps,
-            "loglik": self.loglik,
-            "n_evals": self.n_evals,
-            "converged": self.converged,
-        }
 
 
 DEFAULT_BOUNDS = {
@@ -309,5 +299,5 @@ def read_serial_csv(path):
 
 def write_fit_report(path, result):
     with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(result), fh, indent=2, sort_keys=True)
         fh.write("\n")

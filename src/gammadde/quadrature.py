@@ -105,12 +105,6 @@ def _open_simpson_grid(lo, hi, panels):
     return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
 
 
-def _open_simpson_nodes(a, b, panels):
-    """Nodes and weights of the composite 3-point open rule on [a, b]."""
-    nodes, weights = _open_simpson_grid(np.array([a]), np.array([b]), np.array([panels]))
-    return nodes[0], weights[0]
-
-
 def _log_weight(omega, kernel, alpha, beta):
     """log of the solution-independent factor of u(t, omega).
 

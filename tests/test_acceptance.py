@@ -17,7 +17,7 @@ from gammadde.fcrk import fcrk4_solve
 from gammadde.ode_solver import OdeConfig, rk45_adaptive
 from gammadde.quadrature import (
     QuadConfig,
-    _open_simpson_nodes,
+    _open_simpson_grid,
     convolution_integral,
 )
 
@@ -152,7 +152,7 @@ CHAIN_CFG = OdeConfig(rtol=1e-11, atol=1e-13)
 
 def _chain_trajectory(problem, params, times):
     states, _ = analysis.chain_trajectory(
-        problem.rhs, params, problem.history, problem.t_end, times, CHAIN_CFG
+        problem.rhs, params, problem.history, times, CHAIN_CFG
     )
     return states[:, 0]
 
@@ -249,7 +249,8 @@ def test_criterion_09_quadrature():
     panels = [4, 8, 16, 32]
     errs = []
     for p in panels:
-        nodes, weights = _open_simpson_nodes(0.0, 1.0, p)
+        nodes, weights = _open_simpson_grid(np.array([0.0]), np.array([1.0]), np.array([p]))
+        nodes, weights = nodes[0], weights[0]
         errs.append(abs(weights @ nodes**4 - 0.2))
     slope = float(np.polyfit(np.log10([1 / (4 * p) for p in panels]), np.log10(errs), 1)[0])
     ok = worst < 1e-4 and abs(slope - 4.0) <= 0.1

@@ -70,7 +70,7 @@ def test_linear_reference_chain_consistent_with_closed_form():
     t = np.linspace(0.0, 10.0, 21)
     prob, closed = analysis.dde_problem("linear", 1)
     states, labels = analysis.chain_trajectory(
-        prob.rhs, erlang_approx(1, 1.0), prob.history, 10.0, t,
+        prob.rhs, erlang_approx(1, 1.0), prob.history, t,
         OdeConfig(rtol=1e-12, atol=1e-14),
     )
     assert labels == ("Y", "B1")

@@ -44,6 +44,20 @@ def test_solve_chain_header(tmp_path, capsys):
     assert header == "t,x,B1,B2,B3"
 
 
+def test_solve_methods_share_a_grid_that_overshoots_t_end(capsys):
+    # With --h not dividing --t-end the last output time lies past --t-end;
+    # the chain integrates up to it as FCRK does.
+    columns = {}
+    for method in ("fcrk4", "chain"):
+        code, out, err = run_cli(
+            capsys, "solve", "--j", "2", "--method", method, "--t-end", "1", "--h", "0.6",
+        )
+        assert code == 0, err
+        columns[method] = [row.split(",")[0] for row in out.strip().split("\n")]
+    assert columns["chain"] == columns["fcrk4"]
+    assert [float(t) for t in columns["chain"][1:]] == [0.0, 0.6, 1.2]
+
+
 def test_solve_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["solve", "--problem", "linear", "--j", "1", "--h", "0.1", "--t-end", "3"]

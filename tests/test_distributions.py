@@ -198,6 +198,27 @@ def test_propagated_occupancies_match_per_time_expm(t):
     assert np.max(np.abs(pdf - k.rates[-1] * occ[..., -1])) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "fn, kernel",
+    [
+        (gamma_pdf, GammaKernel(2.5, 2.5)),
+        (gamma_pdf, GammaKernel(1.0, 2.0)),
+        (gamma_pdf, GammaKernel(0.5, 1.0)),
+        (gamma_survival, GammaKernel(2.5, 2.5)),
+        (hypoexp_pdf, HypoexpKernel((1.0, 2.0, 3.0))),
+        (hypoexp_survival, HypoexpKernel((1.0, 2.0, 3.0))),
+    ],
+    ids=["gamma_pdf", "exponential_pdf", "gamma_pdf_below_one", "gamma_survival",
+         "hypoexp_pdf", "hypoexp_survival"],
+)
+def test_kernel_functions_vanish_at_infinity(fn, kernel):
+    # All mass is absorbed at t = +inf; the finite times keep their values.
+    vals = fn(kernel, np.array([0.5, np.inf, 1.0]))
+    assert vals[1] == 0.0
+    assert np.array_equal(vals[[0, 2]], fn(kernel, np.array([0.5, 1.0])))
+    assert fn(kernel, np.inf) == 0.0
+
+
 def test_survival_on_a_sorted_grid_starts_at_one_and_never_increases():
     surv = hypoexp_survival(PROPAGATION_KERNEL, np.linspace(0.0, 40.0, 2001))
     assert surv[0] == 1.0

@@ -8,15 +8,22 @@ from gammadde.distributions import GammaKernel
 from gammadde.quadrature import (
     QuadConfig,
     _log_weight,
-    _open_simpson_nodes,
+    _open_simpson_grid,
     _transform_params,
     convolution_integral,
 )
 
 
+def _open_simpson_unit(panels):
+    """Nodes and weights of the composite open rule on [0, 1]: one row of
+    the grid."""
+    nodes, weights = _open_simpson_grid(np.array([0.0]), np.array([1.0]), np.array([panels]))
+    return nodes[0], weights[0]
+
+
 def _open_simpson(f, panels):
     """Composite open Simpson integral of f on [0, 1]."""
-    nodes, weights = _open_simpson_nodes(0.0, 1.0, panels)
+    nodes, weights = _open_simpson_unit(panels)
     return float(weights @ f(nodes))
 
 
@@ -45,7 +52,7 @@ def test_open_simpson_exactness():
 
 
 def test_open_simpson_never_touches_endpoints():
-    nodes, weights = _open_simpson_nodes(0.0, 1.0, 4)
+    nodes, weights = _open_simpson_unit(4)
     assert nodes.min() > 0.0 and nodes.max() < 1.0
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
 
