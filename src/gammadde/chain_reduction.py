@@ -55,7 +55,10 @@ class HistoryFunction:
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        if self.kind == "exponential":
+        if self.kind == "exponential" and self.growth == 0.0:
+            # Not c e^(0 s): at s = -inf that is c * nan.
+            out = np.full(s_arr.shape, self.value)
+        elif self.kind == "exponential":
             out = self.value * np.exp(self.growth * s_arr)
         elif self.kind == "custom":
             out = np.asarray(self.fn(s_arr), dtype=float)

@@ -22,11 +22,13 @@ the quadrature plans alike.
 A quadrature plan (its nodes and their factors) depends on the kernel, h,
 the quadrature configuration and t0 only, never on the solution.  So the
 solver builds the plans of a block of steps at once, before the first of
-them runs, and reduces each to what the solution contributes: its history
-sum, and per step its nodes fall in the moments ``sum f theta^(0..3)``.
-A step then contracts the moments of the completed steps with their
-``poly`` rows, and its stages contract the running step's moments with
-their rows' coefficients.
+them runs, and reduces each to what the solution contributes: per step its
+nodes fall in, the moments ``sum f theta^(0..3)``.  The history and the
+steps completed before the block are known by then, so they reduce to one
+value per plan; the moments in the block's own steps form one table.  A
+step contracts its plans' rows of that table with the contiguous ``poly``
+rows of the block's completed steps, and its stages contract the running
+step's moments with their rows' coefficients.
 """
 
 import math
@@ -137,6 +139,8 @@ class Solution:
 
     def query(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.isnan(t_arr).any():
+            raise ValueError("query at a nan time")
         if np.any(t_arr > self.t_end + 1e-9 * max(1.0, abs(self.t_end))):
             raise ValueError("query beyond the end of the solve")
         out = np.empty((t_arr.size, self.x.shape[1]))
@@ -157,9 +161,13 @@ class Solution:
     __call__ = query
 
 
-#: Quadrature nodes per plan block: bounds the memory a block's arrays take
-#: while keeping numpy's per-call overhead small against the work per node.
-BLOCK_NODES = 4096
+#: Most quadrature nodes in one plan block, and most entries of its moment
+#: table.  It bounds the memory a block takes, and a larger block spreads
+#: numpy's per-call overhead over more nodes.  Under tracemalloc the two
+#: solves of test_solve_memory_stays_small peak at 1.08 MB (stability,
+#: 11,070 nodes and 16,200 entries per block) and 0.76 MB (criterion 03's
+#: floor, 14,418 nodes per block); at 32768 the first takes 1.55 MB.
+BLOCK_NODES = 16384
 
 
 def _segment_sums(values, counts):
@@ -172,19 +180,56 @@ def _segment_sums(values, counts):
     return out
 
 
+def _history_sums(history, factor, s, counts, dim):
+    """Per plan, the sum of ``factor * history(s)`` over its history-side
+    nodes, calling the history once at the nodes whose factor is nonzero."""
+    live = np.flatnonzero(factor)
+    if not live.size:
+        return np.zeros((len(counts), dim))
+    live_counts = np.diff(np.searchsorted(live, np.cumsum(counts)), prepend=0)
+    vals = _history_values(history, s[live], dim) * factor[live, None]
+    return _segment_sums(vals, live_counts)
+
+
+def _step_moments(sol, factor, s, counts, last):
+    """Each run of a plan's recent-side nodes in one step, as its plan, its
+    step and its moments ``sum f theta^(0..3)``; ``factor`` is overwritten.
+
+    The nodes of a plan ascend in time, so a run starts wherever the step
+    changes along the plan, and its moments are sums over the run.
+    """
+    step, theta = sol._place(s, np.repeat(last, counts))
+    firsts = np.cumsum(counts) - counts
+    starts = np.ones(len(step), dtype=bool)
+    np.not_equal(step[1:], step[:-1], out=starts[1:])
+    starts[firsts] = True
+    starts = np.flatnonzero(starts)
+    moments = np.empty((len(starts), 4))
+    moments[:, 0] = np.add.reduceat(factor, starts)
+    for q in (1, 2, 3):
+        factor *= theta
+        moments[:, q] = np.add.reduceat(factor, starts)
+    plan = np.searchsorted(firsts, starts, side="right") - 1
+    return plan, step[starts].astype(np.intp), moments
+
+
 class _PlanBlock:
     """The quadrature plans at t_n + h/2 and t_n + h of the steps
     n0 <= n < n1, reduced to what the solution contributes to them.
 
     Row ``2 (n - n0)`` holds the plan of step n at t_n + h/2, the next row
-    the one at t_n + h.  On the completed steps m < n a plan's value is its
-    history sum plus ``sum_m S_m . P_m``, where ``S_m`` holds the moments
-    ``sum f theta^(0..3)`` of the plan's nodes in step m and ``P_m`` the
-    coefficients ``Solution.poly[m]`` of step m's interpolant.  The nodes
-    in the running step n enter through their moments too, which serve any
-    partial row of the step (see :func:`fcrk4_solve`).  The nodes of a plan
-    ascend in time, so each step's nodes are one run of the row and the
-    moments are sums over runs.
+    the one at t_n + h.  A plan's value on the completed steps m < n is
+    ``sum_m S_m . P_m``, where ``S_m`` holds the moments ``sum f
+    theta^(0..3)`` of the plan's nodes in step m and ``P_m`` the
+    coefficients ``Solution.poly[m]`` of step m's interpolant, plus its
+    history sum.  The steps before the block are complete when it is
+    built, so ``values`` holds each plan's history sum plus its moments
+    there contracted with their coefficients.  ``table`` holds the moments
+    in the block's own steps, four columns per step: a step contracts the
+    columns of the block's completed steps with their contiguous ``poly``
+    rows, and the running step's nodes enter through its own columns,
+    which serve any partial row of the step (see :func:`fcrk4_solve`).
+    The history side is reduced before the recent side's nodes are built.
     """
 
     def __init__(self, sol, kernel, quad, n0, n1):
@@ -194,50 +239,28 @@ class _PlanBlock:
         times = sol.t0 + last * h
         times[0::2] += 0.5 * h
         times[1::2] += h
-        (past_f, past_s), (factor, s) = plan_nodes(times, kernel, quad, h, sol.t0)
-        # Per plan: the value on the completed steps (the history sum so
-        # far), then the running step's moments.
-        self.plan = np.zeros((len(times), dim + 4))
-
-        live = past_f != 0.0
-        vals = (
-            _history_values(sol.history, past_s[live], dim) * past_f[live][:, None]
-            if live.any()
-            else np.empty((0, dim))
-        )
-        self.plan[:, :dim] = _segment_sums(vals, live.sum(axis=1))
-
-        # A run of nodes in one step starts wherever the step changes
-        # along a row; its moments come from one reduceat over all rows.
-        step, theta = sol._place(s, last[:, None])
-        starts = np.ones(step.shape, dtype=bool)
-        np.not_equal(step[:, 1:], step[:, :-1], out=starts[:, 1:])
-        starts = np.flatnonzero(starts)
-        powers = np.empty((4, factor.size))
-        powers[0] = factor.ravel()
-        theta = theta.ravel()
-        for q in (1, 2, 3):
-            np.multiply(powers[q - 1], theta, out=powers[q])
-        moments = np.add.reduceat(powers, starts, axis=1).T
-        row = starts // step.shape[1]
-        seg_step = step.ravel()[starts]
-        running = seg_step == last[row]
-        self.plan[row[running], dim:] = moments[running]
-        done = ~running
-        self.moments = moments[done]
-        self.steps = seg_step[done].astype(int)
-        self.ptr = np.searchsorted(row[done], np.arange(len(times) + 1)).tolist()
+        sides = plan_nodes(times, kernel, quad, h, sol.t0)
+        self.values = _history_sums(sol.history, *next(sides), dim)
+        plan, step, moments = _step_moments(sol, *next(sides), last)
+        before = step < n0
+        contracted = np.einsum("rq,rqd->rd", moments[before], sol.poly[step[before]])
+        self.values += _segment_sums(contracted, np.bincount(plan[before], minlength=len(times)))
+        within = ~before
+        table = np.zeros((len(times), n1 - n0, 4))
+        table[plan[within], step[within] - n0] = moments[within]
+        self.table = table.reshape(len(times), -1)
 
     def plans(self, poly, n):
-        """The plan vectors of step n at t_n + h/2 and t_n + h as two rows,
-        given the interpolant coefficients ``poly`` of the completed steps."""
-        r = 2 * (n - self.n0)
-        dim = poly.shape[2]
-        for row in (r, r + 1):
-            a, b = self.ptr[row], self.ptr[row + 1]
-            completed = poly[self.steps[a:b]].reshape(-1, dim)
-            self.plan[row, :dim] += self.moments[a:b].ravel() @ completed
-        return self.plan[r : r + 2]
+        """The plans of step n at t_n + h/2 and t_n + h, given the
+        interpolant coefficients ``poly`` of the completed steps: their
+        values on the completed steps (two rows of ``dim``) and their
+        moments in the running step (two rows of 4)."""
+        r, c = 2 * (n - self.n0), 4 * (n - self.n0)
+        completed = poly[self.n0 : n].reshape(c, poly.shape[2])
+        return (
+            self.values[r : r + 2] + self.table[r : r + 2, :c] @ completed,
+            self.table[r : r + 2, c : c + 4],
+        )
 
 
 def fcrk4_solve(problem, h, quad=None):
@@ -269,7 +292,12 @@ def fcrk4_solve(problem, h, quad=None):
             "delayed convolution diverges"
         )
     quad = quad or QuadConfig()
-    block_steps = max(1, BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)))
+    # Each of a block's two plans per step takes at most 3 (panels + 1)
+    # nodes, and its table of k steps 2k x 4k entries.
+    block_steps = max(
+        1,
+        min(BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)), math.isqrt(BLOCK_NODES // 8)),
+    )
     span = problem.t_end - problem.t0
     n_steps = int(round(span / h))
     if abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
@@ -313,12 +341,11 @@ def fcrk4_solve(problem, h, quad=None):
             if n == block_end:
                 block_end = min(n + block_steps, n_steps)
                 block = _PlanBlock(sol, problem.kernel, quad, n, block_end)
-            plans = block.plans(poly, n)
-            stage_plans = plans[plan_row]
+            values, moments = block.plans(poly, n)
             x_n = sol.x[n]
-            weights[:, 1] = np.einsum("ijq,iq->ij", h_a, stage_plans[:, dim + 1 :])
+            weights[:, 1] = np.einsum("ijq,iq->ij", h_a, moments[plan_row, 1:])
             base[:, 0] = x_n
-            base[:, 1] = stage_plans[:, :dim] + stage_plans[:, dim, None] * x_n
+            base[:, 1] = values[plan_row] + moments[plan_row, 0, None] * x_n
             base[0, 1] = conv_start
             for i in range(tableau.stages):
                 y_i, conv = base[i] + weights[i, :, :i] @ k_step[:i]
@@ -332,6 +359,6 @@ def fcrk4_solve(problem, h, quad=None):
             poly[n, 1:] = b_poly @ k_step
             # The interpolant at theta = 1, summed as Solution.query sums it.
             sol.x[n + 1] = poly[n, 0] + (poly[n, 1] + (poly[n, 2] + poly[n, 3]))
-            conv_start = plans[1, :dim] + plans[1, dim:] @ poly[n]
+            conv_start = values[1] + moments[1] @ poly[n]
 
     return sol

@@ -82,27 +82,29 @@ def _transform_params(kernel):
 
 def _open_simpson_grid(lo, hi, panels):
     """Nodes and weights of the composite 3-point open rule on [lo_r, hi_r]
-    with panels_r panels, one row r per interval.
+    with panels_r panels, the rows r one after another in flat arrays.
 
     Per panel of width w: nodes at the interior quarter points, weights
-    (2w/3, -w/3, 2w/3).  Panel endpoints are never evaluated.  Rows are
-    padded to the most panels with zero-weight nodes at omega = 1, where
-    the kernel weight vanishes.
+    (2w/3, -w/3, 2w/3).  Panel endpoints are never evaluated.
     """
-    width = ((hi - lo) / np.maximum(panels, 1))[:, None]
-    col = np.arange(panels.max(initial=0))
-    real = col < panels[:, None]
-    w = np.where(real, width, 0.0)
-    edges = np.where(real, lo[:, None] + width * col, 1.0)
+    width = (hi - lo) / np.maximum(panels, 1)
+    # Per panel: its row's width, and its left edge lo + w * (its index in
+    # the row).
+    w = np.repeat(width, panels)
+    edges = np.arange(len(w), dtype=float)
+    edges -= np.repeat(np.cumsum(panels) - panels, panels)
+    edges *= w
+    edges += np.repeat(lo, panels)
     third = w / 3.0
-    # Filled one quarter point at a time, so each operation runs along
-    # whole rows of panels rather than over the three nodes of a panel.
-    nodes = np.empty(w.shape + (3,))
-    weights = np.empty(w.shape + (3,))
+    # Filled one quarter point at a time, so each operation runs over all
+    # panels at once rather than over the three nodes of a panel.
+    nodes = np.empty((len(w), 3))
+    weights = np.empty((len(w), 3))
     for q, (offset, rule) in enumerate(((0.25, 2.0), (0.5, -1.0), (0.75, 2.0))):
-        np.add(edges, w * offset, out=nodes[:, :, q])
-        np.multiply(rule, third, out=weights[:, :, q])
-    return nodes.reshape(len(lo), -1), weights.reshape(len(lo), -1)
+        np.multiply(w, offset, out=nodes[:, q])
+        nodes[:, q] += edges
+        np.multiply(rule, third, out=weights[:, q])
+    return nodes.ravel(), weights.ravel()
 
 
 def _log_weight(omega, kernel, alpha, beta):
@@ -165,26 +167,32 @@ def plan_panels(cfg, h):
 
 
 def _plan_part(times, lo, hi, panels, kernel, alpha, beta):
-    """(factor, s) of the nodes of one omega piece per plan."""
+    """(factor, s, counts) of the nodes of one omega piece per plan."""
     omega, weights = _open_simpson_grid(lo, hi, panels)
     log_w, sigma = _log_weight(omega, kernel, alpha, beta)
     factor = np.exp(log_w, out=log_w)
     factor *= weights
-    return factor, np.subtract(times[:, None], sigma, out=sigma)
+    counts = 3 * panels
+    s = np.repeat(times, counts)
+    s -= sigma
+    return factor, s, counts
 
 
 def plan_nodes(times, kernel, cfg, h, t0):
     """Quadrature plans of int_0^inf x(t - s) g(s) ds at each t of ``times``.
 
-    Returns ``(past, recent)``, each a pair ``(factor, s)`` of arrays with
-    one row per time: the quadrature value at t is the sum of ``factor *
-    x(s)`` over both.  The omega domain is split at the image of t0, so the
-    kink where the solution hands over to the history always sits on a
-    panel boundary: ``past`` holds the nodes with s <= t0, ``recent`` those
-    after t0, nudged off the solver mesh when they fall within
-    ``NODE_JITTER * h`` of a mesh point.  Along a row s ascends.  Rows are
-    padded with zero factors, and a kernel weight that underflows gives a
-    zero factor too; only nodes with a nonzero factor need x.
+    Yields the plans' nodes in two sides, each a triple ``(factor, s,
+    counts)``: plan r owns ``counts[r]`` consecutive entries of the flat
+    arrays ``factor`` and ``s``, and the quadrature value at t is the sum
+    of ``factor * x(s)`` over its entries on both sides.  The omega domain
+    is split at the image of t0, so the kink where the solution hands over
+    to the history always sits on a panel boundary: the first side holds
+    the nodes with s <= t0, the second those after t0, nudged off the
+    solver mesh when they fall within ``NODE_JITTER * h`` of a mesh point.
+    Within a plan s ascends.  A kernel weight that underflows gives a zero
+    factor; only nodes with a nonzero factor need x.  The second side is
+    built when the first has been taken, so a caller that reduces the
+    history side before asking for the next never holds both.
     """
     plan_panels(cfg, h)  # refuses an oversized plan before allocating it
     h_int = cfg.step(h)
@@ -193,11 +201,13 @@ def plan_nodes(times, kernel, cfg, h, t0):
     # The image of t0: all of (0, 1) lies in the history when t <= t0.
     split = np.exp(-(np.maximum(times - t0, 0.0) ** (1.0 / beta)) / alpha)
     # Each piece present takes at least one panel.
-    past_panels = np.maximum(np.ceil(split / (4.0 * h_int)), split > 0.0)
-    recent_panels = np.maximum(np.ceil((1.0 - split) / (4.0 * h_int)), split < 1.0)
-    past = _plan_part(times, np.zeros_like(split), split, past_panels, kernel, alpha, beta)
-    factor, s = _plan_part(times, split, np.ones_like(split), recent_panels, kernel, alpha, beta)
-    return past, (factor, _jitter_times(s, t0, h, NODE_JITTER * h))
+    past_panels = np.maximum(np.ceil(split / (4.0 * h_int)), split > 0.0).astype(int)
+    recent_panels = np.maximum(np.ceil((1.0 - split) / (4.0 * h_int)), split < 1.0).astype(int)
+    yield _plan_part(times, np.zeros_like(split), split, past_panels, kernel, alpha, beta)
+    factor, s, counts = _plan_part(
+        times, split, np.ones_like(split), recent_panels, kernel, alpha, beta
+    )
+    yield factor, _jitter_times(s, t0, h, NODE_JITTER * h), counts
 
 
 def convolution_integral(t, accessor, kernel, cfg, h, t0):
@@ -208,10 +218,10 @@ def convolution_integral(t, accessor, kernel, cfg, h, t0):
     accept an array of times and may return per-time vectors for
     multi-component states.
     """
-    (past_f, past_s), (recent_f, recent_s) = plan_nodes([t], kernel, cfg, h, t0)
-    factor = np.concatenate([past_f[0], recent_f[0]])
+    (past_f, past_s, _), (recent_f, recent_s, _) = plan_nodes([t], kernel, cfg, h, t0)
+    factor = np.concatenate([past_f, recent_f])
     live = factor != 0.0
-    times = np.concatenate([past_s[0], recent_s[0]])[live]
+    times = np.concatenate([past_s, recent_s])[live]
     # A history that overflows is reported by the caller's own checks.
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(accessor(times), dtype=float)

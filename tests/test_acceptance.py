@@ -250,7 +250,6 @@ def test_criterion_09_quadrature():
     errs = []
     for p in panels:
         nodes, weights = _open_simpson_grid(np.array([0.0]), np.array([1.0]), np.array([p]))
-        nodes, weights = nodes[0], weights[0]
         errs.append(abs(weights @ nodes**4 - 0.2))
     slope = float(np.polyfit(np.log10([1 / (4 * p) for p in panels]), np.log10(errs), 1)[0])
     ok = worst < 1e-4 and abs(slope - 4.0) <= 0.1

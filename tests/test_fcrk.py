@@ -82,6 +82,22 @@ def test_query_contract():
     assert sol(1.0) == sol.query(1.0)
 
 
+def test_query_refuses_nan():
+    sol = fcrk4_solve(_problem(lambda x, conv: -x + conv, t_end=2.0), 0.1)
+    for t in (np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError, match="nan"):
+            sol.query(t)
+
+
+def test_constant_history_at_minus_infinity():
+    # c e^(0 s) is c * nan at s = -inf; a constant history is c there too.
+    hist = HistoryFunction.constant(1.5)
+    assert hist(-np.inf) == 1.5
+    assert np.array_equal(hist(np.array([-np.inf, -1.0, 0.0])), [1.5, 1.5, 1.5])
+    sol = fcrk4_solve(_problem(lambda x, conv: -x + conv, history=hist), 0.1)
+    assert sol.query(-np.inf) == 1.5
+
+
 def test_interpolant_agrees_with_refined_solve():
     prob = analysis.dde_problem("linear", 1.0, t_end=4.0)[0]
     coarse = fcrk4_solve(prob, 0.1, quad=QuadConfig(xi=XI))
@@ -297,6 +313,62 @@ def test_panel_budget_checked_before_allocation():
         fcrk4_solve(prob, 0.1, quad=QuadConfig(h_int=5e-324))
 
 
+def _coupled_vector_problem():
+    hist = HistoryFunction.custom(lambda s: np.stack([np.cos(s), 1.0 + 0.5 * s], axis=-1))
+    return DdeProblem(
+        rhs=lambda x, conv: np.array([-x[0] + 0.5 * conv[1], -0.3 * x[1] + 0.2 * conv[0]]),
+        kernel=GammaKernel(2.5, 1.7),
+        history=hist,
+        t0=0.0,
+        t_end=2.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, h, quad",
+    [
+        # Criterion 03's first eigenfunction problem: exponential history.
+        (
+            analysis.dde_problem("linear_gamma", 2.15, 4.65, beta=0.5, t_end=2.0)[0],
+            0.05,
+            QuadConfig(xi=(1 / 16) ** 4),
+        ),
+        (_problem(lambda x, conv: x - x * conv / 2.0, j=3.0, tau=2.25, t_end=2.0), 0.025, None),
+        (
+            _problem(
+                lambda x, conv: 0.8 * x - 1.1 * conv,
+                j=2.57,
+                t_end=1.0,
+                history=HistoryFunction.custom(lambda s: 1.0 + 0.5 * np.cos(s)),
+            ),
+            0.0125,
+            QuadConfig(xi=(1 / 16) ** 4),
+        ),
+        (_coupled_vector_problem(), 0.025, None),
+    ],
+    ids=["exponential", "constant", "custom", "vector"],
+)
+def test_block_boundaries_leave_the_solution_unchanged(problem, h, quad, monkeypatch):
+    # A plan's moments in the steps before its block are contracted when
+    # the block is built, those in the block's own steps as each step runs.
+    # With one step per block every completed step takes the first path.
+    build = fcrk._PlanBlock
+    sizes = []
+
+    def recording(sol, kernel, quad, n0, n1):
+        sizes.append(n1 - n0)
+        return build(sol, kernel, quad, n0, n1)
+
+    monkeypatch.setattr(fcrk, "_PlanBlock", recording)
+    default = fcrk4_solve(problem, h, quad=quad).x
+    assert len(sizes) > 1 and min(sizes[:-1]) >= 4
+    sizes.clear()
+    monkeypatch.setattr(fcrk, "BLOCK_NODES", 1)
+    single = fcrk4_solve(problem, h, quad=quad).x
+    assert set(sizes) == {1}
+    assert np.all(np.abs(single - default) <= 1e-14 * np.max(np.abs(default)))
+
+
 @pytest.mark.parametrize(
     "name, j, tau, coefficients, t_end, h, quad",
     [
@@ -308,8 +380,10 @@ def test_panel_budget_checked_before_allocation():
     ids=["stability", "criterion_03_floor"],
 )
 def test_solve_memory_stays_small(name, j, tau, coefficients, t_end, h, quad):
-    # Plans are built in blocks of a bounded node count, so a long or
-    # node-heavy solve holds little beyond its own mesh and stage values.
+    # A plan block holds at most fcrk.BLOCK_NODES nodes and as many moment
+    # table entries, and reduces its history side before it builds the
+    # rest, so a long or node-heavy solve holds little beyond its own mesh
+    # and step coefficients.  Peaks at 16384: 1.08 MB and 0.76 MB.
     prob = analysis.dde_problem(name, j, tau, t_end=t_end, **coefficients)[0]
     tracemalloc.start()
     try:

@@ -15,10 +15,9 @@ from gammadde.quadrature import (
 
 
 def _open_simpson_unit(panels):
-    """Nodes and weights of the composite open rule on [0, 1]: one row of
-    the grid."""
-    nodes, weights = _open_simpson_grid(np.array([0.0]), np.array([1.0]), np.array([panels]))
-    return nodes[0], weights[0]
+    """Nodes and weights of the composite open rule on [0, 1]: the grid of
+    one row."""
+    return _open_simpson_grid(np.array([0.0]), np.array([1.0]), np.array([panels]))
 
 
 def _open_simpson(f, panels):
