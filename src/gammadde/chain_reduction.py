@@ -6,8 +6,12 @@ auxiliary compartment per exponential stage, with the delayed term read
 off the final compartment's outflow r_n B_n.  The compartments evolve as
 B' = Q^T B + x e_1, with Q the generator of
 :func:`~gammadde.distributions.stage_generator`, the one place the chain's
-transition rule is written.  Chains start at t = 0, and the history
-function enters only through the compartments' initial values
+transition rule is written.  The rhs is one product of an ``(n+1, n)``
+row block with B, built once per problem: row 0 is r_n e_n and gives the
+delayed term, rows 1..n are Q^T; the head's derivative F(x, r_n B_n)
+then replaces row 0's entry, and the inflow x is added to B_1'.
+Chains start at t = 0, and the history function enters only through
+the compartments' initial values
 
     B_i(0) = int_0^inf psi(-s) / r_i * kappa_i(s) ds,
 
@@ -81,14 +85,13 @@ class ChainOdeProblem:
 
 def _chain_rhs(F, rates):
     r = np.asarray(rates, dtype=float)
-    q_t = stage_generator(r).T
+    rows = np.vstack([np.zeros(len(r)), stage_generator(r).T])
+    rows[0, -1] = r[-1]
 
     def rhs(t, state):
         x = state[0]
-        b = state[1:]
-        out = np.empty(len(state))
-        out[0] = F(x, r[-1] * b[-1])
-        out[1:] = q_t @ b
+        out = rows @ state[1:]
+        out[0] = F(x, out[0])
         out[1] += x
         return out
 

@@ -43,6 +43,8 @@ class SirParams:
     obs_times: tuple = tuple(float(k) for k in range(1, 121))
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.beta, self.tau, self.j, self.M)):
+            raise ValueError("beta, tau, j and M must be finite")
         if min(self.beta, self.tau, self.j) <= 0:
             raise ValueError("beta, tau, j must be positive")
         # eps = 0 is allowed and yields the disease-free equilibrium.
@@ -51,6 +53,8 @@ class SirParams:
         if self.M < 1:
             raise ValueError("population scale must be at least 1")
         times = tuple(float(t) for t in self.obs_times)
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("observation times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])) or (times and times[0] <= 0):
             raise ValueError("observation times must be positive and increasing")
         object.__setattr__(self, "obs_times", times)
@@ -72,8 +76,8 @@ class EpiData:
         if any(c < 0 for c in cases):
             raise ValueError("case counts must be nonnegative")
         serial = tuple(float(t) for t in self.serial)
-        if any(t <= 0 for t in serial):
-            raise ValueError("serial intervals must be positive")
+        if not all(0 < t < math.inf for t in serial):
+            raise ValueError("serial intervals must be positive and finite")
         object.__setattr__(self, "cases", cases)
         object.__setattr__(self, "serial", serial)
 
@@ -84,20 +88,21 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     The stages move on by the transposed
     :func:`~gammadde.distributions.stage_generator` with inflow beta S I,
     and the infection starts in the first stage: S(0) = 1 - eps,
-    I_1(0) = eps.
+    I_1(0) = eps.  The rhs is one product of an ``(n+1, n)`` row block
+    with the stages, built once per problem: row 0 is all ones and gives
+    I, rows 1..n are Q^T.  The force of infection beta S I then replaces
+    row 0's entry (negated) and is added to stage 1's.
     """
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
     rates = np.asarray(chain.rates())
     n = len(rates)
     beta = params.beta
-    q_t = stage_generator(rates).T
+    rows = np.vstack([np.ones(n), stage_generator(rates).T])
 
     def rhs(t, state):
-        stages = state[1:]
-        force = beta * state[0] * stages.sum()
-        out = np.empty(n + 1)
+        out = rows @ state[1:]
+        force = beta * state[0] * out[0]
         out[0] = -force
-        out[1:] = q_t @ stages
         out[1] += force
         return out
 
@@ -213,6 +218,8 @@ def mle_fit(data, init, max_evals=500):
     integer j.  ``init`` is a :class:`SirParams` carrying the starting
     point and the observation design (grid, M).
     """
+    if max_evals < 1:
+        raise ValueError("the evaluation budget max_evals must be at least 1")
 
     def clamp(name, value):
         lo, hi = DEFAULT_BOUNDS[name]

@@ -33,6 +33,12 @@ def _report(num, ok, text):
     assert ok, f"criterion {num} failed: {text}"
 
 
+def _slopes_text(slopes):
+    """Fitted slopes to 3 decimals: the criteria assert fewer digits, and the
+    finest-step errors behind the later digits sit at the rounding floor."""
+    return "{" + ", ".join(f"{key}: {slope:.3f}" for key, slope in slopes.items()) + "}"
+
+
 def _fcrk_errors(problem, reference, h_values, quad):
     times = np.linspace(problem.t0, problem.t_end, 1001)
     ref_vals = reference(times)
@@ -53,7 +59,9 @@ def test_criterion_01_linear_convergence():
         slopes[j] = analysis.estimate_order(h_values, errs).slope
     elapsed = time.time() - t0
     ok = all(3.7 <= s <= 4.3 for s in slopes.values()) and elapsed < 60
-    _report(1, ok, f"linear-test slopes {slopes} in [3.7, 4.3], {elapsed:.0f}s < 60s")
+    _report(
+        1, ok, f"linear-test slopes {_slopes_text(slopes)} in [3.7, 4.3], {elapsed:.0f}s < 60s"
+    )
 
 
 def test_criterion_02_nonlinear_convergence():
@@ -66,7 +74,9 @@ def test_criterion_02_nonlinear_convergence():
         slopes[j] = analysis.estimate_order(h_values, errs).slope
     elapsed = time.time() - t0
     ok = all(3.7 <= s <= 4.3 for s in slopes.values()) and elapsed < 120
-    _report(2, ok, f"nonlinear-test slopes {slopes} in [3.7, 4.3], {elapsed:.0f}s < 120s")
+    _report(
+        2, ok, f"nonlinear-test slopes {_slopes_text(slopes)} in [3.7, 4.3], {elapsed:.0f}s < 120s"
+    )
 
 
 def test_criterion_03_eigenfunction_convergence():
@@ -98,7 +108,7 @@ def test_criterion_03_eigenfunction_convergence():
     _report(
         3,
         ok,
-        f"eigenfunction slopes {list(slopes.values())} in [3.7, 4.3], "
+        f"eigenfunction slopes {_slopes_text(slopes)} in [3.7, 4.3], "
         f"floor {floor:.1e} < 1e-12 at h=0.005, {elapsed:.0f}s < 60s",
     )
 

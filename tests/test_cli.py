@@ -9,6 +9,7 @@ import pytest
 
 from gammadde import cli
 from gammadde.cli import build_parser, main
+from gammadde.epi import write_cases_csv, write_serial_csv
 
 
 def run_cli(capsys, *args):
@@ -342,14 +343,51 @@ def test_exit_code_config_error(capsys):
         # The MGF fit window has left the small-phi regime.
         ["mgf-order", "--j", "100.5"],
         ["mgf-order", "--j", "999.5"],
+        # Non-finite SIR parameters, observation times and fit budgets are
+        # refused before any solve ({tmp}/cases.csv holds two counts).
+        ["epi", "loglik", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--M", "nan"],
+        ["epi", "loglik", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--beta", "nan"],
+        ["epi", "loglik", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--beta", "inf"],
+        ["epi", "simulate", "--obs-dt", "nan", "--cases", "{tmp}/c.csv",
+         "--serial", "{tmp}/s.csv"],
+        ["epi", "fit", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--max-evals", "0"],
+        ["epi", "fit", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--max-evals", "-5"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
+    write_cases_csv(tmp_path / "cases.csv", (1.0, 2.0), (3, 4))
+    write_serial_csv(tmp_path / "serial.csv", (2.5,))
     argv = [tok.format(tmp=tmp_path) for tok in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_finite_observation_spacing_refused_by_name(tmp_path, capsys):
+    code, stdout, err = run_cli(
+        capsys, "epi", "simulate", "--obs-dt", "nan",
+        "--cases", str(tmp_path / "c.csv"), "--serial", str(tmp_path / "s.csv"),
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: observation times must be finite\n"
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_non_finite_serial_interval_refused(interval, tmp_path, capsys):
+    cases, serial = tmp_path / "cases.csv", tmp_path / "serial.csv"
+    write_cases_csv(cases, (1.0, 2.0), (3, 4))
+    serial.write_text(f"interval\n2.5\n{interval}\n")
+    code, stdout, err = run_cli(
+        capsys, "epi", "loglik", "--cases", str(cases), "--serial", str(serial)
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: serial intervals must be positive and finite\n"
 
 
 def test_infeasible_chain_refused_before_any_error_is_fitted(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gammadde.approximations import VARIANTS
 from gammadde.distributions import Rng
 from gammadde.epi import (
     EpiData,
@@ -42,6 +43,55 @@ def test_params_validation():
     with pytest.raises(ValueError):
         EpiData(cases=(1, -2), serial=())
     assert TRUTH.r0 == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("name", ["beta", "tau", "j", "M"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_refuse_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(TRUTH, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_refuse_non_finite_observation_times(value):
+    with pytest.raises(ValueError, match="observation times must be finite"):
+        replace(TRUTH, obs_times=(1.0, value))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_data_refuse_non_finite_serial_intervals(value):
+    with pytest.raises(ValueError, match="serial intervals must be positive and finite"):
+        EpiData(cases=(), serial=(2.5, value))
+
+
+@pytest.mark.parametrize("max_evals", [0, -5])
+def test_mle_fit_refuses_an_empty_budget(max_evals):
+    data = EpiData(cases=(), serial=(2.5,))
+    with pytest.raises(ValueError, match="max_evals"):
+        mle_fit(data, TRUTH, max_evals=max_evals)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sir_rhs_is_the_chain_model(variant):
+    # At random states the rhs is S' = -beta S I, I = I_1 + ... + I_n, and
+    # I_1' = beta S I - r_1 I_1, I_i' = r_{i-1} I_{i-1} - r_i I_i, within
+    # 8 eps of the magnitudes of the terms.
+    params = replace(TRUTH, beta=0.7, j=3.3)
+    problem = build_sir_chain(params, variant)
+    rates = np.asarray(problem.params.rates())
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        y = rng.standard_normal(len(rates) + 1)
+        s, stages = y[0], y[1:]
+        force = params.beta * s * stages.sum()
+        force_size = params.beta * abs(s) * np.abs(stages).sum()
+        inflow = np.concatenate([[force], rates[:-1] * stages[:-1]])
+        expected = np.concatenate([[-force], inflow - rates * stages])
+        inflow_size = np.concatenate([[force_size], np.abs(inflow[1:])])
+        size = np.concatenate([[force_size], inflow_size + np.abs(rates * stages)])
+        out = problem.rhs(0.0, y)
+        assert out is not problem.rhs(0.0, y)
+        assert np.all(np.abs(out - expected) <= 8 * np.finfo(float).eps * size)
 
 
 def test_disease_free_limit():
