@@ -199,9 +199,17 @@ def char_root(tau, j, beta):
     if tau <= 0 or j <= 0:
         raise ValueError("tau and j must be positive")
     a = j / tau
-    if not (0.0 < beta < 2.0 ** (j + 1) * a):
-        raise ValueError(f"beta must lie in (0, {2.0 ** (j + 1) * a:.6g})")
-    return (beta * a**j) ** (1.0 / (j + 1.0)) - a
+    # 2^(j+1) leaves the float range from j = 1023 on.
+    bound = 2.0 ** (j + 1) * a if j < 1023 else math.inf
+    if not (0.0 < beta < bound):
+        raise ValueError(f"beta must lie in (0, {bound:.6g})")
+    try:
+        scaled = beta * a**j
+    except OverflowError:
+        scaled = math.inf
+    if not 0.0 < scaled < math.inf:
+        raise ValueError(f"beta (j/tau)^j leaves the float range at j = {j:g}, tau = {tau:g}")
+    return scaled ** (1.0 / (j + 1.0)) - a
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +317,14 @@ class MomentPolynomial:
     coefficients: tuple  # descending powers, leading 1
 
 
+#: Highest degree of a moment-matching polynomial.  Its coefficient
+#: recurrence carries k! and the falling factorial (m-1+frac)_k, both finite
+#: up to k = 170 (170! is 7.3e306); from degree 171 on they overflow and the
+#: coefficients come out nan.  The tests go up to degree 8; the benchmark
+#: builds none.
+MAX_DEGREE = 170
+
+
 def fm_polynomial(m, frac):
     """Moment-matching polynomial of degree m for fractional part frac."""
     if m < 1:
@@ -321,6 +337,10 @@ def fm_polynomial(m, frac):
 def _moment_coefficients(m, frac):
     """c_k = (-1)^k (m-1+frac)_k / k! for k = 0..m, any m >= 0: f_m's
     coefficients in descending powers and g_m's in ascending ones."""
+    if m > MAX_DEGREE:
+        raise ValueError(
+            f"degree {m} is above {MAX_DEGREE}, where the coefficients overflow"
+        )
     coeffs = []
     poch = 1.0
     factorial = 1.0

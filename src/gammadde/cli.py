@@ -39,7 +39,6 @@ from .epi import (
     read_serial_csv,
     simulate_dataset,
     write_cases_csv,
-    write_fit_report,
     write_serial_csv,
 )
 from .fcrk import fcrk4_solve
@@ -53,6 +52,11 @@ from .ode_solver import rk45_adaptive  # noqa: F401
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+#: Most rows of one output table: the times of a trajectory or survival
+#: curve, the case counts and the serial intervals.  The largest table in
+#: the tests has 1,001 rows and in the benchmark 2,001 (a survival curve);
+#: at the budget a five-column table takes about 120 MB of CSV text.
+MAX_ROWS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -125,18 +129,28 @@ def _problem(args, t_end):
         args.problem,
         j,
         tau,
-        alpha=args.alpha,
-        beta=args.beta,
+        alpha=None if args.alpha is None else _finite(args, "alpha"),
+        beta=None if args.beta is None else _finite(args, "beta"),
         history=_parse_history(args.history),
         t_end=t_end,
     )
     return problem, reference, tau
 
 
-def _n_out(args):
-    if args.n_out < 2:
-        raise ConfigError(f"--n-out must be at least 2, got {args.n_out}")
-    return args.n_out
+def _rows(count, what):
+    """Refuse a table of ``count`` rows over ``MAX_ROWS``, before it exists."""
+    if not count <= MAX_ROWS:
+        raise ConfigError(f"{what} asks for {count:.3g} rows, above the budget of {MAX_ROWS}")
+    return count
+
+
+def _count(args, flag, least):
+    """An integer flag's value that sizes an output table: at least
+    ``least``, and at most ``MAX_ROWS``."""
+    value, name = getattr(args, flag), "--" + flag.replace("_", "-")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+    return _rows(value, name)
 
 
 def _quad_config(args):
@@ -167,6 +181,7 @@ def cmd_solve(args):
     t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h")
+    _rows(t_end / h + 1.0, f"--t-end {t_end:g} at --h {h:g}")
     times = np.arange(0.0, t_end + 0.5 * h, h)
     if args.method == "fcrk4":
         sol = fcrk4_solve(problem, h, quad=_quad_config(args))
@@ -201,11 +216,12 @@ def cmd_convergence(args):
             "with these flags: see the README for when convergence has one"
         )
     times = np.linspace(0.0, t_end, 1001)
+    # The solves come first: they refuse bad quadrature settings and
+    # oversized work before the reference, a chain solve at integer j, runs.
+    quad = _quad_config(args)
+    values = [fcrk4_solve(problem, h, quad=quad).query(times) for h in h_list]
     ref_values = reference(times)
-    errors = []
-    for h in h_list:
-        sol = fcrk4_solve(problem, h, quad=_quad_config(args))
-        errors.append(float(np.max(np.abs(sol.query(times) - ref_values))))
+    errors = [float(np.max(np.abs(v - ref_values))) for v in values]
     report = analysis.estimate_order(h_list, errors)
     _write_csv(args.out, ["h", "max_error"], list(zip(h_list, errors)))
     _emit_json({"slope": report.slope, "intercept": report.intercept})
@@ -213,7 +229,7 @@ def cmd_convergence(args):
 
 
 def cmd_compare(args):
-    n_out = _n_out(args)
+    n_out = _count(args, "n_out", 2)
     t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h")
@@ -247,9 +263,7 @@ def cmd_compare(args):
 def cmd_stability(args):
     j = _positive(args, "j")
     tau = _positive(args, "tau")
-    alpha, beta = args.alpha, args.beta
-    if alpha is None or beta is None:
-        raise ConfigError("stability needs --alpha and --beta")
+    alpha, beta = _finite(args, "alpha"), _finite(args, "beta")
     t_end = _positive(args, "t_end")
     h = _positive(args, "h")
     problem, _ = analysis.dde_problem(
@@ -322,7 +336,7 @@ def cmd_survival(args):
         return 0
     _refuse_unread(args, "survival without --jump-at", ("--t", "--delta"))
     j = _positive(args, "j")
-    n_out = SURVIVAL_N_OUT if args.n_out is None else _n_out(args)
+    n_out = SURVIVAL_N_OUT if args.n_out is None else _count(args, "n_out", 2)
     t_max = _finite(args, "t_max") if args.t_max is not None else 4.0 * tau
     times = np.linspace(0.0, t_max, n_out)
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
@@ -370,8 +384,9 @@ def _read_data(args):
 
 
 def cmd_epi_simulate(args):
-    params = _sir_params(args, tuple(args.obs_dt * (i + 1) for i in range(args.K)))
-    data = simulate_dataset(Rng(args.seed), params, args.L)
+    k, n_serial = _count(args, "K", 1), _count(args, "L", 0)
+    params = _sir_params(args, tuple(args.obs_dt * (i + 1) for i in range(k)))
+    data = simulate_dataset(Rng(args.seed), params, n_serial)
     write_cases_csv(args.cases, params.obs_times, data.cases)
     write_serial_csv(args.serial, data.serial)
     _emit_json(
@@ -407,9 +422,7 @@ def cmd_epi_loglik(args):
 def cmd_epi_fit(args):
     obs_times, data = _read_data(args)
     result = mle_fit(data, _sir_params(args, obs_times), max_evals=args.max_evals)
-    if args.out:
-        write_fit_report(args.out, result)
-    _emit_json(dataclasses.asdict(result))
+    _emit_json(dataclasses.asdict(result), args.out)
     return 0
 
 
@@ -471,12 +484,34 @@ _SIR = ("--beta", "--tau", "--j", "--eps", "--M", "--cases", "--serial")
 _SIR_DEFAULTS = dict(beta=0.5, tau=5.0, j=4.0)
 
 
-def _command(subs, name, help, func, flags, required=(), **defaults):
-    """Declare one command: the flags it takes and its own defaults."""
-    sub = subs.add_parser(name, help=help, allow_abbrev=False)
-    for flag in flags:
-        sub.add_argument(flag, **_FLAGS[flag], **({"required": True} if flag in required else {}))
-    sub.set_defaults(func=func, **defaults)
+# The command table: per command, its words on the command line, its help,
+# its function, the flags it takes, those it requires, and its own defaults.
+_COMMANDS = (
+    (("solve",), "integrate one problem, write trajectory CSV", cmd_solve,
+     _PROBLEM + ("--h",) + _QUAD + ("--method", "--variant", "--rtol", "--out"), (),
+     dict(t_end=10.0)),
+    (("convergence",), "step-size sweep and fitted order", cmd_convergence,
+     _PROBLEM + ("--h-list",) + _QUAD + ("--out",), (), dict(t_end=10.0)),
+    (("compare",), "gamma DDE against its three chains", cmd_compare,
+     _PROBLEM + ("--h",) + _QUAD + ("--n-out", "--rtol", "--out"), (),
+     dict(t_end=10.0, n_out=501)),
+    (("stability",), "growth-rate and spectrum comparison", cmd_stability,
+     ("--j", "--tau", "--alpha", "--beta", "--t-end", "--h") + _QUAD + ("--out",), (),
+     dict(t_end=80.0, tau=analysis.default_tau("linear_gamma"))),
+    (("mgf-order",), "kernel-replacement MGF error slopes", cmd_mgf_order,
+     ("--j", "--tau", "--out"), ("--j",), dict(tau=1.0)),
+    (("survival",), "survival curves or integer-jump sizes", cmd_survival,
+     ("--j", "--tau", "--t", "--t-max", "--n-out", "--jump-at", "--delta", "--out"), (),
+     dict(tau=1.0)),
+    (("moment-poly",), "moment-matching polynomial roots", cmd_moment_poly,
+     ("--m", "--fj", "--out"), (), {}),
+    (("epi", "simulate"), "seeded synthetic cases and serial intervals", cmd_epi_simulate,
+     ("--seed", "--K", "--L", "--obs-dt") + _SIR, (), _SIR_DEFAULTS),
+    (("epi", "loglik"), "log-likelihood of the data at one point", cmd_epi_loglik,
+     _SIR, (), _SIR_DEFAULTS),
+    (("epi", "fit"), "maximum-likelihood fit", cmd_epi_fit,
+     _SIR + ("--max-evals", "--out"), (), _SIR_DEFAULTS),
+)
 
 
 def build_parser():
@@ -486,35 +521,18 @@ def build_parser():
         allow_abbrev=False,
     )
     parser.add_argument("--config", help="JSON object of flag values; explicit flags win")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    _command(subs, "solve", "integrate one problem, write trajectory CSV", cmd_solve,
-             _PROBLEM + ("--h",) + _QUAD + ("--method", "--variant", "--rtol", "--out"),
-             t_end=10.0)
-    _command(subs, "convergence", "step-size sweep and fitted order", cmd_convergence,
-             _PROBLEM + ("--h-list",) + _QUAD + ("--out",), t_end=10.0)
-    _command(subs, "compare", "gamma DDE against its three chains", cmd_compare,
-             _PROBLEM + ("--h",) + _QUAD + ("--n-out", "--rtol", "--out"),
-             t_end=10.0, n_out=501)
-    _command(subs, "stability", "growth-rate and spectrum comparison", cmd_stability,
-             ("--j", "--tau", "--alpha", "--beta", "--t-end", "--h") + _QUAD + ("--out",),
-             t_end=80.0, tau=analysis.default_tau("linear_gamma"))
-    _command(subs, "mgf-order", "kernel-replacement MGF error slopes", cmd_mgf_order,
-             ("--j", "--tau", "--out"), required=("--j",), tau=1.0)
-    _command(subs, "survival", "survival curves or integer-jump sizes", cmd_survival,
-             ("--j", "--tau", "--t", "--t-max", "--n-out", "--jump-at", "--delta", "--out"),
-             tau=1.0)
-    _command(subs, "moment-poly", "moment-matching polynomial roots", cmd_moment_poly,
-             ("--m", "--fj", "--out"))
-
-    epi = subs.add_parser("epi", help="SIR chain: simulate, loglik, fit", allow_abbrev=False)
-    actions = epi.add_subparsers(dest="epi_action", required=True)
-    _command(actions, "simulate", "seeded synthetic cases and serial intervals",
-             cmd_epi_simulate, ("--seed", "--K", "--L", "--obs-dt") + _SIR, **_SIR_DEFAULTS)
-    _command(actions, "loglik", "log-likelihood of the data at one point",
-             cmd_epi_loglik, _SIR, **_SIR_DEFAULTS)
-    _command(actions, "fit", "maximum-likelihood fit", cmd_epi_fit,
-             _SIR + ("--max-evals", "--out"), **_SIR_DEFAULTS)
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help, func, flags, required, defaults in _COMMANDS:
+        if words[:-1] not in groups:  # the epi commands, after the others
+            epi = groups[()].add_parser(
+                "epi", help="SIR chain: simulate, loglik, fit", allow_abbrev=False
+            )
+            groups[words[:-1]] = epi.add_subparsers(dest="epi_action", required=True)
+        sub = groups[words[:-1]].add_parser(words[-1], help=help, allow_abbrev=False)
+        for flag in flags:
+            extra = {"required": True} if flag in required else {}
+            sub.add_argument(flag, **_FLAGS[flag], **extra)
+        sub.set_defaults(func=func, **defaults)
     return parser
 
 

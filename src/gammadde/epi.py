@@ -17,9 +17,8 @@ the stationary forward recurrence density survival(t)/tau.
 """
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -82,6 +81,13 @@ class EpiData:
         object.__setattr__(self, "serial", serial)
 
 
+#: Largest stage rate or transmission rate beta the chain ODE takes.  LSODA
+#: rejects rates from about 1e150 on as illegal input.  The largest rate in
+#: the tests is 166 and in the benchmark 209; the fitter's bounds keep the
+#: rates below 5,000.
+MAX_RATE = 1e120
+
+
 def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     """Chain ODE for the SIR model; state (S, I_1..I_n), n = ceil(j).
 
@@ -91,10 +97,18 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     I_1(0) = eps.  The rhs is one product of an ``(n+1, n)`` row block
     with the stages, built once per problem: row 0 is all ones and gives
     I, rows 1..n are Q^T.  The force of infection beta S I then replaces
-    row 0's entry (negated) and is added to stage 1's.
+    row 0's entry (negated) and is added to stage 1's.  Rates above
+    ``MAX_RATE`` are refused, naming the parameter that sets them.
     """
+    if params.beta > MAX_RATE:
+        raise ValueError(f"beta = {params.beta:g} is above the largest rate, {MAX_RATE:g}")
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
     rates = np.asarray(chain.rates())
+    if rates.max() > MAX_RATE:
+        raise ValueError(
+            f"tau = {params.tau:g} at j = {params.j:g} gives a stage rate of "
+            f"{rates.max():.3g}, above the largest rate, {MAX_RATE:g}"
+        )
     n = len(rates)
     beta = params.beta
     rows = np.vstack([np.ones(n), stage_generator(rates).T])
@@ -271,7 +285,7 @@ def mle_fit(data, init, max_evals=500):
 
 
 # ---------------------------------------------------------------------------
-# File formats: cases.csv (t, count), serial.csv (interval), fit report JSON.
+# File formats: cases.csv (t, count), serial.csv (interval).
 
 
 def write_cases_csv(path, obs_times, cases):
@@ -302,9 +316,3 @@ def read_serial_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     return tuple(float(r["interval"]) for r in rows)
-
-
-def write_fit_report(path, result):
-    with open(path, "w") as fh:
-        json.dump(asdict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -168,6 +168,11 @@ class Solution:
 #: 11,070 nodes and 16,200 entries per block) and 0.76 MB (criterion 03's
 #: floor, 14,418 nodes per block); at 32768 the first takes 1.55 MB.
 BLOCK_NODES = 16384
+#: Most steps one solve may take.  The longest solve in the tests takes
+#: 2,000 steps (acceptance criterion 03 at h = 0.005) and in the benchmark
+#: 1,600 (stability at h = 0.05 over [0, 80]); at the budget the solution's
+#: step coefficients take 32 MB per state component.
+MAX_STEPS = 1_000_000
 
 
 def _segment_sums(values, counts):
@@ -195,14 +200,17 @@ def _step_moments(sol, factor, s, counts, last):
     """Each run of a plan's recent-side nodes in one step, as its plan, its
     step and its moments ``sum f theta^(0..3)``; ``factor`` is overwritten.
 
-    The nodes of a plan ascend in time, so a run starts wherever the step
-    changes along the plan, and its moments are sums over the run.
+    A node reads the step its time falls in, but never one past its plan's
+    own step ``last[r]``: a node on t_n + h reads step n at theta = 1, not
+    the unfinished step n + 1, and gets x[n + 1] all the same.  The nodes of
+    a plan ascend in time, so a run starts wherever the step changes along
+    the plan, and its moments are sums over the run.
     """
     step, theta = sol._place(s, np.repeat(last, counts))
     firsts = np.cumsum(counts) - counts
     starts = np.ones(len(step), dtype=bool)
     np.not_equal(step[1:], step[:-1], out=starts[1:])
-    starts[firsts] = True
+    starts[firsts[counts > 0]] = True
     starts = np.flatnonzero(starts)
     moments = np.empty((len(starts), 4))
     moments[:, 0] = np.add.reduceat(factor, starts)
@@ -299,6 +307,13 @@ def fcrk4_solve(problem, h, quad=None):
         min(BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)), math.isqrt(BLOCK_NODES // 8)),
     )
     span = problem.t_end - problem.t0
+    # Checked in floating point, before the count is made an integer and
+    # before the solution is allocated.
+    if not span / h <= MAX_STEPS:
+        raise ValueError(
+            f"a solve over {span:.6g} at step {h:.6g} takes {span / h:.3g} steps, "
+            f"above the budget of {MAX_STEPS}: raise the step or shorten the horizon"
+        )
     n_steps = int(round(span / h))
     if abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
         n_steps = math.ceil(span / h - 1e-12)

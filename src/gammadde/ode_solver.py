@@ -42,8 +42,12 @@ class OdeConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        # A nan tolerance passes a sign test, and LSODA then runs with
+        # no error control at all.
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError(
+                f"tolerances must be positive and finite, got {self.rtol}, {self.atol}"
+            )
 
 
 def rk45_adaptive(rhs, y0, t0, t_end, cfg=None, *, t_eval):

@@ -34,9 +34,6 @@ import numpy as np
 #: 03 at h = 0.005), in the benchmark 513; at the budget one plan's arrays
 #: take 24 MB each.
 MAX_PANELS = 1_000_000
-#: Quadrature nodes closer than this many solver steps to a mesh point are
-#: moved that far off it, so no node sits on a step's kink.
-NODE_JITTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,10 @@ def _log_weight(omega, kernel, alpha, beta):
     big_l = np.log(omega)
     np.negative(big_l, out=big_l)
     sigma = alpha * big_l
-    sigma **= beta
+    # At a small shape beta is large, and sigma overflows where the weight
+    # underflows to zero anyway.
+    with np.errstate(over="ignore"):
+        sigma **= beta
     # log_c + (beta j - 1) log L - a sigma + L, without temporaries.
     with np.errstate(divide="ignore"):
         out = np.log(big_l)
@@ -131,37 +131,20 @@ def _log_weight(omega, kernel, alpha, beta):
     return out, sigma
 
 
-def _jitter_times(s, t0, h, delta):
-    """Shift times lying within delta of a mesh point t0 + k h into the
-    interior of their piece, in place; the history side (s <= t0) is left
-    alone."""
-    mesh = s - t0
-    mesh /= h
-    np.round(mesh, out=mesh)
-    mesh *= h
-    mesh += t0
-    near = np.abs(s - mesh) < delta
-    if near.any():
-        near &= s > t0
-        s_near, mesh_near = s[near], mesh[near]
-        s[near] = np.where(s_near <= mesh_near, mesh_near - delta, mesh_near + delta)
-    return s
-
-
 def plan_panels(cfg, h):
     """Open-Simpson panels of the rule over the whole of (0, 1) at solver
     step h; a plan split at the image of t0 takes at most one more.
 
     Refuses more than ``MAX_PANELS``.  Checked in floating point before
     anything is allocated: a tiny quadrature step makes the panel count
-    overflow an integer conversion.
+    overflow an integer conversion, and one that underflows to 0 makes it
+    infinite.
     """
     h_int = cfg.step(h)
     if not 4.0 * h_int * MAX_PANELS >= 1.0:
         raise ValueError(
-            f"quadrature step {h_int:.3g} needs {1.0 / (4.0 * h_int):.3g} panels per "
-            f"convolution, above the budget of {MAX_PANELS}: raise the "
-            "quadrature step or xi"
+            f"quadrature step {h_int:.3g} needs more panels per convolution than "
+            f"the budget of {MAX_PANELS}: raise the quadrature step or xi"
         )
     return math.ceil(1.0 / (4.0 * h_int))
 
@@ -187,12 +170,11 @@ def plan_nodes(times, kernel, cfg, h, t0):
     of ``factor * x(s)`` over its entries on both sides.  The omega domain
     is split at the image of t0, so the kink where the solution hands over
     to the history always sits on a panel boundary: the first side holds
-    the nodes with s <= t0, the second those after t0, nudged off the
-    solver mesh when they fall within ``NODE_JITTER * h`` of a mesh point.
-    Within a plan s ascends.  A kernel weight that underflows gives a zero
-    factor; only nodes with a nonzero factor need x.  The second side is
-    built when the first has been taken, so a caller that reduces the
-    history side before asking for the next never holds both.
+    the nodes with s <= t0, the second those after t0.  Within a plan s
+    ascends.  A kernel weight that underflows gives a zero factor; only
+    nodes with a nonzero factor need x.  The second side is built when the
+    first has been taken, so a caller that reduces the history side before
+    asking for the next never holds both.
     """
     plan_panels(cfg, h)  # refuses an oversized plan before allocating it
     h_int = cfg.step(h)
@@ -204,10 +186,7 @@ def plan_nodes(times, kernel, cfg, h, t0):
     past_panels = np.maximum(np.ceil(split / (4.0 * h_int)), split > 0.0).astype(int)
     recent_panels = np.maximum(np.ceil((1.0 - split) / (4.0 * h_int)), split < 1.0).astype(int)
     yield _plan_part(times, np.zeros_like(split), split, past_panels, kernel, alpha, beta)
-    factor, s, counts = _plan_part(
-        times, split, np.ones_like(split), recent_panels, kernel, alpha, beta
-    )
-    yield factor, _jitter_times(s, t0, h, NODE_JITTER * h), counts
+    yield _plan_part(times, split, np.ones_like(split), recent_panels, kernel, alpha, beta)
 
 
 def convolution_integral(t, accessor, kernel, cfg, h, t0):

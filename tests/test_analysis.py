@@ -93,6 +93,15 @@ def test_char_root():
         analysis.char_root(1.0, 1.0, 100.0)
 
 
+@pytest.mark.parametrize("tau, j", [(4.0, 1e100), (4.0, 2000.0), (4000.0, 2000.0)])
+def test_char_root_refuses_powers_out_of_range(tau, j):
+    # (j/tau)^j overflows (the first two) or underflows to 0 (the last),
+    # and 2^(j+1) overflows at the first: a ValueError, not an
+    # OverflowError or a root of -a.
+    with pytest.raises(ValueError, match="float range"):
+        analysis.char_root(tau, j, 0.5)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.5, 8.0), st.floats(0.5, 6.0), st.floats(0.01, 0.9))
 def test_char_root_residual(tau, j, beta_frac):

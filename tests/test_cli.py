@@ -357,6 +357,46 @@ def test_exit_code_config_error(capsys):
          "--max-evals", "0"],
         ["epi", "fit", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
          "--max-evals", "-5"],
+        # Over the output-table budget, refused before the grid exists.
+        ["compare", "--j", "2.5", "--t-end", "1", "--n-out", "1000000000000"],
+        ["survival", "--j", "2.5", "--n-out", "1000000000000"],
+        ["solve", "--j", "2.5", "--t-end", "1e12", "--h", "1"],
+        ["solve", "--j", "2.5", "--t-end", "1e15", "--h", "1", "--method", "chain"],
+        ["epi", "simulate", "--K", "1000000000000", "--cases", "{tmp}/c.csv",
+         "--serial", "{tmp}/s.csv"],
+        ["epi", "simulate", "--L", "1000000000000", "--cases", "{tmp}/c.csv",
+         "--serial", "{tmp}/s.csv"],
+        # A quadrature step that underflows to 0 (xi^(1/4) h): refused by the
+        # panel budget, whose message divided by it.
+        ["compare", "--j", "2.5", "--t-end", "1e-300", "--h", "1e-300", "--xi", "1e-300"],
+        # Coefficients and tolerances that are not finite.
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "nan"],
+        ["solve", "--problem", "linear_gamma", "--j", "2.5", "--alpha", "nan", "--beta", "0.5",
+         "--t-end", "1"],
+        ["compare", "--j", "2.5", "--t-end", "1", "--rtol", "nan"],
+        # (j/tau)^j of the eigenfunction's growth rate overflows.
+        ["solve", "--problem", "linear_gamma", "--j", "1e100", "--beta", "0.5", "--t-end", "1"],
+        # A quadrature step of 0, refused before the reference (a 1000-stage
+        # Erlang chain, over 5 s of LSODA) is solved.
+        ["convergence", "--j", "1000", "--t-end", "0.5", "--quad-step", "0"],
+        # Over the FCRK step budget, refused before the solution is allocated.
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--t-end", "1e13",
+         "--h", "1"],
+        ["convergence", "--j", "1", "--t-end", "1e13", "--h-list", "1,0.5,0.25"],
+        # Moment polynomials whose coefficients overflow (at degree 100000
+        # the companion matrix would take 74.5 GiB).
+        ["moment-poly", "--m", "100000", "--fj", "0.5"],
+        ["moment-poly", "--m", "200", "--fj", "0.5"],
+        # SIR rates LSODA rejects as illegal input, refused by name.
+        ["epi", "loglik", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--tau", "1e-150"],
+        ["epi", "loglik", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--tau", "1e-300"],
+        ["epi", "simulate", "--K", "5", "--beta", "1e150", "--cases", "{tmp}/c.csv",
+         "--serial", "{tmp}/s.csv"],
+        ["epi", "simulate", "--K", "5", "--beta", "1e300", "--cases", "{tmp}/c.csv",
+         "--serial", "{tmp}/s.csv"],
+        ["epi", "simulate", "--L", "-1", "--cases", "{tmp}/c.csv", "--serial", "{tmp}/s.csv"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -367,6 +407,30 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["epi", "loglik", "--tau", "1e-150"], "tau = 1e-150"),
+        (["epi", "simulate", "--K", "5", "--beta", "1e300"], "beta = 1e+300"),
+        (["epi", "simulate", "--K", "0"], "--K"),
+        (["moment-poly", "--m", "200", "--fj", "0.5"], "degree 200"),
+        (["survival", "--j", "2.5", "--n-out", "1000000000000"], "--n-out"),
+        (["solve", "--j", "2.5", "--t-end", "1e12", "--h", "1"], "--t-end 1e+12 at --h 1"),
+        (["convergence", "--j", "1", "--t-end", "1e13", "--h-list", "1,0.5,0.25"], "1e+13 steps"),
+    ],
+)
+def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
+    write_cases_csv(tmp_path / "cases.csv", (1.0, 2.0), (3, 4))
+    write_serial_csv(tmp_path / "serial.csv", (2.5,))
+    if argv[0] == "epi":
+        argv = argv + [
+            "--cases", str(tmp_path / "cases.csv"), "--serial", str(tmp_path / "serial.csv")
+        ]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert named in err
 
 
 def test_non_finite_observation_spacing_refused_by_name(tmp_path, capsys):
@@ -534,15 +598,16 @@ def test_epi_fit_report(tmp_path, capsys):
         ["epi", "simulate", "--seed", "1", "--K", "40", "--L", "20",
          "--cases", str(cases), "--serial", str(serial)]
     ) == 0
-    report = tmp_path / "fit.json"
-    code = main(
-        ["epi", "fit", "--cases", str(cases), "--serial", str(serial),
-         "--beta", "0.45", "--tau", "4.5", "--j", "3.0", "--eps", "1e-3",
-         "--M", "1000", "--max-evals", "40", "--out", str(report)]
-    )
     capsys.readouterr()
+    report = tmp_path / "fit.json"
+    code, stdout, _ = run_cli(
+        capsys, "epi", "fit", "--cases", str(cases), "--serial", str(serial),
+        "--beta", "0.45", "--tau", "4.5", "--j", "3.0", "--eps", "1e-3",
+        "--M", "1000", "--max-evals", "40", "--out", str(report),
+    )
     assert code == 0
-    payload = json.loads(report.read_text())
+    assert report.read_text() == stdout
+    payload = json.loads(stdout)
     assert set(payload) == {"beta", "tau", "j", "eps", "loglik", "n_evals", "converged"}
     assert payload["n_evals"] <= 40
 

@@ -313,6 +313,30 @@ def test_panel_budget_checked_before_allocation():
         fcrk4_solve(prob, 0.1, quad=QuadConfig(h_int=5e-324))
 
 
+def test_plans_wholly_in_the_history():
+    # At a mean delay of 1e100 every node of every plan lies in the
+    # history, so the recent side of each block is empty; x' = -x + conv
+    # with history 1 then keeps its constant solution, up to the rule's
+    # kernel-mass error.
+    sol = fcrk4_solve(_problem(lambda x, conv: -x + conv, j=2.5, tau=1e100, t_end=0.5), 0.1)
+    assert np.allclose(sol.x, 1.0, rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("t_end, h", [(1e12, 1.0), (1.0, 5e-324)])
+def test_step_budget_checked_before_allocation(t_end, h):
+    # 1e12 steps would take 32 TB of step coefficients; at h = 5e-324 the
+    # step count overflows a float.
+    prob = _problem(lambda x, conv: -x + conv, j=2.5, t_end=t_end)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            fcrk4_solve(prob, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def _coupled_vector_problem():
     hist = HistoryFunction.custom(lambda s: np.stack([np.cos(s), 1.0 + 0.5 * s], axis=-1))
     return DdeProblem(
@@ -367,6 +391,24 @@ def test_block_boundaries_leave_the_solution_unchanged(problem, h, quad, monkeyp
     single = fcrk4_solve(problem, h, quad=quad).x
     assert set(sizes) == {1}
     assert np.all(np.abs(single - default) <= 1e-14 * np.max(np.abs(default)))
+
+
+@pytest.mark.parametrize("t0, h", [(0.0, 0.1), (-1.3, 0.07), (2.0, 1.0 / 3.0)])
+def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h):
+    # Plan r of a block belongs to step n = n0 + r and sits at t_n + h.  Its
+    # nodes at t_n + h, exactly and 1e-12 h below, read step n at theta = 1,
+    # never the next step, which is unfinished when the plan is used.
+    n0, n1 = 2, 7
+    sol = fcrk.Solution(HistoryFunction.constant(1.0), t0, h, n1, 1, True)
+    last = np.arange(n0, n1)
+    at = t0 + last * h + h
+    s = np.column_stack([at - 1e-12 * h, at]).ravel()
+    counts = np.full(len(last), 2)
+    plan, step, moments = fcrk._step_moments(sol, np.ones(len(s)), s, counts, last)
+    assert np.array_equal(plan, np.arange(len(last)))
+    assert np.array_equal(step, last)
+    # Two nodes at theta = 1 each: every moment is 2.
+    assert np.allclose(moments, 2.0, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,11 @@ def test_config_validation():
         OdeConfig(rtol=0.0)
     with pytest.raises(ValueError):
         OdeConfig(atol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            OdeConfig(rtol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            OdeConfig(atol=bad)
 
 
 # ---------------------------------------------------------------------------

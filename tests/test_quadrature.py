@@ -1,9 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gammadde import quadrature
 from gammadde.distributions import GammaKernel
 from gammadde.quadrature import (
     QuadConfig,
@@ -124,10 +124,9 @@ def _vector_accessor(fn):
     return lambda s: np.asarray(fn(np.asarray(s)))[:, None]
 
 
-def test_convolution_split_matches_unsplit(monkeypatch):
+def test_convolution_split_matches_unsplit():
     # For a globally smooth solution the domain split at the history
     # boundary is a no-op up to roundoff-level quadrature differences.
-    monkeypatch.setattr(quadrature, "NODE_JITTER", 0.0)
     kern = GammaKernel(2.5, 2.5)
     acc = _vector_accessor(lambda s: np.cos(0.3 * s))
     cfg = QuadConfig(h_int=1e-3)
@@ -137,14 +136,16 @@ def test_convolution_split_matches_unsplit(monkeypatch):
     assert abs(float(split[0]) - float(unsplit[0])) < 1e-10
 
 
-def test_node_jitter_perturbs_little(monkeypatch):
-    kern = GammaKernel(2.5, 2.5)
-    acc = _vector_accessor(lambda s: np.cos(0.3 * s))
-    cfg = QuadConfig(h_int=1e-3)
-    jit = convolution_integral(4.0, acc, kern, cfg, 0.1, 0.0)
-    monkeypatch.setattr(quadrature, "NODE_JITTER", 0.0)
-    base = convolution_integral(4.0, acc, kern, cfg, 0.1, 0.0)
-    assert abs(float(base[0]) - float(jit[0])) < 1e-8
+@pytest.mark.parametrize("shape", [0.01, 1e-100])
+def test_small_shape_plans_without_warning(shape):
+    # At a small shape the substitution's exponent beta = 5/j + 1 is huge,
+    # and sigma overflows where the kernel weight underflows to zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = convolution_integral(
+            1.0, _vector_accessor(np.ones_like), GammaKernel(shape, shape), QuadConfig(), 0.1, 0.0
+        )
+    assert 0.9 < float(val[0]) <= 1.0
 
 
 def test_convolution_history_overflow_is_masked():
