@@ -22,7 +22,7 @@ from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival
 # module and reports its metrics absent when the name is missing.
 from .distributions import gamma_survival  # noqa: F401
 from .fcrk import DdeProblem
-from .ode_solver import OdeConfig, rk45_adaptive
+from .ode_solver import OdeConfig, check_chain_stages, rk45_adaptive
 
 #: Machine-precision floor used when fitting convergence slopes.
 ERROR_FLOOR = 100 * np.finfo(float).eps
@@ -159,6 +159,7 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     cfg = OdeConfig(rtol=1e-12, atol=1e-12)
 
     def chain_reference(t):
+        check_chain_stages(j, params.n)
         t_arr = np.asarray(t, dtype=float)
         times = np.atleast_1d(t_arr)
         states, _ = chain_trajectory(rhs, params, history, times, cfg)
@@ -176,7 +177,7 @@ def chain_trajectory(F, params, history, times, cfg):
         problem = build_erlang_system(F, params, history)
     else:
         problem = build_hypoexp_system(F, params, history)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, times[-1], cfg, t_eval=times)
+    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
     return states, problem.labels
 
 

@@ -42,7 +42,7 @@ from .epi import (
     write_serial_csv,
 )
 from .fcrk import fcrk4_solve
-from .ode_solver import OdeConfig, OdeFailure
+from .ode_solver import OdeConfig, OdeFailure, check_chain_stages
 from .quadrature import QuadConfig
 
 # Not called here: bench/layer_trace.py looks these names up on this module
@@ -191,6 +191,7 @@ def cmd_solve(args):
     else:
         variant = CHAIN_VARIANT if args.variant is None else args.variant
         params = approx.chain_params(variant, args.j, tau)
+        check_chain_stages(args.j, params.n)
         states, labels = analysis.chain_trajectory(
             problem.rhs, params, problem.history, times, _chain_cfg(args)
         )
@@ -239,6 +240,7 @@ def cmd_compare(args):
         variant: approx.chain_params(variant, args.j, tau)
         for variant in ("fixed", "smoothed", "erlang")
     }
+    check_chain_stages(args.j, max(params.n for params in chains.values()))
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}

@@ -72,21 +72,6 @@ class Rng:
 # Gamma kernel operations.
 
 
-def gamma_pdf(kernel, s):
-    """Density of the gamma kernel at s >= 0 (vectorized)."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
-        raise ValueError("density argument must be nonnegative")
-    j, a = kernel.shape, kernel.rate
-    log_norm = j * math.log(a) - math.lgamma(j)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(log_norm + (j - 1.0) * np.log(s_arr) - a * s_arr)
-    at_zero = a if j == 1.0 else (0.0 if j > 1.0 else np.inf)
-    out = np.where(s_arr == 0.0, at_zero, out)
-    out = np.where(s_arr == np.inf, 0.0, out)
-    return out if out.ndim else float(out)
-
-
 def gamma_survival(kernel, t):
     """P(T >= t) for the gamma kernel, Q(j, a t) (vectorized)."""
     t_arr = np.asarray(t, dtype=float)

@@ -27,7 +27,13 @@ from scipy.special import gammaln, xlogy
 from .approximations import ApproxConfig, chain_params
 from .chain_reduction import ChainOdeProblem
 from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma, stage_generator
-from .ode_solver import OdeConfig, rk45_adaptive
+from .ode_solver import OdeConfig, check_chain_stages, rk45_adaptive
+
+
+#: Largest population scale M.  Expected case counts are M times a fraction
+#: of the population, and numpy refuses Poisson means above about 9.2e18.
+#: The largest M in the tests is 100,000 and in the benchmark 1,000.
+MAX_POPULATION = 1e18
 
 
 @dataclass(frozen=True)
@@ -49,18 +55,16 @@ class SirParams:
         # eps = 0 is allowed and yields the disease-free equilibrium.
         if not (0 <= self.eps < 1):
             raise ValueError("initial infected fraction must lie in [0, 1)")
-        if self.M < 1:
-            raise ValueError("population scale must be at least 1")
+        if not 1 <= self.M <= MAX_POPULATION:
+            raise ValueError(
+                f"population scale M = {self.M:g} must lie in [1, {MAX_POPULATION:g}]"
+            )
         times = tuple(float(t) for t in self.obs_times)
         if not all(math.isfinite(t) for t in times):
             raise ValueError("observation times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])) or (times and times[0] <= 0):
             raise ValueError("observation times must be positive and increasing")
         object.__setattr__(self, "obs_times", times)
-
-    @property
-    def r0(self):
-        return self.beta * self.tau
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,13 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     with the stages, built once per problem: row 0 is all ones and gives
     I, rows 1..n are Q^T.  The force of infection beta S I then replaces
     row 0's entry (negated) and is added to stage 1's.  Rates above
-    ``MAX_RATE`` are refused, naming the parameter that sets them.
+    ``MAX_RATE`` are refused, naming the parameter that sets them, and so
+    are chains above ``ode_solver.MAX_CHAIN_STAGES`` stages.
     """
     if params.beta > MAX_RATE:
         raise ValueError(f"beta = {params.beta:g} is above the largest rate, {MAX_RATE:g}")
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
+    check_chain_stages(params.j, chain.n)
     rates = np.asarray(chain.rates())
     if rates.max() > MAX_RATE:
         raise ValueError(
@@ -137,7 +143,7 @@ def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=1e-10
     problem = build_sir_chain(params, rate_variant, approx_cfg)
     times = np.concatenate([[0.0], params.obs_times])
     cfg = OdeConfig(rtol=rtol, atol=rtol * 1e-2)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, times[-1], cfg, t_eval=times)
+    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
     s_vals = states[:, 0]
     return np.maximum(-np.diff(s_vals), 0.0)
 

@@ -22,13 +22,13 @@ the quadrature plans alike.
 A quadrature plan (its nodes and their factors) depends on the kernel, h,
 the quadrature configuration and t0 only, never on the solution.  So the
 solver builds the plans of a block of steps at once, before the first of
-them runs, and reduces each to what the solution contributes: per step its
-nodes fall in, the moments ``sum f theta^(0..3)``.  The history and the
-steps completed before the block are known by then, so they reduce to one
-value per plan; the moments in the block's own steps form one table.  A
-step contracts its plans' rows of that table with the contiguous ``poly``
-rows of the block's completed steps, and its stages contract the running
-step's moments with their rows' coefficients.
+them runs.  A plan's nodes in the history and in the steps finished before
+the block read x through the history and the step interpolants, and sum to
+one value per plan; its nodes in each of the block's own steps reduce to
+the moments ``sum f theta^(0..3)``, which form one table.  A step contracts
+its plans' rows of that table with the contiguous ``poly`` rows of the
+block's completed steps, and its stages contract the running step's moments
+with their rows' coefficients.
 """
 
 import math
@@ -132,10 +132,17 @@ class Solution:
 
     def _place(self, times, last):
         """Step index (at most ``last``, which may vary per time) and offset
-        theta within that step of each time after t0, as floats."""
+        theta within that step of each time after t0."""
         theta_total = (times - self.t0) / self.h
         step = np.minimum(np.floor(theta_total), last)
-        return step, theta_total - step
+        return step.astype(np.intp), theta_total - step
+
+    def _interp(self, step, theta):
+        """Finished steps' interpolants at offsets theta, by Horner's rule."""
+        out = self.poly[step, 3]
+        for q in (2, 1, 0):
+            out = self.poly[step, q] + theta[:, None] * out
+        return out
 
     def query(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -147,13 +154,7 @@ class Solution:
         hist = t_arr <= self.t0
         if hist.any():
             out[hist] = _history_values(self.history, t_arr[hist], self.x.shape[1])
-        # The step interpolants, by Horner's rule on their coefficients.
-        step, theta = self._place(t_arr[~hist], self.n_steps - 1)
-        poly, theta = self.poly[step.astype(int)], theta[:, None]
-        steps = poly[:, 3]
-        for q in (2, 1, 0):
-            steps = poly[:, q] + theta * steps
-        out[~hist] = steps
+        out[~hist] = self._interp(*self._place(t_arr[~hist], self.n_steps - 1))
         if self.scalar:
             out = out[:, 0]
         return out if np.ndim(t) else out[0]
@@ -164,9 +165,9 @@ class Solution:
 #: Most quadrature nodes in one plan block, and most entries of its moment
 #: table.  It bounds the memory a block takes, and a larger block spreads
 #: numpy's per-call overhead over more nodes.  Under tracemalloc the two
-#: solves of test_solve_memory_stays_small peak at 1.08 MB (stability,
+#: solves of test_solve_memory_stays_small peak at 0.85 MB (stability,
 #: 11,070 nodes and 16,200 entries per block) and 0.76 MB (criterion 03's
-#: floor, 14,418 nodes per block); at 32768 the first takes 1.55 MB.
+#: floor, 14,418 nodes per block); at 32768 at 1.23 MB and 1.42 MB.
 BLOCK_NODES = 16384
 #: Most steps one solve may take.  The longest solve in the tests takes
 #: 2,000 steps (acceptance criterion 03 at h = 0.005) and in the benchmark
@@ -196,47 +197,21 @@ def _history_sums(history, factor, s, counts, dim):
     return _segment_sums(vals, live_counts)
 
 
-def _step_moments(sol, factor, s, counts, last):
-    """Each run of a plan's recent-side nodes in one step, as its plan, its
-    step and its moments ``sum f theta^(0..3)``; ``factor`` is overwritten.
-
-    A node reads the step its time falls in, but never one past its plan's
-    own step ``last[r]``: a node on t_n + h reads step n at theta = 1, not
-    the unfinished step n + 1, and gets x[n + 1] all the same.  The nodes of
-    a plan ascend in time, so a run starts wherever the step changes along
-    the plan, and its moments are sums over the run.
-    """
-    step, theta = sol._place(s, np.repeat(last, counts))
-    firsts = np.cumsum(counts) - counts
-    starts = np.ones(len(step), dtype=bool)
-    np.not_equal(step[1:], step[:-1], out=starts[1:])
-    starts[firsts[counts > 0]] = True
-    starts = np.flatnonzero(starts)
-    moments = np.empty((len(starts), 4))
-    moments[:, 0] = np.add.reduceat(factor, starts)
-    for q in (1, 2, 3):
-        factor *= theta
-        moments[:, q] = np.add.reduceat(factor, starts)
-    plan = np.searchsorted(firsts, starts, side="right") - 1
-    return plan, step[starts].astype(np.intp), moments
-
-
 class _PlanBlock:
     """The quadrature plans at t_n + h/2 and t_n + h of the steps
     n0 <= n < n1, reduced to what the solution contributes to them.
 
     Row ``2 (n - n0)`` holds the plan of step n at t_n + h/2, the next row
-    the one at t_n + h.  A plan's value on the completed steps m < n is
-    ``sum_m S_m . P_m``, where ``S_m`` holds the moments ``sum f
-    theta^(0..3)`` of the plan's nodes in step m and ``P_m`` the
-    coefficients ``Solution.poly[m]`` of step m's interpolant, plus its
-    history sum.  The steps before the block are complete when it is
-    built, so ``values`` holds each plan's history sum plus its moments
-    there contracted with their coefficients.  ``table`` holds the moments
-    in the block's own steps, four columns per step: a step contracts the
-    columns of the block's completed steps with their contiguous ``poly``
-    rows, and the running step's nodes enter through its own columns,
-    which serve any partial row of the step (see :func:`fcrk4_solve`).
+    the one at t_n + h.  The history and the steps before the block are
+    finished when it is built: ``values`` holds each plan's sum of ``factor
+    * x`` over its nodes there, read through the history function and the
+    steps' interpolants.  ``table`` holds each plan's moments ``sum f
+    theta^(0..3)`` in the block's own steps, four columns per step; with
+    ``Solution.poly[m]`` they give its value on step m once m is finished.
+    A step contracts the columns of the block's completed steps with their
+    contiguous ``poly`` rows, and the running step's nodes enter through
+    its own columns, which serve any partial row of the step (see
+    :func:`fcrk4_solve`).
     The history side is reduced before the recent side's nodes are built.
     """
 
@@ -249,13 +224,24 @@ class _PlanBlock:
         times[1::2] += h
         sides = plan_nodes(times, kernel, quad, h, sol.t0)
         self.values = _history_sums(sol.history, *next(sides), dim)
-        plan, step, moments = _step_moments(sol, *next(sides), last)
+        factor, s, counts = next(sides)
+        # A node never reads past its plan's own step: one on t_n + h reads
+        # x[n + 1] from step n at theta = 1, not from the unfinished step n + 1.
+        plan = np.repeat(np.arange(len(times)), counts)
+        step, theta = sol._place(s, last[plan])
+        # A plan's nodes ascend in time, so those before the block come first.
         before = step < n0
-        contracted = np.einsum("rq,rqd->rd", moments[before], sol.poly[step[before]])
-        self.values += _segment_sums(contracted, np.bincount(plan[before], minlength=len(times)))
+        self.values += _segment_sums(
+            sol._interp(step[before], theta[before]) * factor[before, None],
+            np.bincount(plan[before], minlength=len(times)),
+        )
         within = ~before
-        table = np.zeros((len(times), n1 - n0, 4))
-        table[plan[within], step[within] - n0] = moments[within]
+        key = (plan * (n1 - n0) + step - n0)[within]
+        factor, theta = factor[within], theta[within]
+        table = np.empty((len(times) * (n1 - n0), 4))
+        for q in range(4):
+            table[:, q] = np.bincount(key, factor, minlength=len(table))
+            factor *= theta
         self.table = table.reshape(len(times), -1)
 
     def plans(self, poly, n):

@@ -283,7 +283,6 @@ def test_criterion_10_epi_pipeline():
         augmented,
         np.append(problem.y0, 0.0),
         0.0,
-        120.0,
         TIGHT,
         t_eval=np.linspace(0.0, 120.0, 41),
     )

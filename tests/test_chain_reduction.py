@@ -113,8 +113,8 @@ def test_integer_shape_chains_coincide():
     erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
     hyp = build_hypoexp_system(F, fixed_hypoexp(3, 1.0), hist)
     times = np.linspace(0.0, 10.0, 101)
-    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, 10.0, TIGHT, t_eval=times)
-    _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, 10.0, TIGHT, t_eval=times)
+    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, TIGHT, t_eval=times)
+    _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, TIGHT, t_eval=times)
     assert np.max(np.abs(ye - yh)) < 1e-10
 
 
@@ -132,7 +132,7 @@ def test_impulse_response_reproduces_kernel_density():
     rates = params.rates()
     prob = build_hypoexp_system(lambda y, conv: 0.0, params, HistoryFunction.constant(0.0))
     times = np.linspace(0.05, 6.0, 60)
-    _, states = rk45_adaptive(prob.rhs, _unit_mass_in_stage_1(prob), 0.0, 6.0, TIGHT, t_eval=times)
+    _, states = rk45_adaptive(prob.rhs, _unit_mass_in_stage_1(prob), 0.0, TIGHT, t_eval=times)
     outflow = rates[-1] * states[:, -1]
     assert np.max(np.abs(outflow - hypoexp_pdf(params.kernel(), times))) < 1e-6
 
@@ -148,7 +148,7 @@ def test_pure_transit_conserves_mass():
 
     y0 = np.append(_unit_mass_in_stage_1(prob), 0.0)
     times = np.linspace(0.0, 10.0, 30)
-    _, states = rk45_adaptive(augmented, y0, 0.0, 10.0, TIGHT, t_eval=times)
+    _, states = rk45_adaptive(augmented, y0, 0.0, TIGHT, t_eval=times)
     totals = states[:, 1:].sum(axis=1)  # stages + absorbed (Y stays 0)
     assert np.max(np.abs(totals - 1.0)) < 1e-10
 
@@ -163,7 +163,7 @@ def test_delayed_term_tracks_equilibrium():
         params,
         HistoryFunction.constant(0.0),
     )
-    _, states = rk45_adaptive(prob.rhs, prob.y0, 0.0, 40.0, TIGHT, t_eval=[40.0])
+    _, states = rk45_adaptive(prob.rhs, prob.y0, 0.0, TIGHT, t_eval=[40.0])
     assert params.rates()[-1] * states[-1][-1] == pytest.approx(target, abs=1e-6)
 
 
@@ -177,6 +177,6 @@ def test_integer_shape_exponential_history_matches_erlang(builder):
     erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
     hyp = build_hypoexp_system(F, builder(3, 1.0), hist)
     times = np.linspace(0.0, 10.0, 201)
-    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, 10.0, TIGHT, t_eval=times)
-    _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, 10.0, TIGHT, t_eval=times)
+    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, TIGHT, t_eval=times)
+    _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, TIGHT, t_eval=times)
     assert np.max(np.abs(yh[:, 0] - ye[:, 0])) < 1e-8

@@ -397,6 +397,14 @@ def test_exit_code_config_error(capsys):
         ["epi", "simulate", "--K", "5", "--beta", "1e300", "--cases", "{tmp}/c.csv",
          "--serial", "{tmp}/s.csv"],
         ["epi", "simulate", "--L", "-1", "--cases", "{tmp}/c.csv", "--serial", "{tmp}/s.csv"],
+        # A population whose expected counts numpy cannot draw from.
+        ["epi", "simulate", "--K", "3", "--M", "1e300", "--cases", "{tmp}/c.csv",
+         "--serial", "{tmp}/s.csv"],
+        # Chains above the stage budget of an ODE solve, refused before it.
+        ["compare", "--j", "201", "--t-end", "0.5"],
+        ["solve", "--method", "chain", "--j", "250.5", "--h", "0.1", "--t-end", "1"],
+        ["convergence", "--j", "1000", "--t-end", "0.5"],
+        ["epi", "simulate", "--j", "1000", "--cases", "{tmp}/c.csv", "--serial", "{tmp}/s.csv"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -419,6 +427,9 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["survival", "--j", "2.5", "--n-out", "1000000000000"], "--n-out"),
         (["solve", "--j", "2.5", "--t-end", "1e12", "--h", "1"], "--t-end 1e+12 at --h 1"),
         (["convergence", "--j", "1", "--t-end", "1e13", "--h-list", "1,0.5,0.25"], "1e+13 steps"),
+        (["epi", "simulate", "--K", "3", "--M", "1e300"], "M = 1e+300"),
+        (["compare", "--j", "201", "--t-end", "0.5"], "j = 201 takes a chain of 201 stages"),
+        (["epi", "loglik", "--j", "500"], "j = 500 takes a chain of 501 stages"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):

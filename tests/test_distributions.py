@@ -14,7 +14,6 @@ from gammadde.distributions import (
     HypoexpKernel,
     Rng,
     gamma_mgf,
-    gamma_pdf,
     gamma_survival,
     hypoexp_mgf,
     hypoexp_pdf,
@@ -25,7 +24,6 @@ from gammadde.distributions import (
 
 # High-precision values computed with mpmath (30 digits) from the defining
 # formulas and integrals.
-PDF_2p5_2p5_AT_1 = 0.61020760674693696
 SURV_2p5_2p5_AT_1 = 0.41588018699550792
 MGF_2p15_AT_M0p1 = 0.65643375296817665
 
@@ -45,23 +43,6 @@ def test_gamma_moments():
     k = GammaKernel(shape=2.5, rate=0.5)
     assert k.mean == 5.0
     assert k.variance == 10.0
-
-
-def test_gamma_pdf_values():
-    assert gamma_pdf(GammaKernel(1.0, 1.0), 0.0) == 1.0
-    assert gamma_pdf(GammaKernel(2.0, 1.0), 1.0) == pytest.approx(math.exp(-1), rel=1e-14)
-    assert gamma_pdf(GammaKernel(2.5, 2.5), 1.0) == pytest.approx(PDF_2p5_2p5_AT_1, rel=1e-13)
-    assert gamma_pdf(GammaKernel(3.0, 1.0), 0.0) == 0.0
-    assert gamma_pdf(GammaKernel(0.5, 1.0), 0.0) == np.inf
-    with pytest.raises(ValueError):
-        gamma_pdf(GammaKernel(2.0, 1.0), -0.1)
-
-
-def test_gamma_pdf_normalizes():
-    for j, a in [(0.7, 2.0), (2.5, 2.5), (7.3, 0.4)]:
-        k = GammaKernel(j, a)
-        val, _ = quad(lambda s: gamma_pdf(k, s), 0.0, np.inf, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_gamma_survival_values():
@@ -201,15 +182,11 @@ def test_propagated_occupancies_match_per_time_expm(t):
 @pytest.mark.parametrize(
     "fn, kernel",
     [
-        (gamma_pdf, GammaKernel(2.5, 2.5)),
-        (gamma_pdf, GammaKernel(1.0, 2.0)),
-        (gamma_pdf, GammaKernel(0.5, 1.0)),
         (gamma_survival, GammaKernel(2.5, 2.5)),
         (hypoexp_pdf, HypoexpKernel((1.0, 2.0, 3.0))),
         (hypoexp_survival, HypoexpKernel((1.0, 2.0, 3.0))),
     ],
-    ids=["gamma_pdf", "exponential_pdf", "gamma_pdf_below_one", "gamma_survival",
-         "hypoexp_pdf", "hypoexp_survival"],
+    ids=["gamma_survival", "hypoexp_pdf", "hypoexp_survival"],
 )
 def test_kernel_functions_vanish_at_infinity(fn, kernel):
     # All mass is absorbed at t = +inf; the finite times keep their values.

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from gammadde.approximations import VARIANTS
 from gammadde.distributions import Rng
 from gammadde.epi import (
+    MAX_POPULATION,
     EpiData,
     SirParams,
     build_sir_chain,
@@ -42,7 +43,8 @@ def test_params_validation():
         SirParams(beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0, obs_times=(2.0, 1.0))
     with pytest.raises(ValueError):
         EpiData(cases=(1, -2), serial=())
-    assert TRUTH.r0 == pytest.approx(2.5)
+    with pytest.raises(ValueError, match="population scale"):
+        replace(TRUTH, M=2 * MAX_POPULATION)
 
 
 @pytest.mark.parametrize("name", ["beta", "tau", "j", "M"])
@@ -111,7 +113,7 @@ def test_mass_conservation():
     y0 = np.append(problem.y0, 0.0)
     times = np.linspace(0.0, 120.0, 61)
     _, states = rk45_adaptive(
-        augmented, y0, 0.0, 120.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=times
+        augmented, y0, 0.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=times
     )
     totals = states.sum(axis=1)
     assert np.max(np.abs(totals - 1.0)) < 1e-10
@@ -122,11 +124,11 @@ def test_final_size_relation():
     params = replace(TRUTH, obs_times=tuple(float(t) for t in range(1, 401)))
     problem = build_sir_chain(params)
     _, states = rk45_adaptive(
-        problem.rhs, problem.y0, 0.0, 400.0, OdeConfig(rtol=1e-10, atol=1e-12), t_eval=[400.0]
+        problem.rhs, problem.y0, 0.0, OdeConfig(rtol=1e-10, atol=1e-12), t_eval=[400.0]
     )
     s_inf = states[-1, 0]
     s0 = 1.0 - params.eps
-    residual = (1.0 - s_inf) + math.log(s_inf / s0) / params.r0
+    residual = (1.0 - s_inf) + math.log(s_inf / s0) / (params.beta * params.tau)
     assert abs(residual) < 1e-3
 
 
@@ -145,8 +147,8 @@ def test_integer_shape_equals_erlang_chain():
     erl = build_sir_chain(TRUTH, rate_variant="erlang")
     times = np.linspace(0.0, 120.0, 41)
     cfg = OdeConfig(rtol=1e-12, atol=1e-14)
-    _, yf = rk45_adaptive(fixed.rhs, fixed.y0, 0.0, 120.0, cfg, t_eval=times)
-    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, 120.0, cfg, t_eval=times)
+    _, yf = rk45_adaptive(fixed.rhs, fixed.y0, 0.0, cfg, t_eval=times)
+    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, cfg, t_eval=times)
     assert np.max(np.abs(yf - ye)) < 1e-10
 
 

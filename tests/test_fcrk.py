@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -373,9 +374,10 @@ def _coupled_vector_problem():
     ids=["exponential", "constant", "custom", "vector"],
 )
 def test_block_boundaries_leave_the_solution_unchanged(problem, h, quad, monkeypatch):
-    # A plan's moments in the steps before its block are contracted when
-    # the block is built, those in the block's own steps as each step runs.
-    # With one step per block every completed step takes the first path.
+    # A plan's nodes in the steps before its block read those steps'
+    # interpolants when the block is built; its moments in the block's own
+    # steps are contracted as each step runs.  With one step per block
+    # every completed step takes the first path.
     build = fcrk._PlanBlock
     sizes = []
 
@@ -394,21 +396,30 @@ def test_block_boundaries_leave_the_solution_unchanged(problem, h, quad, monkeyp
 
 
 @pytest.mark.parametrize("t0, h", [(0.0, 0.1), (-1.3, 0.07), (2.0, 1.0 / 3.0)])
-def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h):
-    # Plan r of a block belongs to step n = n0 + r and sits at t_n + h.  Its
-    # nodes at t_n + h, exactly and 1e-12 h below, read step n at theta = 1,
+def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h, monkeypatch):
+    # Row 2 (n - n0) + 1 of a block is step n's plan at t_n + h.  Its nodes
+    # at t_n + h, exactly and 1e-12 h below, read step n at theta = 1,
     # never the next step, which is unfinished when the plan is used.
     n0, n1 = 2, 7
     sol = fcrk.Solution(HistoryFunction.constant(1.0), t0, h, n1, 1, True)
-    last = np.arange(n0, n1)
-    at = t0 + last * h + h
+    steps = np.arange(n0, n1)
+    at = t0 + steps * h + h
+    counts = np.zeros(2 * len(steps), dtype=int)
+    counts[1::2] = 2
     s = np.column_stack([at - 1e-12 * h, at]).ravel()
-    counts = np.full(len(last), 2)
-    plan, step, moments = fcrk._step_moments(sol, np.ones(len(s)), s, counts, last)
-    assert np.array_equal(plan, np.arange(len(last)))
-    assert np.array_equal(step, last)
-    # Two nodes at theta = 1 each: every moment is 2.
-    assert np.allclose(moments, 2.0, rtol=0.0, atol=1e-10)
+    history = (np.zeros(0), np.zeros(0), np.zeros_like(counts))
+
+    def nodes(times, kernel, quad, h, t0):
+        yield history
+        yield np.ones(len(s)), s, counts
+
+    monkeypatch.setattr(fcrk, "plan_nodes", nodes)
+    block = fcrk._PlanBlock(sol, None, None, n0, n1)
+    assert np.array_equal(block.values, np.zeros((len(counts), 1)))
+    # Two nodes at theta = 1 each: every moment in step n's columns is 2.
+    expected = np.zeros((len(counts), n1 - n0, 4))
+    expected[1::2][np.arange(len(steps)), np.arange(len(steps))] = 2.0
+    assert np.allclose(block.table, expected.reshape(len(counts), -1), rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -425,7 +436,7 @@ def test_solve_memory_stays_small(name, j, tau, coefficients, t_end, h, quad):
     # A plan block holds at most fcrk.BLOCK_NODES nodes and as many moment
     # table entries, and reduces its history side before it builds the
     # rest, so a long or node-heavy solve holds little beyond its own mesh
-    # and step coefficients.  Peaks at 16384: 1.08 MB and 0.76 MB.
+    # and step coefficients.  Peaks at 16384: 0.85 MB and 0.76 MB.
     prob = analysis.dde_problem(name, j, tau, t_end=t_end, **coefficients)[0]
     tracemalloc.start()
     try:
@@ -450,6 +461,10 @@ _HISTORIES = st.one_of(
 )
 
 
+# At h = 0.1 one default block holds all 20 steps of the solve, so every
+# earlier step is read through the block's moment table; with one step per
+# block every earlier step is read through its interpolant.
+@pytest.mark.parametrize("block_nodes", [fcrk.BLOCK_NODES, 1], ids=["default_blocks", "one_step_blocks"])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     h1=_HISTORIES,
@@ -461,15 +476,16 @@ _HISTORIES = st.one_of(
     j=st.floats(1.0, 6.0),
     tau=st.floats(0.5, 4.0),
 )
-def test_linear_in_the_history(h1, h2, c1, c2, alpha, beta, j, tau):
+def test_linear_in_the_history(block_nodes, h1, h2, c1, c2, alpha, beta, j, tau):
     # For x' = alpha x + beta conv the whole scheme, quadrature included,
     # is linear in the history.
     rhs = lambda x, conv: alpha * x + beta * conv  # noqa: E731
     combined = HistoryFunction.custom(lambda s: c1 * h1(s) + c2 * h2(s))
-    sols = [
-        fcrk4_solve(_problem(rhs, j=j, tau=tau, t_end=2.0, history=hist), 0.1).x[:, 0]
-        for hist in (h1, h2, combined)
-    ]
+    with mock.patch.object(fcrk, "BLOCK_NODES", block_nodes):
+        sols = [
+            fcrk4_solve(_problem(rhs, j=j, tau=tau, t_end=2.0, history=hist), 0.1).x[:, 0]
+            for hist in (h1, h2, combined)
+        ]
     parts = np.abs(c1 * sols[0]) + np.abs(c2 * sols[1])
     gap = np.abs(sols[2] - (c1 * sols[0] + c2 * sols[1]))
     assert np.all(gap <= 1e-12 * np.max(parts))
