@@ -10,7 +10,6 @@
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -28,35 +27,24 @@ from .ode_solver import OdeConfig, check_chain_stages, rk45_adaptive
 ERROR_FLOOR = 100 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """(h, max error) samples plus the fitted log-log line."""
-
-    h: tuple
-    errors: tuple
-    slope: float
-    intercept: float
-
-
 def estimate_order(h_values, errors):
-    """Least-squares slope of log10(error) against log10(h).
+    """(slope, intercept) of the least-squares line of log10(error) against
+    log10(h), fitted to errors at three or more distinct steps.
 
     Points at or below the machine-precision floor are excluded so a
     saturated error curve does not drag the fitted order down.
     """
     h_arr = np.asarray(h_values, dtype=float)
     e_arr = np.asarray(errors, dtype=float)
-    if h_arr.size < 3:
-        raise ValueError("need at least three (h, error) pairs")
+    if np.unique(h_arr).size < 3:
+        raise ValueError("need errors at three or more distinct steps")
     if np.any(e_arr <= 0):
         raise ValueError("errors must be positive")
     keep = e_arr > ERROR_FLOOR
-    if keep.sum() < 2:
-        raise ValueError("all errors sit at the precision floor")
+    if np.unique(h_arr[keep]).size < 2:
+        raise ValueError("the errors at all but one step sit at the precision floor")
     slope, intercept = np.polyfit(np.log10(h_arr[keep]), np.log10(e_arr[keep]), 1)
-    return ConvergenceReport(
-        h=tuple(h_arr), errors=tuple(e_arr), slope=float(slope), intercept=float(intercept)
-    )
+    return float(slope), float(intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +295,6 @@ def growth_rate(times, values):
 # Moment-matching polynomials f_m and g_m.
 
 
-@dataclass(frozen=True)
-class MomentPolynomial:
-    """f_m(x) = sum_k (-1)^k x^(m-k) (m-1+f)_k / k! with f the fractional
-    part of the target shape; its real roots are the admissible free
-    residence times when matching m moments."""
-
-    degree: int
-    frac: float
-    coefficients: tuple  # descending powers, leading 1
-
-
 #: Highest degree of a moment-matching polynomial.  Its coefficient
 #: recurrence carries k! and the falling factorial (m-1+frac)_k, both finite
 #: up to k = 170 (170! is 7.3e306); from degree 171 on they overflow and the
@@ -327,12 +304,15 @@ MAX_DEGREE = 170
 
 
 def fm_polynomial(m, frac):
-    """Moment-matching polynomial of degree m for fractional part frac."""
+    """Coefficients, in descending powers with leading 1, of the
+    moment-matching polynomial f_m(x) = sum_k (-1)^k x^(m-k) (m-1+f)_k / k!
+    of degree m, with f the fractional part of the target shape; its real
+    roots are the admissible free residence times when matching m moments."""
     if m < 1:
         raise ValueError("degree must be at least 1")
     if not (0.0 < frac < 1.0):
         raise ValueError("fractional part must lie in (0, 1)")
-    return MomentPolynomial(degree=m, frac=frac, coefficients=_moment_coefficients(m, frac))
+    return _moment_coefficients(m, frac)
 
 
 def _moment_coefficients(m, frac):
@@ -353,10 +333,11 @@ def _moment_coefficients(m, frac):
     return tuple(coeffs)
 
 
-def real_roots(poly):
-    """Sorted real parts of the roots (the companion-matrix eigenvalues)
+def real_roots(coefficients):
+    """Sorted real parts of the roots of the polynomial with the given
+    coefficients in descending powers (the companion-matrix eigenvalues)
     with |Im| < 1e-7 (1 + |Re|)."""
-    roots = np.roots(np.asarray(poly.coefficients))
+    roots = np.roots(np.asarray(coefficients))
     keep = np.abs(roots.imag) < 1e-7 * (1.0 + np.abs(roots.real))
     return np.sort(roots[keep].real)
 

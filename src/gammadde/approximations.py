@@ -16,7 +16,7 @@ Four variants, all parameterized by the gamma shape j and mean tau:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .distributions import HypoexpKernel
 
@@ -145,14 +145,9 @@ def smoothed_hypoexp(j, tau):
             f"two-moment chain infeasible for shape {j} < 1 "
             "(target coefficient of variation exceeds 1)"
         )
-    n = math.ceil(j)
-    frac = j - math.floor(j)
-    root = math.sqrt(1.0 - frac * frac)
-    inv_mu = (tau / (2.0 * j)) * (1.0 + frac + root)
-    inv_nu = (tau / (2.0 * j)) * (1.0 + frac - root)
-    return ChainParams(
-        n=n, common_rate=j / tau, nu=1.0 / inv_nu, mu=1.0 / inv_mu, variant="smoothed"
-    )
+    # Away from integers it is the regularized chain without its offsets.
+    params = regularized_smoothed(j, tau, ApproxConfig(eps=0.0, hbar=0.0))
+    return replace(params, variant="smoothed")
 
 
 def regularized_smoothed(j, tau, cfg=None):

@@ -13,12 +13,15 @@ parsed by the command's parser ahead of the explicit flags, so they are
 validated like flags and explicit flags win.
 
 Every command is deterministic given its flags and --seed.  Output tables
-are CSV with a header row and 17-significant-digit floats (round-trip
-exact); scalar results are printed as JSON on stdout.  Exit codes:
-0 success, 2 usage or configuration error, 3 numerical failure.
+are CSV with a header row, LF line endings and 17-significant-digit
+floats (round-trip exact); scalar results are printed as JSON on stdout.
+The epi commands read their case and serial-interval tables back in the
+same format.  Exit codes: 0 success, 2 usage or configuration error, 3
+numerical failure.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -30,17 +33,7 @@ from . import analysis
 from . import approximations as approx
 from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, Rng, gamma_survival, hypoexp_survival
-from .epi import (
-    EpiData,
-    SirParams,
-    fit_log_likelihood,
-    mle_fit,
-    read_cases_csv,
-    read_serial_csv,
-    simulate_dataset,
-    write_cases_csv,
-    write_serial_csv,
-)
+from .epi import EpiData, SirParams, fit_log_likelihood, mle_fit, simulate_dataset
 from .fcrk import fcrk4_solve
 from .ode_solver import OdeConfig, OdeFailure, check_chain_stages
 from .quadrature import QuadConfig
@@ -63,14 +56,14 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """A CSV table to ``path`` or stdout: one sequence of ``columns`` per
+    header name.  Floats get 17 significant digits, so they read back
+    exactly; integers (case counts up to ``epi.MAX_POPULATION``) stay exact.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    for row in zip(*(np.asarray(c).tolist() for c in columns), strict=True):
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -185,9 +178,7 @@ def cmd_solve(args):
     times = np.arange(0.0, t_end + 0.5 * h, h)
     if args.method == "fcrk4":
         sol = fcrk4_solve(problem, h, quad=_quad_config(args))
-        values = np.asarray(sol.query(times), dtype=float)
-        rows = [(float(t), float(v)) for t, v in zip(times, values)]
-        _write_csv(args.out, ["t", "x"], rows)
+        _write_csv(args.out, ["t", "x"], [times, np.asarray(sol.query(times), dtype=float)])
     else:
         variant = CHAIN_VARIANT if args.variant is None else args.variant
         params = approx.chain_params(variant, args.j, tau)
@@ -195,18 +186,14 @@ def cmd_solve(args):
         states, labels = analysis.chain_trajectory(
             problem.rhs, params, problem.history, times, _chain_cfg(args)
         )
-        header = ["t", "x"] + list(labels[1:])
-        rows = [
-            tuple([float(t)] + [float(v) for v in row]) for t, row in zip(times, states)
-        ]
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, ["t", "x"] + list(labels[1:]), [times, *states.T])
     return 0
 
 
 def cmd_convergence(args):
     h_list = [float(tok) for tok in args.h_list.split(",")]
-    if len(h_list) < 3:
-        raise ConfigError(f"--h-list needs at least three steps, got {len(h_list)}")
+    if len(set(h_list)) < 3:
+        raise ConfigError(f"--h-list needs at least three distinct steps, got {args.h_list}")
     if not all(0 < h < float("inf") for h in h_list):
         raise ConfigError(f"--h-list steps must be positive and finite, got {args.h_list}")
     t_end = _positive(args, "t_end")
@@ -223,9 +210,9 @@ def cmd_convergence(args):
     values = [fcrk4_solve(problem, h, quad=quad).query(times) for h in h_list]
     ref_values = reference(times)
     errors = [float(np.max(np.abs(v - ref_values))) for v in values]
-    report = analysis.estimate_order(h_list, errors)
-    _write_csv(args.out, ["h", "max_error"], list(zip(h_list, errors)))
-    _emit_json({"slope": report.slope, "intercept": report.intercept})
+    slope, intercept = analysis.estimate_order(h_list, errors)
+    _write_csv(args.out, ["h", "max_error"], [h_list, errors])
+    _emit_json({"slope": slope, "intercept": intercept})
     return 0
 
 
@@ -249,11 +236,7 @@ def cmd_compare(args):
             problem.rhs, params, problem.history, times, _chain_cfg(args)
         )
         columns[variant] = states[:, 0]
-    rows = [
-        (float(t),) + tuple(float(columns[k][i]) for k in ("gamma_dde", "fixed", "smoothed", "erlang"))
-        for i, t in enumerate(times)
-    ]
-    _write_csv(args.out, ["t", "gamma_dde", "fixed", "smoothed", "erlang"], rows)
+    _write_csv(args.out, ["t", *columns], [times, *columns.values()])
     summary = {
         f"max_dev_{k}": float(np.max(np.abs(columns[k] - gamma_traj)))
         for k in ("fixed", "smoothed", "erlang")
@@ -324,7 +307,7 @@ def cmd_survival(args):
     if args.jump_at is not None:
         _refuse_unread(args, "survival --jump-at", ("--t-max", "--n-out", "--j"))
         t = JUMP_T if args.t is None else _finite(args, "t")
-        delta = JUMP_DELTA if args.delta is None else args.delta
+        delta = JUMP_DELTA if args.delta is None else _positive(args, "delta")
         jump_fixed, jump_smoothed = analysis.integer_jump(args.jump_at, tau, t, delta=delta)
         _emit_json(
             {
@@ -344,13 +327,13 @@ def cmd_survival(args):
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
     fixed_kernel = approx.fixed_hypoexp(j, tau).kernel()
     smooth_kernel = approx.smoothed_hypoexp(j, tau).kernel()
-    rows = zip(
-        times.tolist(),
-        gamma_survival(gamma_kernel, times).tolist(),
-        hypoexp_survival(fixed_kernel, times).tolist(),
-        hypoexp_survival(smooth_kernel, times).tolist(),
-    )
-    _write_csv(args.out, ["t", "gamma", "fixed", "smoothed"], rows)
+    columns = [
+        times,
+        gamma_survival(gamma_kernel, times),
+        hypoexp_survival(fixed_kernel, times),
+        hypoexp_survival(smooth_kernel, times),
+    ]
+    _write_csv(args.out, ["t", "gamma", "fixed", "smoothed"], columns)
     return 0
 
 
@@ -362,7 +345,7 @@ def cmd_moment_poly(args):
         {
             "m": args.m,
             "fj": args.fj,
-            "coefficients": [float(c) for c in poly.coefficients],
+            "coefficients": [float(c) for c in poly],
             "real_roots": len(roots),
             "roots": [float(r) for r in roots],
             "gm_checks": {k: bool(v) for k, v in record.items()},
@@ -378,10 +361,35 @@ def _sir_params(args, obs_times):
     )
 
 
+def _read_csv(path, kinds):
+    """The columns of the CSV table at ``path`` named by the keys of
+    ``kinds``, each a tuple of values parsed by its ``int`` or ``float``.
+
+    Other columns are ignored, and LF and CRLF line endings read alike.  A
+    missing column, or a missing or unparsable value in one, is refused by
+    file and column.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            rows, header = list(reader), reader.fieldnames or ()
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ConfigError(f"{path}: {exc}") from None
+    columns = []
+    for name, kind in kinds.items():
+        if name not in header:
+            raise ConfigError(f"{path} has no column {name!r}")
+        try:  # a row that ends early holds None
+            columns.append(tuple(kind(row[name] or "") for row in rows))
+        except ValueError as exc:
+            raise ConfigError(f"{path}, column {name!r}: {exc}") from None
+    return columns
+
+
 def _read_data(args):
     """(observation times, EpiData) from --cases and --serial."""
-    obs_times, cases = read_cases_csv(args.cases)
-    serial = read_serial_csv(args.serial) if args.serial else ()
+    obs_times, cases = _read_csv(args.cases, {"t": float, "count": int})
+    serial = _read_csv(args.serial, {"interval": float})[0] if args.serial else ()
     return obs_times, EpiData(cases=cases, serial=serial)
 
 
@@ -389,8 +397,8 @@ def cmd_epi_simulate(args):
     k, n_serial = _count(args, "K", 1), _count(args, "L", 0)
     params = _sir_params(args, tuple(args.obs_dt * (i + 1) for i in range(k)))
     data = simulate_dataset(Rng(args.seed), params, n_serial)
-    write_cases_csv(args.cases, params.obs_times, data.cases)
-    write_serial_csv(args.serial, data.serial)
+    _write_csv(args.cases, ["t", "count"], [params.obs_times, data.cases])
+    _write_csv(args.serial, ["interval"], [data.serial])
     _emit_json(
         {
             "total_cases": int(sum(data.cases)),

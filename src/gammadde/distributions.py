@@ -77,7 +77,8 @@ def gamma_survival(kernel, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
-    out = gammaincc(kernel.shape, kernel.rate * t_arr)
+    with np.errstate(over="ignore"):  # a time past the float range reads 0
+        out = gammaincc(kernel.shape, kernel.rate * t_arr)
     return out if out.ndim else float(out)
 
 
@@ -132,8 +133,13 @@ def _occupancies(kernel, t):
 
     p is carried through the sorted times, p <- p exp(Q dt), with one
     exponential per distinct step dt: a linspace grid rounds to about a
-    dozen distinct steps, however many times it has.  At t = +inf all mass
-    is absorbed and the row is zero.
+    dozen distinct steps, however many times it has.
+
+    The survival is bounded by that of Erlang(n, r_min), every stage being
+    at least as fast as the slowest.  Where that bound underflows to 0 in
+    ``gammaincc`` (below about 1e-308; at t = +inf, and from t of about
+    1e38 on, where the exponentials overflow) all mass counts as absorbed
+    and the row is zero.
     """
     t_arr = np.asarray(t, dtype=float).ravel()
     if np.any(t_arr < 0):
@@ -145,7 +151,9 @@ def _occupancies(kernel, t):
             f"of {MAX_EXPM_ENTRIES} matrix entries: ask for fewer times"
         )
     order = np.argsort(t_arr, kind="stable")
-    order = order[t_arr[order] != np.inf]
+    with np.errstate(over="ignore"):
+        tail = gammaincc(n, min(kernel.rates) * t_arr[order])
+    order = order[tail > 0]
     steps, step_of = np.unique(np.diff(t_arr[order], prepend=0.0), return_inverse=True)
     propagators = expm(stage_generator(kernel.rates) * steps[:, None, None])
     out = np.zeros((t_arr.size, n))

@@ -16,7 +16,6 @@ C_k ~ Poisson(M * (S(t_{k-1}) - S(t_k))) and serial intervals drawn from
 the stationary forward recurrence density survival(t)/tau.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -289,36 +288,3 @@ def mle_fit(data, init, max_evals=500):
         converged=bool(result.success),
     )
 
-
-# ---------------------------------------------------------------------------
-# File formats: cases.csv (t, count), serial.csv (interval).
-
-
-def write_cases_csv(path, obs_times, cases):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "count"])
-        for t, c in zip(obs_times, cases):
-            writer.writerow([f"{t:.17g}", int(c)])
-
-
-def read_cases_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    times = tuple(float(r["t"]) for r in rows)
-    cases = tuple(int(r["count"]) for r in rows)
-    return times, cases
-
-
-def write_serial_csv(path, serial):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval"])
-        for t in serial:
-            writer.writerow([f"{t:.17g}"])
-
-
-def read_serial_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return tuple(float(r["interval"]) for r in rows)

@@ -19,18 +19,18 @@ from gammadde.distributions import GammaKernel, gamma_survival, hypoexp_survival
 
 def test_estimate_order_synthetic():
     hs = [0.1, 0.05, 0.025]
-    rep = analysis.estimate_order(hs, [h**4 for h in hs])
-    assert rep.slope == pytest.approx(4.0, abs=1e-12)
-    rep = analysis.estimate_order(hs, [3 * h**2 for h in hs])
-    assert rep.slope == pytest.approx(2.0, abs=1e-12)
-    assert rep.intercept == pytest.approx(math.log10(3.0), abs=1e-12)
+    slope, _ = analysis.estimate_order(hs, [h**4 for h in hs])
+    assert slope == pytest.approx(4.0, abs=1e-12)
+    slope, intercept = analysis.estimate_order(hs, [3 * h**2 for h in hs])
+    assert slope == pytest.approx(2.0, abs=1e-12)
+    assert intercept == pytest.approx(math.log10(3.0), abs=1e-12)
 
 
 def test_estimate_order_floor_handling():
     hs = [0.1, 0.05, 0.025, 0.0125]
     errs = [1e-4, 1e-8, 1e-15, 1e-15]  # last two below the floor
-    rep = analysis.estimate_order(hs, errs)
-    assert rep.slope == pytest.approx(
+    slope, _ = analysis.estimate_order(hs, errs)
+    assert slope == pytest.approx(
         (math.log10(1e-4) - math.log10(1e-8)) / (math.log10(0.1) - math.log10(0.05)),
         rel=1e-12,
     )
@@ -38,6 +38,22 @@ def test_estimate_order_floor_handling():
         analysis.estimate_order(hs, [1e-15] * 4)
     with pytest.raises(ValueError):
         analysis.estimate_order([0.1, 0.05], [1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "hs, errs",
+    [
+        ([0.1, 0.1, 0.1], [1e-4, 1e-4, 1e-4]),
+        ([0.1, 0.05, 0.05], [1e-4, 1e-5, 1e-5]),
+        # Three distinct steps, but only one above the precision floor.
+        ([0.1, 0.1, 0.05, 0.025], [1e-4, 1e-4, 1e-15, 1e-15]),
+    ],
+)
+def test_estimate_order_refuses_repeated_steps(hs, errs):
+    # No line through points at fewer than two distinct steps (numpy would
+    # warn of a rank-deficient fit and return a slope anyway).
+    with pytest.raises(ValueError, match="distinct steps|precision floor"):
+        analysis.estimate_order(hs, errs)
 
 
 def test_linear_reference_initial_values():
@@ -223,11 +239,11 @@ def test_growth_rate_synthetic():
 
 def test_fm_polynomial_basics():
     poly = analysis.fm_polynomial(1, 0.4)
-    assert poly.coefficients == pytest.approx((1.0, -0.4))
+    assert poly == pytest.approx((1.0, -0.4))
     assert analysis.real_roots(poly) == pytest.approx([0.4])
 
     poly = analysis.fm_polynomial(2, 0.5)
-    assert poly.coefficients == pytest.approx((1.0, -1.5, 0.375))
+    assert poly == pytest.approx((1.0, -1.5, 0.375))
     roots = analysis.real_roots(poly)
     assert roots == pytest.approx([0.3169872981077807, 1.1830127018922192], rel=1e-10)
     with pytest.raises(ValueError):
@@ -251,8 +267,8 @@ def test_fm_constant_term():
     # (z)_m = z (z-1) ... (z-m+1) at z = m - 1 + frac.
     falling = math.prod(m - 1 + frac - i for i in range(m))
     expected = (-1) ** m * falling / math.factorial(m)
-    assert poly.coefficients[-1] == pytest.approx(expected, rel=1e-14)
-    assert poly.coefficients[0] == 1.0
+    assert poly[-1] == pytest.approx(expected, rel=1e-14)
+    assert poly[0] == 1.0
 
 
 def test_fm_real_root_counts():

@@ -9,13 +9,23 @@ import pytest
 
 from gammadde import cli
 from gammadde.cli import build_parser, main
-from gammadde.epi import write_cases_csv, write_serial_csv
+from gammadde.distributions import Rng
+from gammadde.epi import SirParams, simulate_dataset
+
+
+CASES = "t,count\n1,3\n2,4\n"
 
 
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_data(path):
+    """Two case counts and one serial interval, as cases.csv and serial.csv."""
+    (path / "cases.csv").write_text(CASES)
+    (path / "serial.csv").write_text("interval\n2.5\n")
 
 
 def test_solve_row_count(tmp_path, capsys):
@@ -110,7 +120,11 @@ def test_n_out_checked_before_solving(argv, monkeypatch, capsys):
     assert err.startswith("error: --n-out") and err.count("\n") == 1
 
 
-_BAD_H_LISTS = ["0.01", "0.1,0.05", "0.1,-0.05,0.025", "0.1,0,0.025", "0.1,nan,0.025", "inf,0.1,0.05"]
+_BAD_H_LISTS = [
+    "0.01", "0.1,0.05", "0.1,-0.05,0.025", "0.1,0,0.025", "0.1,nan,0.025", "inf,0.1,0.05",
+    # Repeated steps: fewer than three distinct ones leave no line to fit.
+    "0.1,0.1,0.1", "0.1,0.05,0.05",
+]
 
 
 @pytest.mark.parametrize("h_list", _BAD_H_LISTS)
@@ -405,11 +419,15 @@ def test_exit_code_config_error(capsys):
         ["solve", "--method", "chain", "--j", "250.5", "--h", "0.1", "--t-end", "1"],
         ["convergence", "--j", "1000", "--t-end", "0.5"],
         ["epi", "simulate", "--j", "1000", "--cases", "{tmp}/c.csv", "--serial", "{tmp}/s.csv"],
+        # Shape offsets of the survival jump that are not positive and finite.
+        ["survival", "--jump-at", "2", "--delta", "nan"],
+        ["survival", "--jump-at", "2", "--delta", "inf"],
+        ["survival", "--jump-at", "2", "--delta", "0"],
+        ["survival", "--jump-at", "2", "--delta=-1e-6"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
-    write_cases_csv(tmp_path / "cases.csv", (1.0, 2.0), (3, 4))
-    write_serial_csv(tmp_path / "serial.csv", (2.5,))
+    write_data(tmp_path)
     argv = [tok.format(tmp=tmp_path) for tok in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
@@ -430,11 +448,14 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["epi", "simulate", "--K", "3", "--M", "1e300"], "M = 1e+300"),
         (["compare", "--j", "201", "--t-end", "0.5"], "j = 201 takes a chain of 201 stages"),
         (["epi", "loglik", "--j", "500"], "j = 500 takes a chain of 501 stages"),
+        (["survival", "--jump-at", "2", "--delta", "nan"], "--delta must be finite"),
+        (["survival", "--jump-at", "2", "--delta", "inf"], "--delta must be finite"),
+        (["survival", "--jump-at", "2", "--delta", "0"], "--delta must be positive"),
+        (["survival", "--jump-at", "2", "--delta=-1e-6"], "--delta must be positive"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
-    write_cases_csv(tmp_path / "cases.csv", (1.0, 2.0), (3, 4))
-    write_serial_csv(tmp_path / "serial.csv", (2.5,))
+    write_data(tmp_path)
     if argv[0] == "epi":
         argv = argv + [
             "--cases", str(tmp_path / "cases.csv"), "--serial", str(tmp_path / "serial.csv")
@@ -456,13 +477,118 @@ def test_non_finite_observation_spacing_refused_by_name(tmp_path, capsys):
 @pytest.mark.parametrize("interval", ["nan", "inf"])
 def test_non_finite_serial_interval_refused(interval, tmp_path, capsys):
     cases, serial = tmp_path / "cases.csv", tmp_path / "serial.csv"
-    write_cases_csv(cases, (1.0, 2.0), (3, 4))
+    cases.write_text(CASES)
     serial.write_text(f"interval\n2.5\n{interval}\n")
     code, stdout, err = run_cli(
         capsys, "epi", "loglik", "--cases", str(cases), "--serial", str(serial)
     )
     assert code == 2 and stdout == ""
     assert err == "error: serial intervals must be positive and finite\n"
+
+
+@pytest.mark.parametrize(
+    "flag, text, named",
+    [
+        ("--cases", "time,count\n1,3\n", "has no column 't'"),
+        ("--cases", "t\n1\n", "has no column 'count'"),
+        ("--cases", "", "has no column 't'"),
+        ("--cases", "t,count\n1,3\n2\n", "column 'count': invalid literal for int()"),
+        ("--cases", "t,count\n1,3\n2,\n", "column 'count': invalid literal for int()"),
+        ("--cases", "t,count\n1,3\n2,4.5\n", "column 'count': invalid literal for int()"),
+        ("--cases", "t,count\none,3\n", "column 't': could not convert string to float: 'one'"),
+        ("--serial", "delay\n2.5\n", "has no column 'interval'"),
+        ("--serial", "interval\n2.5\nx\n", "column 'interval': could not convert string"),
+        ("--serial", "interval,note\n2.5,a\n,b\n", "column 'interval': could not convert"),
+        ("--serial", "interval\n" + "1" * 200_000 + "\n", "field larger than field limit"),
+    ],
+)
+def test_malformed_data_file_refused_by_file_and_column(flag, text, named, tmp_path, capsys):
+    write_data(tmp_path)
+    path = tmp_path / ("cases.csv" if flag == "--cases" else "serial.csv")
+    path.write_text(text)
+    code, stdout, err = run_cli(
+        capsys, "epi", "loglik", "--cases", str(tmp_path / "cases.csv"),
+        "--serial", str(tmp_path / "serial.csv"),
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+    assert named in err
+
+
+def test_crlf_data_files_read_as_their_lf_copies(tmp_path, capsys):
+    lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+    lf.mkdir()
+    crlf.mkdir()
+    sim = ["epi", "simulate", "--K", "6", "--L", "5", "--seed", "4"]
+    code, _, err = run_cli(
+        capsys, *sim, "--cases", str(lf / "cases.csv"), "--serial", str(lf / "serial.csv")
+    )
+    assert code == 0, err
+    for name in ("cases.csv", "serial.csv"):
+        text = (lf / name).read_bytes()
+        assert b"\r" not in text
+        (crlf / name).write_bytes(text.replace(b"\n", b"\r\n"))
+    outputs = []
+    for folder in (lf, crlf):
+        code, stdout, err = run_cli(
+            capsys, "epi", "loglik", "--cases", str(folder / "cases.csv"),
+            "--serial", str(folder / "serial.csv"),
+        )
+        assert code == 0, err
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_epi_simulate_roundtrip(tmp_path, capsys):
+    # The files epi simulate writes hold the dataset, one row per line,
+    # and read back through the CLI's reader unchanged.
+    cases, serial = tmp_path / "cases.csv", tmp_path / "serial.csv"
+    code, stdout, err = run_cli(
+        capsys, "epi", "simulate", "--seed", "7", "--K", "15", "--L", "12", "--obs-dt", "0.7",
+        "--cases", str(cases), "--serial", str(serial),
+    )
+    assert code == 0, err
+    params = SirParams(
+        beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0,
+        obs_times=tuple(0.7 * (i + 1) for i in range(15)),
+    )
+    data = simulate_dataset(Rng(7), params, 12)
+    assert json.loads(stdout)["total_cases"] == sum(data.cases)
+    assert cases.read_text().split("\n") == ["t,count"] + [
+        f"{t:.17g},{c}" for t, c in zip(params.obs_times, data.cases)
+    ] + [""]
+    assert serial.read_text().split("\n") == ["interval"] + [
+        f"{t:.17g}" for t in data.serial
+    ] + [""]
+    assert cli._read_csv(cases, {"t": float, "count": int}) == [params.obs_times, data.cases]
+    assert cli._read_csv(serial, {"interval": float}) == [data.serial]
+
+
+def _no_nan(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survival", "--jump-at", "2", "--t", "1e200"],
+        ["survival", "--j", "2.5", "--t-max", "1e308", "--n-out", "3"],
+    ],
+)
+def test_survival_far_tail_reads_zero(argv, capsys):
+    # The exponentials of the chains overflow from t of about 1e38 on.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert [str(w.message) for w in caught] == []
+    if "--jump-at" in argv:
+        report = json.loads(stdout, parse_constant=_no_nan)
+        assert report["jump_fixed"] == report["jump_smoothed"] == 0.0
+    else:
+        rows = [line.split(",") for line in stdout.splitlines()[1:]]
+        assert [float(v) for v in rows[0][1:]] == [1.0, 1.0, 1.0]
+        assert all(float(v) == 0.0 for row in rows[1:] for v in row[1:])
 
 
 def test_infeasible_chain_refused_before_any_error_is_fitted(capsys):

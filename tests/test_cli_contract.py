@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammadde import approximations, cli
-from gammadde.epi import write_cases_csv, write_serial_csv
 
 EDGE_FLOATS = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 EDGE_COUNTS = ("0", "-1", "1000000000000")
@@ -33,8 +32,8 @@ VALUES = {
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("contract")
-    write_cases_csv(path / "cases.csv", (1.0, 2.0), (3, 4))
-    write_serial_csv(path / "serial.csv", (2.5,))
+    (path / "cases.csv").write_text("t,count\n1,3\n2,4\n")
+    (path / "serial.csv").write_text("interval\n2.5\n")
     return path
 
 

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from gammadde import distributions
+from gammadde.approximations import fixed_hypoexp, smoothed_hypoexp
 from gammadde.distributions import (
     GammaKernel,
     HypoexpKernel,
@@ -194,6 +195,29 @@ def test_kernel_functions_vanish_at_infinity(fn, kernel):
     assert vals[1] == 0.0
     assert np.array_equal(vals[[0, 2]], fn(kernel, np.array([0.5, 1.0])))
     assert fn(kernel, np.inf) == 0.0
+
+
+@pytest.mark.parametrize("t", [1e38, 1e100, 1e300, 1.7e308])
+@pytest.mark.parametrize("fn", [hypoexp_pdf, hypoexp_survival], ids=["pdf", "survival"])
+@pytest.mark.parametrize(
+    "params", [fixed_hypoexp(2.5, 3.0), smoothed_hypoexp(7.2, 3.0)], ids=["fixed", "smoothed"]
+)
+def test_far_tail_reads_zero(params, fn, t):
+    # From t of about 1e38 on the chain's exponentials overflow; the mass
+    # is absorbed there to far below the float range, as at t = +inf.
+    kernel = params.kernel()
+    assert fn(kernel, t) == 0.0
+    vals = fn(kernel, np.array([0.5, t, 1.0]))
+    assert vals[1] == 0.0
+    assert np.array_equal(vals[[0, 2]], fn(kernel, np.array([0.5, 1.0])))
+
+
+def test_deep_tail_above_the_float_floor_is_kept():
+    # Rates 1, 2, 3: the survival is 3 e^-t - 3 e^-2t + e^-3t, about
+    # 3e-248 at t = 570, where the Erlang(3, 1) bound is still positive.
+    t = 570.0
+    closed = 3 * math.exp(-t) - 3 * math.exp(-2 * t) + math.exp(-3 * t)
+    assert hypoexp_survival(HypoexpKernel((1.0, 2.0, 3.0)), t) == pytest.approx(closed, rel=1e-9)
 
 
 def test_survival_on_a_sorted_grid_starts_at_one_and_never_increases():

@@ -16,14 +16,10 @@ from gammadde.epi import (
     build_sir_chain,
     log_likelihood,
     mle_fit,
-    read_cases_csv,
-    read_serial_csv,
     sample_serial,
     serial_density,
     simulate_dataset,
     simulate_incidence,
-    write_cases_csv,
-    write_serial_csv,
 )
 from gammadde.epi import _poisson_loglik
 from gammadde.ode_solver import OdeConfig, rk45_adaptive
@@ -242,13 +238,3 @@ def test_mle_degenerate_no_serial_converges():
     fit = mle_fit(data, replace(params, j=2.5), max_evals=150)
     assert math.isfinite(fit.loglik)
 
-
-def test_csv_roundtrip(tmp_path):
-    cases_path = tmp_path / "cases.csv"
-    serial_path = tmp_path / "serial.csv"
-    write_cases_csv(cases_path, (1.0, 2.0, 3.0), (4, 0, 2))
-    write_serial_csv(serial_path, (1.25, 0.5))
-    times, cases = read_cases_csv(cases_path)
-    assert times == (1.0, 2.0, 3.0)
-    assert cases == (4, 0, 2)
-    assert read_serial_csv(serial_path) == (1.25, 0.5)
