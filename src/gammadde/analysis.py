@@ -2,7 +2,8 @@
 
 * The built-in test problems, in one registry: ``dde_problem(name, j, ...)``
   returns a problem and its reference solution for each name in
-  ``PROBLEMS``, and ``chain_trajectory`` integrates any chain reduction.
+  ``PROBLEMS``; ``chain_system`` builds any chain reduction and
+  ``chain_trajectory`` integrates it.
 * Convergence-order estimation.
 * MGF error orders and survival jumps of the kernel replacements.
 * Linear-stability spectra of the chains and trajectory growth rates.
@@ -16,7 +17,7 @@ from numpy.polynomial.polynomial import polyval
 
 from . import approximations as approx
 from .chain_reduction import HistoryFunction, build_erlang_system, build_hypoexp_system
-from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival, stage_generator
+from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival
 # Not called here: bench/layer_trace.py times gamma_survival through this
 # module and reports its metrics absent when the name is missing.
 from .distributions import gamma_survival  # noqa: F401
@@ -156,15 +157,20 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     return problem, chain_reference
 
 
+def chain_system(F, params, history):
+    """The chain reduction of x' = F(x, conv) on the chain ``params`` of any
+    variant, started from ``history`` at t = 0."""
+    if params.variant == "erlang":
+        return build_erlang_system(F, params, history)
+    return build_hypoexp_system(F, params, history)
+
+
 def chain_trajectory(F, params, history, times, cfg):
     """(states, labels) of the chain reduction of x' = F(x, conv) with the
     given chain, started from ``history`` at t = 0 and sampled at the
     increasing ``times``, up to the last of them, with the ODE settings
     ``cfg``."""
-    if params.variant == "erlang":
-        problem = build_erlang_system(F, params, history)
-    else:
-        problem = build_hypoexp_system(F, params, history)
+    problem = chain_system(F, params, history)
     _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
     return states, problem.labels
 
@@ -251,24 +257,15 @@ def integer_jump(j0, tau, t, delta=1e-6):
 # Linear stability of the chain reductions.
 
 
-def chain_matrix(alpha, beta, params):
-    """System matrix of the chain reduction of x' = alpha x + beta conv.
-
-    The stages hold the transposed stage generator, fed by x into stage 1.
-    """
-    rates = params.rates()
-    n = len(rates)
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = alpha
-    m[0, n] = beta * rates[-1]
-    m[1, 0] = 1.0
-    m[1:, 1:] = stage_generator(rates).T
-    return m
-
-
 def dominant_eigenvalue(alpha, beta, params):
-    """Eigenvalue of the chain system matrix with the largest real part."""
-    eig = np.linalg.eigvals(chain_matrix(alpha, beta, params))
+    """Eigenvalue with the largest real part of the system matrix of the
+    chain reduction of x' = alpha x + beta conv.  The rhs is linear, so the
+    matrix is read off it one column per unit state."""
+    problem = chain_system(
+        lambda x, conv: alpha * x + beta * conv, params, HistoryFunction.constant(0.0)
+    )
+    columns = [problem.rhs(0.0, unit) for unit in np.eye(len(problem.y0))]
+    eig = np.linalg.eigvals(np.column_stack(columns))
     return eig[np.argmax(eig.real)]
 
 

@@ -1,26 +1,27 @@
 """Reduce a chain-approximated delay kernel to an equivalent ODE system.
 
-A DDE whose delayed term convolves the solution against an Erlang or
-hypoexponential kernel is equivalent to an (n+1)-dimensional ODE: one
-auxiliary compartment per exponential stage, with the delayed term read
-off the final compartment's outflow r_n B_n.  The compartments evolve as
-B' = Q^T B + x e_1, with Q the generator of
-:func:`~gammadde.distributions.stage_generator`, the one place the chain's
-transition rule is written.  The rhs is one product of an ``(n+1, n)``
-row block with B, built once per problem: row 0 is r_n e_n and gives the
-delayed term, rows 1..n are Q^T; the head's derivative F(x, r_n B_n)
-then replaces row 0's entry, and the inflow x is added to B_1'.
-Chains start at t = 0, and the history function enters only through
-the compartments' initial values
+A DDE x' = F(x, x * g) whose kernel g is Erlang or hypoexponential is
+equivalent to an (n+1)-dimensional ODE: one auxiliary compartment per
+exponential stage, with the delayed term read off the final compartment's
+outflow r_n B_n.  The compartments evolve as B' = Q^T B + x e_1, with Q the
+generator of :func:`~gammadde.distributions.stage_generator`, the one place
+the chain's transition rule is written.  Every chain ODE of the package,
+the SIR model's C' = beta (1 - C) (C - C * g) among them, is built here;
+its rhs is one product with B of an ``(n+1, n)`` row block made once per
+problem: row 0 is r_n e_n and gives the delayed term, rows 1..n are Q^T;
+the head's derivative F(x, r_n B_n) then replaces row 0's entry, and the
+inflow x is added to B_1'.  Chains start at t = 0, and the history
+function enters only through the compartments' initial values
 
     B_i(0) = int_0^inf psi(-s) / r_i * kappa_i(s) ds,
 
 where kappa_i is the density of the first i stages in sequence, the
 convolution of their exponentials.  For an exponential history this has
-the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho); for a custom
-history all compartments are integrated numerically in one vector
-quadrature over the chain's generator.  At integer shape every two-moment chain has
-all rates equal, so it reproduces the Erlang reduction exactly.
+the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho), zero for c = 0;
+for a custom history all compartments are integrated numerically in one
+vector quadrature over the chain's generator.  At integer shape every
+two-moment chain has all rates equal, so it reproduces the Erlang
+reduction exactly.
 """
 
 from dataclasses import dataclass

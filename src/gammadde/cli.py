@@ -192,8 +192,8 @@ def cmd_solve(args):
 
 def cmd_convergence(args):
     h_list = [float(tok) for tok in args.h_list.split(",")]
-    if len(set(h_list)) < 3:
-        raise ConfigError(f"--h-list needs at least three distinct steps, got {args.h_list}")
+    if len(h_list) < 3 or len(set(h_list)) < len(h_list):
+        raise ConfigError(f"--h-list needs three or more steps, none repeated, got {args.h_list}")
     if not all(0 < h < float("inf") for h in h_list):
         raise ConfigError(f"--h-list steps must be positive and finite, got {args.h_list}")
     t_end = _positive(args, "t_end")
@@ -306,9 +306,12 @@ def cmd_survival(args):
     tau = _positive(args, "tau")
     if args.jump_at is not None:
         _refuse_unread(args, "survival --jump-at", ("--t-max", "--n-out", "--j"))
+        jump_at = _finite(args, "jump_at")
         t = JUMP_T if args.t is None else _finite(args, "t")
         delta = JUMP_DELTA if args.delta is None else _positive(args, "delta")
-        jump_fixed, jump_smoothed = analysis.integer_jump(args.jump_at, tau, t, delta=delta)
+        if not delta < jump_at - 1:  # a two-moment chain needs a shape above 1
+            raise ConfigError(f"--delta {delta:g} must be below --jump-at {jump_at:g} minus 1")
+        jump_fixed, jump_smoothed = analysis.integer_jump(jump_at, tau, t, delta=delta)
         _emit_json(
             {
                 "jump_fixed": float(jump_fixed),

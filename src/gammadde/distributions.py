@@ -128,6 +128,11 @@ def stage_generator(rates):
 MAX_EXPM_ENTRIES = 2**22
 
 
+#: Bound on the 1-norm of the generator times a time step: scipy's ``expm``
+#: returns nan from 2^128 on, which rates spanning 1e38 reach in ten time units.
+EXPM_NORM_LIMIT = 2.0**127
+
+
 def _occupancies(kernel, t):
     """Stage-occupancy row vectors p(t) = e1 exp(Q t), one row per time.
 
@@ -155,7 +160,15 @@ def _occupancies(kernel, t):
         tail = gammaincc(n, min(kernel.rates) * t_arr[order])
     order = order[tail > 0]
     steps, step_of = np.unique(np.diff(t_arr[order], prepend=0.0), return_inverse=True)
-    propagators = expm(stage_generator(kernel.rates) * steps[:, None, None])
+    generator, step = stage_generator(kernel.rates), steps.max(initial=0.0)
+    with np.errstate(over="ignore"):  # an infinite norm is refused
+        norm = np.abs(generator * step).sum(axis=0).max()
+    if not norm < EXPM_NORM_LIMIT:
+        raise ValueError(
+            f"stage rates from {min(kernel.rates):.3g} to {max(kernel.rates):.3g} span too "
+            f"much for a time step of {step:.3g}, where the matrix exponential fails"
+        )
+    propagators = expm(generator * steps[:, None, None])
     out = np.zeros((t_arr.size, n))
     p = np.zeros(n)
     p[0] = 1.0

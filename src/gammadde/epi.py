@@ -2,18 +2,16 @@
 hypoexponential chain, plus synthetic-data generation and evidence-synthesis
 likelihood fitting.
 
-The model tracks susceptibles S and n infectious stages I_1..I_n:
-
-    S'   = -beta S I,          I = I_1 + ... + I_n
-    I_1' = beta S I - g_1 I_1
-    I_i' = g_{i-1} I_{i-1} - g_i I_i
-
-that is I' = Q^T I + beta S I e_1, with Q the generator of a chain of
-exponential stages fed by the incidence beta S I.  The stage rates g_i come
-from a two-moment chain approximation of the Gamma(j, j/tau) infectious
-period.  Observations are daily case counts
-C_k ~ Poisson(M * (S(t_{k-1}) - S(t_k))) and serial intervals drawn from
-the stationary forward recurrence density survival(t)/tau.
+The model is a gamma DDE in the cumulative incidence C = 1 - S: by time t,
+C(t) have been infected and (C * g)(t) have recovered, g the density of the
+infectious period, so C' = beta (1 - C) (C - C * g), from C = 0 on
+(-inf, 0) and C(0) = eps.  It runs on the :mod:`~gammadde.chain_reduction`
+of this DDE, with stage rates from a two-moment chain approximation of the
+Gamma(j, j/tau) infectious period: state (C, B_1..B_n), the infected in
+stage i are I_i = B_i' and the recovered R = r_n B_n.  Observations are
+daily case counts C_k ~ Poisson(M * (C(t_k) - C(t_{k-1}))) and serial
+intervals drawn from the stationary forward recurrence density
+survival(t)/tau.
 """
 
 import math
@@ -23,9 +21,10 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, xlogy
 
+from .analysis import chain_system
 from .approximations import ApproxConfig, chain_params
-from .chain_reduction import ChainOdeProblem
-from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma, stage_generator
+from .chain_reduction import HistoryFunction
+from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
 from .ode_solver import OdeConfig, check_chain_stages, rk45_adaptive
 
 
@@ -92,49 +91,33 @@ MAX_RATE = 1e120
 
 
 def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
-    """Chain ODE for the SIR model; state (S, I_1..I_n), n = ceil(j).
+    """Chain reduction of the SIR model's C-DDE; state (C, B_1..B_n).
 
-    The stages move on by the transposed
-    :func:`~gammadde.distributions.stage_generator` with inflow beta S I,
-    and the infection starts in the first stage: S(0) = 1 - eps,
-    I_1(0) = eps.  The rhs is one product of an ``(n+1, n)`` row block
-    with the stages, built once per problem: row 0 is all ones and gives
-    I, rows 1..n are Q^T.  The force of infection beta S I then replaces
-    row 0's entry (negated) and is added to stage 1's.  Rates above
-    ``MAX_RATE`` are refused, naming the parameter that sets them, and so
-    are chains above ``ode_solver.MAX_CHAIN_STAGES`` stages.
+    The history C = 0 gives every compartment 0 at t = 0, and the head
+    starts at C(0) = eps.  Rates above ``MAX_RATE`` are refused, naming
+    the parameter that sets them, and so are chains above
+    ``ode_solver.MAX_CHAIN_STAGES`` stages.
     """
     if params.beta > MAX_RATE:
         raise ValueError(f"beta = {params.beta:g} is above the largest rate, {MAX_RATE:g}")
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
     check_chain_stages(params.j, chain.n)
-    rates = np.asarray(chain.rates())
-    if rates.max() > MAX_RATE:
+    if max(chain.rates()) > MAX_RATE:
         raise ValueError(
             f"tau = {params.tau:g} at j = {params.j:g} gives a stage rate of "
-            f"{rates.max():.3g}, above the largest rate, {MAX_RATE:g}"
+            f"{max(chain.rates()):.3g}, above the largest rate, {MAX_RATE:g}"
         )
-    n = len(rates)
     beta = params.beta
-    rows = np.vstack([np.ones(n), stage_generator(rates).T])
-
-    def rhs(t, state):
-        out = rows @ state[1:]
-        force = beta * state[0] * out[0]
-        out[0] = -force
-        out[1] += force
-        return out
-
-    y0 = np.zeros(n + 1)
-    y0[0] = 1.0 - params.eps
-    y0[1] = params.eps
-    return ChainOdeProblem(
-        rhs=rhs, params=chain, y0=y0, labels=("S",) + tuple(f"I{i + 1}" for i in range(n))
+    problem = chain_system(
+        lambda c, recovered: beta * (1.0 - c) * (c - recovered),
+        chain,
+        HistoryFunction.constant(0.0),
     )
+    return replace(problem, y0=np.concatenate([[params.eps], problem.y0[1:]]))
 
 
 def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=1e-10):
-    """Per-interval susceptible depletions DS_k = S(t_{k-1}) - S(t_k).
+    """Per-interval incidences C(t_k) - C(t_{k-1}).
 
     Fractions of the population, so their sum is at most 1; multiply by M
     for expected case counts.
@@ -143,8 +126,7 @@ def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=1e-10
     times = np.concatenate([[0.0], params.obs_times])
     cfg = OdeConfig(rtol=rtol, atol=rtol * 1e-2)
     _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
-    s_vals = states[:, 0]
-    return np.maximum(-np.diff(s_vals), 0.0)
+    return np.maximum(np.diff(states[:, 0]), 0.0)
 
 
 def serial_density(j, tau, t):

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammadde import analysis
-from gammadde.approximations import (
-    VARIANTS,
-    chain_params,
-    erlang_approx,
-    fixed_hypoexp,
-    smoothed_hypoexp,
-)
-from gammadde.chain_reduction import HistoryFunction, build_erlang_system, build_hypoexp_system
+from gammadde.approximations import erlang_approx, fixed_hypoexp, smoothed_hypoexp
 from gammadde.distributions import GammaKernel, gamma_survival, hypoexp_survival
 
 
@@ -201,23 +194,6 @@ def test_dominant_eigenvalue_matches_characteristic_root():
     lam_root = analysis.char_root(tau, j, beta)
     lam_chain = analysis.dominant_eigenvalue(-a, beta, erlang_approx(j, tau))
     assert lam_chain.real == pytest.approx(lam_root, abs=1e-8)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_chain_matrix_is_the_chain_rhs(variant):
-    # The stability spectrum is that of the ODE the chain reduction
-    # integrates: the matrix times any state is the chain rhs of
-    # x' = alpha x + beta conv, up to rounding.
-    alpha, beta = 0.89, -1.15
-    params = chain_params(variant, 2.57, 1.3)
-    build = build_erlang_system if variant == "erlang" else build_hypoexp_system
-    rhs = build(lambda x, conv: alpha * x + beta * conv, params, HistoryFunction.constant(1.0)).rhs
-    m = analysis.chain_matrix(alpha, beta, params)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        y = rng.standard_normal(params.n + 1)
-        bound = 8 * np.finfo(float).eps * (np.abs(m) @ np.abs(y))
-        assert np.all(np.abs(m @ y - rhs(0.0, y)) <= bound)
 
 
 def test_dominant_eigenvalue_integer_chains_agree():

@@ -122,8 +122,9 @@ def test_n_out_checked_before_solving(argv, monkeypatch, capsys):
 
 _BAD_H_LISTS = [
     "0.01", "0.1,0.05", "0.1,-0.05,0.025", "0.1,0,0.025", "0.1,nan,0.025", "inf,0.1,0.05",
-    # Repeated steps: fewer than three distinct ones leave no line to fit.
-    "0.1,0.1,0.1", "0.1,0.05,0.05",
+    # Repeated steps: fewer than three distinct ones leave no line to fit,
+    # and a repeat weighs its step twice in the fit.
+    "0.1,0.1,0.1", "0.1,0.05,0.05", "0.1,0.05,0.025,0.1",
 ]
 
 
@@ -452,6 +453,11 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["survival", "--jump-at", "2", "--delta", "inf"], "--delta must be finite"),
         (["survival", "--jump-at", "2", "--delta", "0"], "--delta must be positive"),
         (["survival", "--jump-at", "2", "--delta=-1e-6"], "--delta must be positive"),
+        # Shape offsets that take a chain below the jump to shape 1 or under.
+        (["survival", "--jump-at", "2", "--delta", "5"], "--delta 5 must be below --jump-at 2"),
+        (["survival", "--jump-at", "2", "--delta", "1"], "--delta 1 must be below --jump-at 2"),
+        (["survival", "--jump-at", "0"], "--delta 1e-06 must be below --jump-at 0"),
+        (["survival", "--jump-at", "nan"], "--jump-at must be finite"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ def test_far_tail_reads_zero(params, fn, t):
     vals = fn(kernel, np.array([0.5, t, 1.0]))
     assert vals[1] == 0.0
     assert np.array_equal(vals[[0, 2]], fn(kernel, np.array([0.5, 1.0])))
+
+
+@pytest.mark.parametrize("fn", [hypoexp_pdf, hypoexp_survival], ids=["pdf", "survival"])
+@pytest.mark.parametrize("fast, t", [(1e35, 10.0), (1e38, 1.0)])
+def test_wide_rate_span_below_the_expm_limit(fn, fast, t):
+    # Rates 1 and r: survival (r e^-t - e^-rt) / (r - 1) and density
+    # r (e^-t - e^-rt) / (r - 1), both e^-t to double precision here.
+    assert fn(HypoexpKernel((1.0, fast)), np.array([0.0, 0.5, t]))[1:] == pytest.approx(
+        np.exp(-np.array([0.5, t])), rel=1e-14
+    )
+
+
+@pytest.mark.parametrize("fn", [hypoexp_pdf, hypoexp_survival], ids=["pdf", "survival"])
+@pytest.mark.parametrize("fast, t", [(1e38, 10.0), (1e40, 0.5), (1e300, 1e-3)])
+def test_wide_rate_span_past_the_expm_limit_refused(fn, fast, t):
+    # scipy's expm returns nan from a generator step of 1-norm 2^128 on.
+    named = re.escape(f"stage rates from 1 to {fast:.3g} span too much")
+    with pytest.raises(ValueError, match=named):
+        fn(HypoexpKernel((1.0, fast)), np.array([0.0, t]))
 
 
 def test_deep_tail_above_the_float_floor_is_kept():

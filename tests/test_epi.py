@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gammadde.approximations import VARIANTS
-from gammadde.distributions import Rng
+from gammadde.chain_reduction import HistoryFunction
+from gammadde.distributions import GammaKernel, Rng
 from gammadde.epi import (
     MAX_POPULATION,
     EpiData,
@@ -22,6 +23,7 @@ from gammadde.epi import (
     simulate_incidence,
 )
 from gammadde.epi import _poisson_loglik
+from gammadde.fcrk import DdeProblem, fcrk4_solve
 from gammadde.ode_solver import OdeConfig, rk45_adaptive
 
 TRUTH = SirParams(beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0)
@@ -69,27 +71,36 @@ def test_mle_fit_refuses_an_empty_budget(max_evals):
         mle_fit(data, TRUTH, max_evals=max_evals)
 
 
+def _i_stage_chain(params, rates):
+    """The SIR chain in the infected stages, state (S, I_1..I_n):
+    S' = -beta S I with I = I_1 + ... + I_n, I_1' = beta S I - r_1 I_1 and
+    I_i' = r_{i-1} I_{i-1} - r_i I_i, from S(0) = 1 - eps, I_1(0) = eps."""
+
+    def rhs(t, y):
+        s, stages = y[0], y[1:]
+        force = params.beta * s * stages.sum()
+        inflow = np.concatenate([[force], rates[:-1] * stages[:-1]])
+        return np.concatenate([[-force], inflow - rates * stages])
+
+    y0 = np.zeros(len(rates) + 1)
+    y0[0], y0[1] = 1.0 - params.eps, params.eps
+    return rhs, y0
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sir_rhs_is_the_chain_model(variant):
-    # At random states the rhs is S' = -beta S I, I = I_1 + ... + I_n, and
-    # I_1' = beta S I - r_1 I_1, I_i' = r_{i-1} I_{i-1} - r_i I_i, within
-    # 8 eps of the magnitudes of the terms.
+    # The C-DDE's chain reproduces the I-stage chain: S = 1 - C, I_i = B_i'
+    # and R = r_n B_n, at rtol 1e-12 on both.
     params = replace(TRUTH, beta=0.7, j=3.3)
     problem = build_sir_chain(params, variant)
     rates = np.asarray(problem.params.rates())
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        y = rng.standard_normal(len(rates) + 1)
-        s, stages = y[0], y[1:]
-        force = params.beta * s * stages.sum()
-        force_size = params.beta * abs(s) * np.abs(stages).sum()
-        inflow = np.concatenate([[force], rates[:-1] * stages[:-1]])
-        expected = np.concatenate([[-force], inflow - rates * stages])
-        inflow_size = np.concatenate([[force_size], np.abs(inflow[1:])])
-        size = np.concatenate([[force_size], inflow_size + np.abs(rates * stages)])
-        out = problem.rhs(0.0, y)
-        assert out is not problem.rhs(0.0, y)
-        assert np.all(np.abs(out - expected) <= 8 * np.finfo(float).eps * size)
+    times = np.linspace(0.0, 120.0, 61)
+    cfg = OdeConfig(rtol=1e-12, atol=1e-14)
+    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
+    _, ref = rk45_adaptive(*_i_stage_chain(params, rates), 0.0, cfg, t_eval=times)
+    infected = np.array([problem.rhs(0.0, y)[1:] for y in states])
+    assert np.max(np.abs(1.0 - states[:, 0] - ref[:, 0])) < 1e-11
+    assert np.max(np.abs(infected - ref[:, 1:])) < 1e-11
 
 
 def test_disease_free_limit():
@@ -99,21 +110,21 @@ def test_disease_free_limit():
 
 
 def test_mass_conservation():
+    # S = 1 - C, I_i = B_i' and R = r_n B_n sum to 1 by the chain's
+    # structure, so the sum checks the read-off; the signs check the solve.
     problem = build_sir_chain(TRUTH)
     rates = np.asarray(problem.params.rates())
-
-    def augmented(t, state):
-        core = problem.rhs(t, state[:-1])
-        return np.append(core, rates[-1] * state[-2])
-
-    y0 = np.append(problem.y0, 0.0)
     times = np.linspace(0.0, 120.0, 61)
     _, states = rk45_adaptive(
-        augmented, y0, 0.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=times
+        problem.rhs, problem.y0, 0.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=times
     )
-    totals = states.sum(axis=1)
+    s = 1.0 - states[:, 0]
+    infected = np.array([problem.rhs(0.0, y)[1:] for y in states])
+    recovered = rates[-1] * states[:, -1]
+    totals = s + infected.sum(axis=1) + recovered
     assert np.max(np.abs(totals - 1.0)) < 1e-10
     assert np.all(states >= -1e-12)
+    assert np.all(infected >= -1e-12)
 
 
 def test_final_size_relation():
@@ -122,7 +133,7 @@ def test_final_size_relation():
     _, states = rk45_adaptive(
         problem.rhs, problem.y0, 0.0, OdeConfig(rtol=1e-10, atol=1e-12), t_eval=[400.0]
     )
-    s_inf = states[-1, 0]
+    s_inf = 1.0 - states[-1, 0]
     s0 = 1.0 - params.eps
     residual = (1.0 - s_inf) + math.log(s_inf / s0) / (params.beta * params.tau)
     assert abs(residual) < 1e-3
@@ -146,6 +157,29 @@ def test_integer_shape_equals_erlang_chain():
     _, yf = rk45_adaptive(fixed.rhs, fixed.y0, 0.0, cfg, t_eval=times)
     _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, cfg, t_eval=times)
     assert np.max(np.abs(yf - ye)) < 1e-10
+
+
+def test_fcrk_on_the_c_dde_converges_to_the_erlang_chain():
+    # At integer shape the Erlang chain is the gamma model itself, so FCRK
+    # on C' = beta (1 - C) (C - C * g), from C = 0 before t = 0 and eps at
+    # it, closes on the chain at fourth order: about 16x per halving of h.
+    problem = build_sir_chain(TRUTH, "erlang")
+    times = np.linspace(0.0, 120.0, 241)
+    cfg = OdeConfig(rtol=1e-12, atol=1e-14)
+    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
+    dde = DdeProblem(
+        rhs=lambda c, recovered: TRUTH.beta * (1.0 - c) * (c - recovered),
+        kernel=GammaKernel(shape=TRUTH.j, rate=TRUTH.j / TRUTH.tau),
+        history=HistoryFunction.custom(lambda s: np.where(s < 0, 0.0, TRUTH.eps)),
+        t0=0.0,
+        t_end=120.0,
+    )
+    gaps = [
+        np.max(np.abs(fcrk4_solve(dde, h).query(times) - states[:, 0]))
+        for h in (0.1, 0.05, 0.025)
+    ]
+    assert gaps[0] / gaps[1] > 12 and gaps[1] / gaps[2] > 12
+    assert gaps[2] < 2e-8
 
 
 def test_serial_density():

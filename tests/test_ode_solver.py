@@ -145,7 +145,7 @@ def test_work_precision_sir_chain(j):
     ds = simulate_incidence(params, "smoothed_regularized", FIT_APPROX_CFG, rtol=1e-8)
     problem = build_sir_chain(params, "smoothed_regularized", FIT_APPROX_CFG)
     times = np.concatenate([[0.0], params.obs_times])
-    ref = -np.diff(_dop853(problem.rhs, problem.y0, times)[:, 0])
+    ref = np.diff(_dop853(problem.rhs, problem.y0, times)[:, 0])
     assert np.max(np.abs(ds - ref)) < 4.9e-11
 
 
