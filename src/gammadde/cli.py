@@ -307,6 +307,8 @@ def cmd_survival(args):
     if args.jump_at is not None:
         _refuse_unread(args, "survival --jump-at", ("--t-max", "--n-out", "--j"))
         jump_at = _finite(args, "jump_at")
+        if not jump_at.is_integer():
+            raise ConfigError(f"--jump-at {jump_at:g} must be an integer shape")
         t = JUMP_T if args.t is None else _finite(args, "t")
         delta = JUMP_DELTA if args.delta is None else _positive(args, "delta")
         if not delta < jump_at - 1:  # a two-moment chain needs a shape above 1

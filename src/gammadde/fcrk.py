@@ -20,15 +20,17 @@ places a time in a step with its offset theta, for ``Solution.query`` and
 the quadrature plans alike.
 
 A quadrature plan (its nodes and their factors) depends on the kernel, h,
-the quadrature configuration and t0 only, never on the solution.  So the
-solver builds the plans of a block of steps at once, before the first of
-them runs.  A plan's nodes in the history and in the steps finished before
-the block read x through the history and the step interpolants, and sum to
-one value per plan; its nodes in each of the block's own steps reduce to
-the moments ``sum f theta^(0..3)``, which form one table.  A step contracts
-its plans' rows of that table with the contiguous ``poly`` rows of the
-block's completed steps, and its stages contract the running step's moments
-with their rows' coefficients.
+the quadrature configuration and t0, and on nothing the block has yet to
+compute: its tail cut reads only the history and the steps finished before
+the block (:func:`_tails`).  So the solver builds the plans of a block of
+steps at once, before the first of them runs.  A plan's nodes in the
+history and in the steps finished before the block read x through the
+history and the step interpolants, and sum to one value per plan; its
+nodes in each of the block's own steps reduce to the moments
+``sum f theta^(0..3)``, which form one table.  A step contracts its plans'
+rows of that table with the contiguous ``poly`` rows of the block's
+completed steps, and its stages contract the running step's moments with
+their rows' coefficients.
 """
 
 import math
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadConfig, convolution_integral, plan_nodes, plan_panels
+from .quadrature import QuadConfig, convolution_integral, plan_nodes, plan_panels, tail_start
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,18 @@ class Solution:
         self.t_end = t0 + n_steps * h
         self.x = np.empty((n_steps + 1, dim))
         self.poly = np.empty((n_steps, 4, dim))
+        self._read = (0, 0.0, 0.0)  # see _sizes
+
+    def _sizes(self, n):
+        """Largest |x| over x[0..n] and largest sum of |poly[m]| coefficients
+        over the steps m < n.  The solver asks with n nondecreasing, so each
+        finished step is read once."""
+        read, x_max, poly_max = self._read
+        x_max = max(x_max, float(np.max(np.abs(self.x[read : n + 1]))))
+        if n > read:
+            poly_max = max(poly_max, float(np.max(np.abs(self.poly[read:n]).sum(axis=1))))
+        self._read = (n, x_max, poly_max)
+        return x_max, poly_max
 
     def _place(self, times, last):
         """Step index (at most ``last``, which may vary per time) and offset
@@ -162,13 +176,14 @@ class Solution:
     __call__ = query
 
 
-#: Most quadrature nodes in one plan block, and most entries of its moment
-#: table.  It bounds the memory a block takes, and a larger block spreads
-#: numpy's per-call overhead over more nodes.  Under tracemalloc the two
-#: solves of test_solve_memory_stays_small peak at 0.85 MB (stability,
-#: 11,070 nodes and 16,200 entries per block) and 0.76 MB (criterion 03's
-#: floor, 14,418 nodes per block); at 32768 at 1.23 MB and 1.42 MB.
-BLOCK_NODES = 16384
+#: Most quadrature nodes in one plan block before its tail cut; its moment
+#: table, which every step of the block contracts, holds at most half as
+#: many entries (45 steps).  It bounds the memory a block takes, and a
+#: larger block spreads numpy's per-call overhead over more nodes.  Under
+#: tracemalloc the two solves of test_solve_memory_stays_small peak at
+#: 0.74 MB (stability, 45 steps and 16,200 table entries per block) and
+#: 1.24 MB (criterion 03's floor, 6 steps and up to 28,872 nodes per block).
+BLOCK_NODES = 32768
 #: Most steps one solve may take.  The longest solve in the tests takes
 #: 2,000 steps (acceptance criterion 03 at h = 0.005) and in the benchmark
 #: 1,600 (stability at h = 0.05 over [0, 80]); at the budget the solution's
@@ -176,13 +191,48 @@ BLOCK_NODES = 16384
 MAX_STEPS = 1_000_000
 
 
-def _segment_sums(values, counts):
-    """Sums of consecutive segments of ``counts[r]`` rows of ``values``,
-    zero for an empty segment."""
-    out = np.zeros((len(counts),) + values.shape[1:])
-    full = counts > 0
-    if full.any():
-        out[full] = np.add.reduceat(values, (np.cumsum(counts) - counts)[full], axis=0)
+#: Most a plan may drop of its convolution in the kernel's tail, relative to
+#: the largest |x| so far; half of it goes to the history and half to the
+#: steps before the plan's block.
+TAIL_TOLERANCE = 1e-17
+
+
+def _log(value):
+    return math.log(value) if value > 0.0 else -math.inf
+
+
+def _tails(sol, kernel, times, n0):
+    """Per plan at ``times``, the lag beyond which its nodes are dropped
+    (see :func:`plan_nodes`), or None for a custom history, which keeps
+    every node.  The dropped history part of a plan, bounded through the
+    history c e^(rho s) itself, and its dropped part in steps before step
+    n0, bounded through their largest sum of |poly| coefficients, are each
+    at most TAIL_TOLERANCE / 2 times the largest |x| up to x[n0].
+    """
+    history = sol.history
+    if getattr(history, "kind", None) != "exponential":
+        return None
+    x_max, poly_max = sol._sizes(n0)
+    log_share = _log(TAIL_TOLERANCE / 2.0 * x_max)
+    c, rho = history.value, history.growth
+    # The history part at t is |c| e^(rho t) int_(s_min)^inf e^(-rho s) g(s) ds.
+    rho_t = max(rho * times[0], rho * times[-1])
+    s_history = tail_start(kernel, rho, log_share - _log(abs(c)) - rho_t) if c else 0.0
+    s_recent = tail_start(kernel, 0.0, log_share - _log(poly_max))
+    # Only nodes in the history and in steps before n0 may be dropped.
+    lag = times - sol.t0
+    finished = np.maximum(s_recent, lag - n0 * sol.h)
+    return np.maximum(s_history, np.minimum(finished, lag))
+
+
+def _plan_sums(plan, values, plans):
+    """Per plan r < ``plans``, the sum of the rows of ``values`` whose entry
+    of ``plan`` is r.  bincount adds them in order, so a plan's sum does not
+    move when negligible leading terms are dropped, as a pairwise sum's
+    grouping would."""
+    out = np.empty((plans, values.shape[1]))
+    for k, column in enumerate(values.T):
+        out[:, k] = np.bincount(plan, column, minlength=plans)
     return out
 
 
@@ -190,11 +240,9 @@ def _history_sums(history, factor, s, counts, dim):
     """Per plan, the sum of ``factor * history(s)`` over its history-side
     nodes, calling the history once at the nodes whose factor is nonzero."""
     live = np.flatnonzero(factor)
-    if not live.size:
-        return np.zeros((len(counts), dim))
-    live_counts = np.diff(np.searchsorted(live, np.cumsum(counts)), prepend=0)
+    plan = np.repeat(np.arange(len(counts)), counts)[live]
     vals = _history_values(history, s[live], dim) * factor[live, None]
-    return _segment_sums(vals, live_counts)
+    return _plan_sums(plan, vals, len(counts))
 
 
 class _PlanBlock:
@@ -222,7 +270,7 @@ class _PlanBlock:
         times = sol.t0 + last * h
         times[0::2] += 0.5 * h
         times[1::2] += h
-        sides = plan_nodes(times, kernel, quad, h, sol.t0)
+        sides = plan_nodes(times, kernel, quad, h, sol.t0, _tails(sol, kernel, times, n0))
         self.values = _history_sums(sol.history, *next(sides), dim)
         factor, s, counts = next(sides)
         # A node never reads past its plan's own step: one on t_n + h reads
@@ -231,9 +279,10 @@ class _PlanBlock:
         step, theta = sol._place(s, last[plan])
         # A plan's nodes ascend in time, so those before the block come first.
         before = step < n0
-        self.values += _segment_sums(
+        self.values += _plan_sums(
+            plan[before],
             sol._interp(step[before], theta[before]) * factor[before, None],
-            np.bincount(plan[before], minlength=len(times)),
+            len(times),
         )
         within = ~before
         key = (plan * (n1 - n0) + step - n0)[within]
@@ -290,7 +339,7 @@ def fcrk4_solve(problem, h, quad=None):
     # nodes, and its table of k steps 2k x 4k entries.
     block_steps = max(
         1,
-        min(BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)), math.isqrt(BLOCK_NODES // 8)),
+        min(BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)), math.isqrt(BLOCK_NODES // 16)),
     )
     span = problem.t_end - problem.t0
     # Checked in floating point, before the count is made an integer and
@@ -333,6 +382,7 @@ def fcrk4_solve(problem, h, quad=None):
         quad,
         h,
         problem.t0,
+        tail=_tails(sol, problem.kernel, np.array([problem.t0]), 0),
     )
     block_end = 0
     # An overflowing history or solution is reported by the stage check,

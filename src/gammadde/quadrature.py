@@ -19,8 +19,26 @@ A quadrature *plan* is the set of nodes of one convolution: per node, the
 factor (rule weight times kernel weight) that multiplies the solution, and
 the time where the solution is read.  It depends on the kernel, the
 quadrature configuration, the solver step, t0 and the time of the
-convolution, never on the solution, so :func:`plan_nodes` builds the plans
-of many times at once; :func:`convolution_integral` is its one-plan case.
+convolution, and on the solution only through the tail cut below, so
+:func:`plan_nodes` builds the plans of many times at once;
+:func:`convolution_integral` is its one-plan case.
+
+A plan may skip the kernel's negligible tail.  Given a lag s_min per plan,
+the panels whose omega lies wholly below omega(s_min) are never built, and
+the panels kept are the uncut rule's own, bit for bit.  The caller picks
+s_min from what it knows of the solution so that the skipped part is
+certified to be negligible: for a history c e^(rho s), the part beyond
+s_min is at most
+
+    |c| e^(rho t) (a / (a + rho))^j Q(j, (a + rho) s_min),
+
+with Q the regularized upper incomplete gamma function, and a stretch of
+the solution bounded by M contributes at most M Q(j, a s_min).  These bound
+the integral over the skipped panels; the rule's sum over them is of the
+same size, since the integrand only grows towards the cut there.
+:func:`tail_start` inverts the bounds through the Chernoff bound
+Q(j, x) <= (e x / j)^j e^(-x), x >= j, so no special function is needed.
+Nothing is known of a custom history, so its plans keep every panel.
 """
 
 import math
@@ -77,21 +95,23 @@ def _transform_params(kernel):
     return (j + 1) / a ** (1.0 / beta), beta
 
 
-def _open_simpson_grid(lo, hi, panels):
+def _open_simpson_grid(lo, hi, panels, first=0):
     """Nodes and weights of the composite 3-point open rule on [lo_r, hi_r]
     with panels_r panels, the rows r one after another in flat arrays.
+    Only panels first_r .. panels_r - 1 of each row are built.
 
     Per panel of width w: nodes at the interior quarter points, weights
     (2w/3, -w/3, 2w/3).  Panel endpoints are never evaluated.
     """
     width = (hi - lo) / np.maximum(panels, 1)
+    kept = panels - first
     # Per panel: its row's width, and its left edge lo + w * (its index in
     # the row).
-    w = np.repeat(width, panels)
+    w = np.repeat(width, kept)
     edges = np.arange(len(w), dtype=float)
-    edges -= np.repeat(np.cumsum(panels) - panels, panels)
+    edges -= np.repeat(np.cumsum(kept) - kept - first, kept)
     edges *= w
-    edges += np.repeat(lo, panels)
+    edges += np.repeat(lo, kept)
     third = w / 3.0
     # Filled one quarter point at a time, so each operation runs over all
     # panels at once rather than over the three nodes of a panel.
@@ -149,19 +169,53 @@ def plan_panels(cfg, h):
     return math.ceil(1.0 / (4.0 * h_int))
 
 
-def _plan_part(times, lo, hi, panels, kernel, alpha, beta):
+def tail_start(kernel, growth, log_bound):
+    """A time s beyond which int_s^inf e^(-growth u) g(u) du is at most
+    e^log_bound, close to the smallest such s.
+
+    The integral is (a/b)^j Q(j, b s) with b = a + growth > 0, and the
+    Chernoff bound Q(j, j y) <= e^(-j (y - log y - 1)), y >= 1, reduces the
+    condition to y - log y - 1 >= log(a/b) - log_bound / j.  Newton's method
+    on that convex, increasing function starts to the right of its root and
+    stays there, so every iterate is a valid s.
+    """
+    j, b = kernel.shape, kernel.rate + growth
+    excess = math.log(kernel.rate / b) - log_bound / j
+    if excess <= 0.0:
+        return 0.0  # the whole integral is below the bound
+    if not excess < math.inf:
+        return math.inf  # a zero or nan bound
+    y = 2.0 * (excess + 1.0)
+    for _ in range(100):
+        step = (y - math.log(y) - 1.0 - excess) / (1.0 - 1.0 / y)
+        y -= step
+        if step <= 1e-12 * y:
+            break
+    return j * y / b
+
+
+def _plan_part(times, lo, hi, panels, first, kernel, alpha, beta):
     """(factor, s, counts) of the nodes of one omega piece per plan."""
-    omega, weights = _open_simpson_grid(lo, hi, panels)
+    omega, weights = _open_simpson_grid(lo, hi, panels, first)
     log_w, sigma = _log_weight(omega, kernel, alpha, beta)
     factor = np.exp(log_w, out=log_w)
     factor *= weights
-    counts = 3 * panels
+    counts = 3 * (panels - first)
     s = np.repeat(times, counts)
     s -= sigma
     return factor, s, counts
 
 
-def plan_nodes(times, kernel, cfg, h, t0):
+def _panels_below(omega_min, lo, hi, panels):
+    """Per row, the panels of the rule on [lo, hi] that lie wholly below
+    omega_min."""
+    # The share of the piece below omega_min is exactly 1 when it covers the
+    # piece, and 0 for an empty piece.
+    share = (np.minimum(omega_min, hi) - lo) / np.maximum(hi - lo, np.finfo(float).tiny)
+    return np.maximum(np.floor(share * panels), 0.0).astype(int)
+
+
+def plan_nodes(times, kernel, cfg, h, t0, tail=None):
     """Quadrature plans of int_0^inf x(t - s) g(s) ds at each t of ``times``.
 
     Yields the plans' nodes in two sides, each a triple ``(factor, s,
@@ -175,6 +229,12 @@ def plan_nodes(times, kernel, cfg, h, t0):
     nodes with a nonzero factor need x.  The second side is built when the
     first has been taken, so a caller that reduces the history side before
     asking for the next never holds both.
+
+    ``tail``, if given, holds per plan a lag s_min (``inf`` for none): the
+    panels of either side whose nodes all lie beyond it are not built, and
+    the rest are the uncut plan's own.  The caller certifies that the
+    dropped part is negligible (see the module docstring).  The panel
+    budget is checked on the plans without the cut.
     """
     plan_panels(cfg, h)  # refuses an oversized plan before allocating it
     h_int = cfg.step(h)
@@ -185,19 +245,26 @@ def plan_nodes(times, kernel, cfg, h, t0):
     # Each piece present takes at least one panel.
     past_panels = np.maximum(np.ceil(split / (4.0 * h_int)), split > 0.0).astype(int)
     recent_panels = np.maximum(np.ceil((1.0 - split) / (4.0 * h_int)), split < 1.0).astype(int)
-    yield _plan_part(times, np.zeros_like(split), split, past_panels, kernel, alpha, beta)
-    yield _plan_part(times, split, np.ones_like(split), recent_panels, kernel, alpha, beta)
+    past = (np.zeros_like(split), split, past_panels)
+    recent = (split, np.ones_like(split), recent_panels)
+    past_first = recent_first = 0
+    if tail is not None:
+        omega_min = np.exp(-(np.asarray(tail, dtype=float) ** (1.0 / beta)) / alpha)
+        past_first = _panels_below(omega_min, *past)
+        recent_first = _panels_below(omega_min, *recent)
+    yield _plan_part(times, *past, past_first, kernel, alpha, beta)
+    yield _plan_part(times, *recent, recent_first, kernel, alpha, beta)
 
 
-def convolution_integral(t, accessor, kernel, cfg, h, t0):
+def convolution_integral(t, accessor, kernel, cfg, h, t0, tail=None):
     """Quadrature value of int_0^inf x(t - s) g(s) ds at time t.
 
-    The one-plan case of :func:`plan_nodes`.  ``accessor`` is called once
-    with the ascending times of the nodes whose factor is nonzero; it must
-    accept an array of times and may return per-time vectors for
-    multi-component states.
+    The one-plan case of :func:`plan_nodes`, whose ``tail`` then holds one
+    lag.  ``accessor`` is called once with the ascending times of the nodes
+    whose factor is nonzero; it must accept an array of times and may
+    return per-time vectors for multi-component states.
     """
-    (past_f, past_s, _), (recent_f, recent_s, _) = plan_nodes([t], kernel, cfg, h, t0)
+    (past_f, past_s, _), (recent_f, recent_s, _) = plan_nodes([t], kernel, cfg, h, t0, tail)
     factor = np.concatenate([past_f, recent_f])
     live = factor != 0.0
     times = np.concatenate([past_s, recent_s])[live]

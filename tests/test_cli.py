@@ -458,6 +458,7 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["survival", "--jump-at", "2", "--delta", "1"], "--delta 1 must be below --jump-at 2"),
         (["survival", "--jump-at", "0"], "--delta 1e-06 must be below --jump-at 0"),
         (["survival", "--jump-at", "nan"], "--jump-at must be finite"),
+        (["survival", "--jump-at", "2.5"], "--jump-at 2.5 must be an integer shape"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):

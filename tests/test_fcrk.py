@@ -353,8 +353,9 @@ def _coupled_vector_problem():
     "problem, h, quad",
     [
         # Criterion 03's first eigenfunction problem: exponential history.
+        # Its 100 steps take three blocks.
         (
-            analysis.dde_problem("linear_gamma", 2.15, 4.65, beta=0.5, t_end=2.0)[0],
+            analysis.dde_problem("linear_gamma", 2.15, 4.65, beta=0.5, t_end=5.0)[0],
             0.05,
             QuadConfig(xi=(1 / 16) ** 4),
         ),
@@ -401,7 +402,8 @@ def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h, monkeypatch):
     # at t_n + h, exactly and 1e-12 h below, read step n at theta = 1,
     # never the next step, which is unfinished when the plan is used.
     n0, n1 = 2, 7
-    sol = fcrk.Solution(HistoryFunction.constant(1.0), t0, h, n1, 1, True)
+    # A custom history: the block asks for no tail cut, which needs a kernel.
+    sol = fcrk.Solution(HistoryFunction.custom(np.ones_like), t0, h, n1, 1, True)
     steps = np.arange(n0, n1)
     at = t0 + steps * h + h
     counts = np.zeros(2 * len(steps), dtype=int)
@@ -409,7 +411,7 @@ def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h, monkeypatch):
     s = np.column_stack([at - 1e-12 * h, at]).ravel()
     history = (np.zeros(0), np.zeros(0), np.zeros_like(counts))
 
-    def nodes(times, kernel, quad, h, t0):
+    def nodes(times, kernel, quad, h, t0, tail):
         yield history
         yield np.ones(len(s)), s, counts
 
@@ -433,10 +435,10 @@ def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h, monkeypatch):
     ids=["stability", "criterion_03_floor"],
 )
 def test_solve_memory_stays_small(name, j, tau, coefficients, t_end, h, quad):
-    # A plan block holds at most fcrk.BLOCK_NODES nodes and as many moment
-    # table entries, and reduces its history side before it builds the
-    # rest, so a long or node-heavy solve holds little beyond its own mesh
-    # and step coefficients.  Peaks at 16384: 0.85 MB and 0.76 MB.
+    # A plan block holds at most fcrk.BLOCK_NODES nodes and half as many
+    # moment table entries, and reduces its history side before it builds
+    # the rest, so a long or node-heavy solve holds little beyond its own
+    # mesh and step coefficients.  Peaks at 32768: 0.74 MB and 1.24 MB.
     prob = analysis.dde_problem(name, j, tau, t_end=t_end, **coefficients)[0]
     tracemalloc.start()
     try:
@@ -539,3 +541,102 @@ def test_fcrk_matches_the_erlang_chain_at_integer_shape(name, j, tau, c, growth,
     exact = reference(times)
     err = np.max(np.abs(fcrk4_solve(prob, 0.05).query(times) - exact))
     assert err <= 16 * CRITERION_01_ERROR_AT_H005 * max(1.0, np.max(np.abs(exact)))
+
+
+def _custom(history):
+    """The same history as a custom one, which keeps every quadrature panel."""
+    return HistoryFunction.custom(history)
+
+
+def _counting_plans(monkeypatch):
+    """Patch plan_nodes to record the counts of each side it yields; returns
+    {"history": [...], "recent": [...]} of per-plan count arrays."""
+    build = quadrature.plan_nodes
+    counts = {"history": [], "recent": []}
+
+    def counted(*args):
+        for side, part in zip(counts, build(*args)):
+            counts[side].append(part[2])
+            yield part
+
+    monkeypatch.setattr(quadrature, "plan_nodes", counted)
+    monkeypatch.setattr(fcrk, "plan_nodes", counted)
+    return counts
+
+
+def _gap(cut, full):
+    return np.max(np.abs(cut - full)) / np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("j", [2.57, 6.3])
+@pytest.mark.parametrize("f", [0.5, 0.9, 0.99])
+def test_tail_cut_is_certified_for_a_history_growing_into_the_past(j, f):
+    # psi(s) = e^(rho s) with rho = -f a: the further past, the larger the
+    # history, so far-tail nodes that carry a negligible share of the kernel
+    # still matter.  A cut on the kernel alone moves these solutions by
+    # 4.9e-11 to 1.0 of their maximum; the certified cut by rounding only.
+    prob = analysis.dde_problem("linear", j, t_end=5.0,
+                                history=HistoryFunction.exponential(1.0, -f * j))[0]
+    cut = fcrk4_solve(prob, 0.05).x
+    full = fcrk4_solve(dataclasses.replace(prob, history=_custom(prob.history)), 0.05).x
+    assert _gap(cut, full) <= 1e-15
+
+
+def test_zero_history_drops_its_whole_side(monkeypatch):
+    # A zero history contributes nothing, and the cut knows it exactly: no
+    # plan builds a history node, and the solution is the uncut one.
+    counts = _counting_plans(monkeypatch)
+    prob = _problem(lambda x, conv: 0.8 * x - 1.1 * conv + 1.0, j=2.57, t_end=5.0,
+                    history=HistoryFunction.constant(0.0))
+    cut = fcrk4_solve(prob, 0.05).x
+    assert sum(c.sum() for c in counts["history"]) == 0
+    counts["history"].clear()
+    full = fcrk4_solve(dataclasses.replace(prob, history=_custom(prob.history)), 0.05).x
+    assert sum(c.sum() for c in counts["history"]) > 0
+    assert np.array_equal(cut, full)
+
+
+def test_tail_cut_on_the_recent_side(monkeypatch):
+    # Criterion 07's first stability solve runs 80 time units at mean delay
+    # 1, so late plans drop nodes in long-finished steps too: 247,044
+    # recent-side nodes against 272,820 uncut.
+    counts = _counting_plans(monkeypatch)
+    prob = analysis.dde_problem("linear_gamma", 2.5, 1.0, alpha=0.89, beta=-1.15, t_end=80.0)[0]
+    cut = fcrk4_solve(prob, 0.05).x
+    recent_cut = sum(c.sum() for c in counts["recent"])
+    counts["recent"].clear()
+    full = fcrk4_solve(dataclasses.replace(prob, history=_custom(prob.history)), 0.05).x
+    assert recent_cut < 0.95 * sum(c.sum() for c in counts["recent"])
+    assert _gap(cut, full) <= 1e-15
+
+
+def test_tail_cut_builds_a_third_fewer_nodes(monkeypatch):
+    # The fcrk_solve benchmark's eigenfunction case at j = 2.15, h = 0.0125.
+    counts = _counting_plans(monkeypatch)
+    prob = analysis.dde_problem("linear_gamma", 2.15, 4.65, beta=0.5, t_end=5.0)[0]
+    quad = QuadConfig(xi=(1 / 16) ** 4)
+    nodes = []
+    for history in (prob.history, _custom(prob.history)):
+        fcrk4_solve(dataclasses.replace(prob, history=history), 0.0125, quad=quad)
+        nodes.append(sum(c.sum() for side in counts.values() for c in side))
+        for side in counts.values():
+            side.clear()
+    assert nodes[0] <= 0.75 * nodes[1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    c=st.floats(0.25, 2.0),
+    growth=st.floats(-0.9, 1.0),
+    scale=st.floats(-12.0, 12.0),
+    j=st.floats(1.0, 8.0),
+)
+def test_tail_cut_is_scale_free(c, growth, scale, j):
+    # The cut compares the dropped part with the solution's own size, so an
+    # amplitude k c gives k times the solution for c, to rounding.
+    k = 10.0**scale
+    rhs = lambda x, conv: -0.5 * x + 0.8 * conv  # noqa: E731
+    histories = [HistoryFunction.exponential(amp, growth * j) for amp in (c, k * c)]
+    sols = [fcrk4_solve(_problem(rhs, j=j, t_end=3.0, history=hist), 0.1).x[:, 0]
+            for hist in histories]
+    assert np.all(np.abs(sols[1] - k * sols[0]) <= 1e-14 * np.max(np.abs(sols[1])))
