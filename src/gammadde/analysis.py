@@ -13,7 +13,7 @@
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from . import approximations as approx
 from .chain_reduction import HistoryFunction, build_erlang_system, build_hypoexp_system
@@ -349,29 +349,24 @@ def gm_checks(m, frac):
     """Structural identities of the g_m family, as a pass/fail record.
 
     Checks g_m(0) = 1, the sign of g_m(1) (negative for even m, positive
-    for odd), the derivative recurrence g_m' = -(m-1+frac) g_(m-1) by
-    central differences (step 1e-6, tolerance 1e-6 at 20 points), the odd-m
-    lower bound g_m > (1-x)^m on (0, 1), and the even-m single sign change
-    on [0, 1].
+    for odd), the derivative recurrence g_m' = -(m-1+frac) g_(m-1) on the
+    coefficients, the odd-m lower bound g_m > (1-x)^m on (0, 1), and the
+    even-m single sign change on [0, 1].
     """
     record = {}
     record["value_at_zero"] = abs(gm_value(m, frac, 0.0) - 1.0) < 1e-12
     g1 = gm_value(m, frac, 1.0)
     record["sign_at_one"] = (g1 < 0) if m % 2 == 0 else (g1 > 0)
-    xs = np.linspace(0.05, 0.95, 20)
     if m >= 1:
-        fd_step = 1e-6
-        fd = (gm_value(m, frac, xs + fd_step) - gm_value(m, frac, xs - fd_step)) / (
-            2 * fd_step
-        )
-        target = -(m - 1 + frac) * gm_value(m - 1, frac, xs)
-        # Mixed tolerance: the target crosses zero inside (0, 1) for even
-        # m-1, where a pure relative comparison is ill-posed.
-        scale = np.maximum(np.abs(target), 1.0)
+        # Both sides multiply the same factors, rounded in another order: at
+        # most 2 MAX_DEGREE roundings, so within 1e-13 of each coefficient.
+        derivative = polyder(_moment_coefficients(m, frac))
+        target = -(m - 1 + frac) * np.asarray(_moment_coefficients(m - 1, frac))
         record["derivative_recurrence"] = bool(
-            np.all(np.abs(fd - target) / scale < 1e-6)
+            np.allclose(derivative, target, rtol=1e-13, atol=0.0)
         )
     if m % 2 == 1:
+        xs = np.linspace(0.05, 0.95, 20)
         record["odd_lower_bound"] = bool(
             np.all(gm_value(m, frac, xs) > (1.0 - xs) ** m)
         )

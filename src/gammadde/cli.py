@@ -151,7 +151,7 @@ def _quad_config(args):
 
 
 def _chain_cfg(args):
-    rtol = CHAIN_RTOL if args.rtol is None else args.rtol
+    rtol = OdeConfig.rtol if args.rtol is None else args.rtol
     return OdeConfig(rtol=rtol, atol=rtol * 1e-2)
 
 
@@ -446,7 +446,6 @@ def cmd_epi_fit(args):
 
 # Defaults of the flags that only one mode of a command reads.  These flags
 # default to None, so a mode that does not read one can refuse it when given.
-CHAIN_RTOL = 1e-10
 CHAIN_VARIANT = "fixed"
 JUMP_T = 4.0
 JUMP_DELTA = 1e-6
@@ -467,7 +466,7 @@ _FLAGS = {
     "--h-list": dict(default="0.1,0.05,0.025,0.0125", help="comma-separated FCRK steps"),
     "--xi": dict(type=float, help="step coupling h_int^4 = xi h^4 (default (1/8)^4)"),
     "--quad-step": dict(type=float, help="quadrature step h_int, overriding --xi"),
-    "--rtol": dict(type=float, help=f"chain ODE relative tolerance (default {CHAIN_RTOL:g})"),
+    "--rtol": dict(type=float, help=f"chain ODE relative tolerance (default {OdeConfig.rtol:g})"),
     "--method": dict(default="fcrk4", choices=("fcrk4", "chain")),
     "--variant": dict(
         help=f"chain variant (default {CHAIN_VARIANT}): " + ", ".join(approx.VARIANTS)

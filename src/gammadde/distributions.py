@@ -2,9 +2,9 @@
 
 Gamma kernels (Erlang for integer shape, exponential for shape 1) and
 hypoexponential kernels (sums of independent exponentials with possibly
-distinct rates), with densities, survival functions, moment generating
-functions, moments, and seeded sampling.  All kernel objects are immutable
-and safe to share; ``Rng`` instances are single-owner.
+distinct rates), with survival functions, moment generating functions,
+moments, and seeded sampling.  All kernel objects are immutable and safe
+to share; ``Rng`` instances are single-owner.
 """
 
 import math
@@ -122,9 +122,9 @@ def stage_generator(rates):
 
 #: Most entries, stages^2 x times, of one call's occupancies: it bounds the
 #: propagation's work and the stack of exponentials over the distinct time
-#: steps, which holds at most one matrix per time.  The benchmark's largest
-#: call has 98,049 (7 stages at 2,001 times), the tests' 540, and at the
-#: budget, with every step distinct, scipy's ``expm`` holds up to 256 MB.
+#: steps, which holds at most one matrix per time.  The largest call in the
+#: benchmark, as in the tests, has 98,049 (7 stages at 2,001 times), and at
+#: the budget, with every step distinct, scipy's ``expm`` holds up to 256 MB.
 MAX_EXPM_ENTRIES = 2**22
 
 
@@ -133,18 +133,20 @@ MAX_EXPM_ENTRIES = 2**22
 EXPM_NORM_LIMIT = 2.0**127
 
 
-def _occupancies(kernel, t):
-    """Stage-occupancy row vectors p(t) = e1 exp(Q t), one row per time.
+def hypoexp_survival(kernel, t):
+    """Mass not yet absorbed at time t: integrates the generator from
+    unit mass in stage 1.  Robust to repeated and widely separated rates.
 
-    p is carried through the sorted times, p <- p exp(Q dt), with one
-    exponential per distinct step dt: a linspace grid rounds to about a
-    dozen distinct steps, however many times it has.
+    The stage occupancies p(t) = e1 exp(Q t) are carried through the sorted
+    times, p <- p exp(Q dt), with one exponential per distinct step dt: a
+    linspace grid rounds to about a dozen distinct steps, however many
+    times it has.
 
     The survival is bounded by that of Erlang(n, r_min), every stage being
     at least as fast as the slowest.  Where that bound underflows to 0 in
     ``gammaincc`` (below about 1e-308; at t = +inf, and from t of about
     1e38 on, where the exponentials overflow) all mass counts as absorbed
-    and the row is zero.
+    and the survival is zero.
     """
     t_arr = np.asarray(t, dtype=float).ravel()
     if np.any(t_arr < 0):
@@ -175,24 +177,7 @@ def _occupancies(kernel, t):
     for at, k in zip(order.tolist(), step_of.tolist()):
         p = p @ propagators[k]
         out[at] = p
-    return out
-
-
-def hypoexp_survival(kernel, t):
-    """Mass not yet absorbed at time t: integrates the generator from
-    unit mass in stage 1.  Robust to repeated and widely separated rates.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    out = np.clip(_occupancies(kernel, t_arr).sum(axis=1), 0.0, 1.0)
-    out = out.reshape(t_arr.shape)
-    return out if out.ndim else float(out)
-
-
-def hypoexp_pdf(kernel, t):
-    """Absorption-time density: outflow of the final stage, r_n p_n(t)."""
-    t_arr = np.asarray(t, dtype=float)
-    out = kernel.rates[-1] * _occupancies(kernel, t_arr)[:, -1]
-    out = out.reshape(t_arr.shape)
+    out = np.clip(out.sum(axis=1), 0.0, 1.0).reshape(np.shape(t))
     return out if out.ndim else float(out)
 
 

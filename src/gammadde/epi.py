@@ -116,7 +116,7 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     return replace(problem, y0=np.concatenate([[params.eps], problem.y0[1:]]))
 
 
-def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=1e-10):
+def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=OdeConfig.rtol):
     """Per-interval incidences C(t_k) - C(t_{k-1}).
 
     Fractions of the population, so their sum is at most 1; multiply by M
@@ -153,7 +153,7 @@ def _poisson_loglik(counts, mu):
     return xlogy(counts, mu) - mu - gammaln(counts + 1.0)
 
 
-def log_likelihood(params, data, rate_variant="fixed", approx_cfg=None, rtol=1e-10):
+def log_likelihood(params, data, rate_variant="fixed", approx_cfg=None, rtol=OdeConfig.rtol):
     """Poisson case likelihood plus serial-interval likelihood.
 
     Returns -inf (rather than raising) when the model predicts zero
@@ -194,6 +194,10 @@ DEFAULT_BOUNDS = {
     "eps": (1e-6, 0.2),
 }
 
+#: Whether :func:`mle_fit` searches over the log of each parameter of
+#: ``DEFAULT_BOUNDS`` or over the parameter itself.
+_LOG_SEARCH = {"beta": True, "tau": True, "j": False, "eps": True}
+
 #: Chain settings used inside the fitter: the regularized smoothed rates
 #: keep the objective continuous in j across integers, and the relatively
 #: large offsets cap the fastest rate at about 2 j / (eps tau), 160 at
@@ -213,60 +217,55 @@ def fit_log_likelihood(params, data):
 def mle_fit(data, init, max_evals=500):
     """Maximize the evidence-synthesis likelihood over (beta, tau, j, eps).
 
-    Nelder-Mead over (log beta, log tau, j, log eps), with every candidate
-    clamped to the ``DEFAULT_BOUNDS`` box, so the search is gradient-free
-    and immune to the square-root sensitivity of the chain rates near
-    integer j.  ``init`` is a :class:`SirParams` carrying the starting
-    point and the observation design (grid, M).
+    Nelder-Mead over (log beta, log tau, j, log eps), kept inside the
+    ``DEFAULT_BOUNDS`` box by scipy's bounded variant, which clips every
+    vertex to the box, so the search is gradient-free and immune to the
+    square-root sensitivity of the chain rates near integer j.  ``init``
+    is a :class:`SirParams` carrying the starting point, clipped into the
+    box, and the observation design (grid, M).  The first simplex is
+    scipy's default, each vertex the start with one coordinate times 1.05,
+    except that a vertex past a lower face is reflected into the box, as
+    scipy reflects one past an upper face; clipping it would flatten the
+    simplex and pin that coordinate to the face.
     """
     if max_evals < 1:
         raise ValueError("the evaluation budget max_evals must be at least 1")
 
-    def clamp(name, value):
-        lo, hi = DEFAULT_BOUNDS[name]
-        return min(max(value, lo), hi)
+    def search(name, value):
+        return math.log(value) if _LOG_SEARCH[name] else value
 
     def unpack(z):
-        return (
-            clamp("beta", math.exp(z[0])),
-            clamp("tau", math.exp(z[1])),
-            float(clamp("j", z[2])),
-            clamp("eps", math.exp(z[3])),
-        )
+        return {
+            name: float(np.clip(math.exp(v) if _LOG_SEARCH[name] else v, *box))
+            for (name, box), v in zip(DEFAULT_BOUNDS.items(), z)
+        }
 
     def objective(z):
-        beta, tau, j, eps = unpack(z)
-        params = replace(init, beta=beta, tau=tau, j=j, eps=eps)
-        ll = fit_log_likelihood(params, data)
+        ll = fit_log_likelihood(replace(init, **unpack(z)), data)
         return -ll if math.isfinite(ll) else 1e12
 
-    z0 = np.array(
-        [
-            math.log(clamp("beta", init.beta)),
-            math.log(clamp("tau", init.tau)),
-            clamp("j", init.j),
-            math.log(clamp("eps", init.eps)),
-        ]
-    )
+    boxes = DEFAULT_BOUNDS.items()
+    bounds = np.array([[search(name, edge) for edge in box] for name, box in boxes])
+    z0 = np.array([search(name, np.clip(getattr(init, name), *box)) for name, box in boxes])
+    simplex = np.tile(z0, (len(z0) + 1, 1))
+    np.fill_diagonal(simplex[1:], np.where(z0 != 0, 1.05 * z0, 0.00025))
+    simplex = np.where(simplex < bounds[:, 0], 2 * bounds[:, 0] - simplex, simplex)
     result = minimize(
         objective,
         z0,
         method="Nelder-Mead",
+        bounds=bounds,
         options={
+            "initial_simplex": simplex,
             "maxfev": max_evals,
             "xatol": 1e-4,
             "fatol": 1e-6,
             "adaptive": True,
         },
     )
-    beta, tau, j, eps = unpack(result.x)
     return FitResult(
-        beta=beta,
-        tau=tau,
-        j=j,
-        eps=eps,
+        **unpack(result.x),
         loglik=-float(result.fun),
         n_evals=int(result.nfev),
         converged=bool(result.success),
     )
-

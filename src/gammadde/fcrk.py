@@ -131,18 +131,12 @@ class Solution:
         self.t_end = t0 + n_steps * h
         self.x = np.empty((n_steps + 1, dim))
         self.poly = np.empty((n_steps, 4, dim))
-        self._read = (0, 0.0, 0.0)  # see _sizes
 
     def _sizes(self, n):
         """Largest |x| over x[0..n] and largest sum of |poly[m]| coefficients
-        over the steps m < n.  The solver asks with n nondecreasing, so each
-        finished step is read once."""
-        read, x_max, poly_max = self._read
-        x_max = max(x_max, float(np.max(np.abs(self.x[read : n + 1]))))
-        if n > read:
-            poly_max = max(poly_max, float(np.max(np.abs(self.poly[read:n]).sum(axis=1))))
-        self._read = (n, x_max, poly_max)
-        return x_max, poly_max
+        over the steps m < n."""
+        poly_max = float(np.max(np.abs(self.poly[:n]).sum(axis=1), initial=0.0))
+        return float(np.max(np.abs(self.x[: n + 1]))), poly_max
 
     def _place(self, times, last):
         """Step index (at most ``last``, which may vary per time) and offset

@@ -260,6 +260,14 @@ def test_fm_real_root_counts():
 def test_gm_values_and_checks():
     assert analysis.gm_value(1, 0.3, 1.0) == pytest.approx(0.7, rel=1e-14)
     assert analysis.gm_value(2, 0.5, 1.0) == pytest.approx(-0.125, rel=1e-13)
-    for m in (1, 2, 4, 7):
+    for m in (1, 2, 4, 7, 17):
         record = analysis.gm_checks(m, 0.37)
         assert record["all_passed"], record
+
+
+@pytest.mark.parametrize("frac", [1e-12, 0.005, 0.37, 0.5, 0.995, 1.0 - 1e-12])
+def test_gm_derivative_recurrence_up_to_the_largest_degree(frac):
+    # The identity g_m' = -(m-1+f) g_(m-1) holds at every degree, and with
+    # f within 1e-12 of 0 or 1, where the other checks of gm_checks fail.
+    for m in range(1, analysis.MAX_DEGREE + 1):
+        assert analysis.gm_checks(m, frac)["derivative_recurrence"], m

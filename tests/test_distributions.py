@@ -18,7 +18,6 @@ from gammadde.distributions import (
     gamma_mgf,
     gamma_survival,
     hypoexp_mgf,
-    hypoexp_pdf,
     hypoexp_survival,
     sample_equilibrium_gamma,
     stage_generator,
@@ -148,14 +147,6 @@ def test_hypoexp_survival_repeated_rates():
     assert np.allclose(hypoexp_survival(k, t), gamma_survival(g, t), atol=1e-10)
 
 
-def test_hypoexp_pdf_is_survival_derivative():
-    k = HypoexpKernel((1.3, 3.1, 0.9))
-    h = 1e-5
-    for t in (0.4, 1.1, 2.5):
-        fd = (hypoexp_survival(k, t - h) - hypoexp_survival(k, t + h)) / (2 * h)
-        assert hypoexp_pdf(k, t) == pytest.approx(fd, rel=1e-7)
-
-
 PROPAGATION_KERNEL = HypoexpKernel((2.9, 2.9, 2.9, 2.9, 2.9, 1.6, 7.4))
 # Unsorted, repeated and unevenly spaced, with 0 in the middle.
 PROPAGATION_TIMES = np.array([3.7, 0.25, 0.0, 11.0, 0.25, 1e-9, 3.7, 6.02, 0.0, 0.5, 2.0, 19.5])
@@ -174,21 +165,19 @@ def _per_time_occupancies(kernel, t):
 def test_propagated_occupancies_match_per_time_expm(t):
     k = PROPAGATION_KERNEL
     occ = _per_time_occupancies(k, t)
-    surv, pdf = hypoexp_survival(k, t), hypoexp_pdf(k, t)
-    assert np.shape(surv) == np.shape(t) and np.shape(pdf) == np.shape(t)
+    surv = hypoexp_survival(k, t)
+    assert np.shape(surv) == np.shape(t)
     assert isinstance(surv, float) == np.isscalar(t)
     assert np.max(np.abs(surv - np.clip(occ.sum(axis=-1), 0.0, 1.0))) < 1e-14
-    assert np.max(np.abs(pdf - k.rates[-1] * occ[..., -1])) < 1e-14
 
 
 @pytest.mark.parametrize(
     "fn, kernel",
     [
         (gamma_survival, GammaKernel(2.5, 2.5)),
-        (hypoexp_pdf, HypoexpKernel((1.0, 2.0, 3.0))),
         (hypoexp_survival, HypoexpKernel((1.0, 2.0, 3.0))),
     ],
-    ids=["gamma_survival", "hypoexp_pdf", "hypoexp_survival"],
+    ids=["gamma_survival", "hypoexp_survival"],
 )
 def test_kernel_functions_vanish_at_infinity(fn, kernel):
     # All mass is absorbed at t = +inf; the finite times keep their values.
@@ -199,7 +188,7 @@ def test_kernel_functions_vanish_at_infinity(fn, kernel):
 
 
 @pytest.mark.parametrize("t", [1e38, 1e100, 1e300, 1.7e308])
-@pytest.mark.parametrize("fn", [hypoexp_pdf, hypoexp_survival], ids=["pdf", "survival"])
+@pytest.mark.parametrize("fn", [hypoexp_survival], ids=["survival"])
 @pytest.mark.parametrize(
     "params", [fixed_hypoexp(2.5, 3.0), smoothed_hypoexp(7.2, 3.0)], ids=["fixed", "smoothed"]
 )
@@ -213,17 +202,17 @@ def test_far_tail_reads_zero(params, fn, t):
     assert np.array_equal(vals[[0, 2]], fn(kernel, np.array([0.5, 1.0])))
 
 
-@pytest.mark.parametrize("fn", [hypoexp_pdf, hypoexp_survival], ids=["pdf", "survival"])
+@pytest.mark.parametrize("fn", [hypoexp_survival], ids=["survival"])
 @pytest.mark.parametrize("fast, t", [(1e35, 10.0), (1e38, 1.0)])
 def test_wide_rate_span_below_the_expm_limit(fn, fast, t):
-    # Rates 1 and r: survival (r e^-t - e^-rt) / (r - 1) and density
-    # r (e^-t - e^-rt) / (r - 1), both e^-t to double precision here.
+    # Rates 1 and r: survival (r e^-t - e^-rt) / (r - 1), e^-t to double
+    # precision here.
     assert fn(HypoexpKernel((1.0, fast)), np.array([0.0, 0.5, t]))[1:] == pytest.approx(
         np.exp(-np.array([0.5, t])), rel=1e-14
     )
 
 
-@pytest.mark.parametrize("fn", [hypoexp_pdf, hypoexp_survival], ids=["pdf", "survival"])
+@pytest.mark.parametrize("fn", [hypoexp_survival], ids=["survival"])
 @pytest.mark.parametrize("fast, t", [(1e38, 10.0), (1e40, 0.5), (1e300, 1e-3)])
 def test_wide_rate_span_past_the_expm_limit_refused(fn, fast, t):
     # scipy's expm returns nan from a generator step of 1-norm 2^128 on.

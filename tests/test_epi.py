@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from gammadde.approximations import VARIANTS
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel, Rng
 from gammadde.epi import (
+    DEFAULT_BOUNDS,
     MAX_POPULATION,
     EpiData,
     SirParams,
@@ -256,6 +258,43 @@ def test_mle_selfconsistency_noiseless():
     assert abs(fit.beta - 0.5) / 0.5 < 0.02
     assert abs(fit.tau - 5.0) / 5.0 < 0.02
     assert fit.n_evals <= 400
+
+
+def test_mle_fit_leaves_a_start_outside_the_box():
+    # The start is clipped to j = 12; the search must still move off that
+    # face to the interior optimum of criterion 10's data.
+    data = simulate_dataset(Rng(20260811), TRUTH, n_serial=100)
+    fit = mle_fit(data, replace(TRUTH, beta=0.4, tau=4.0, j=20.0, eps=5e-4))
+    assert abs(fit.j - 4.0) < 0.1
+    assert fit.loglik >= -305.22
+
+
+@pytest.mark.parametrize("name, start", [("eps", 0.0), ("beta", 0.02)])
+def test_mle_fit_moves_off_a_lower_face(name, start):
+    # A start on the lower face of a log coordinate, whose search bound is
+    # negative: a first simplex clipped to that face would be flat in the
+    # coordinate and pin it there for the whole search.
+    data = simulate_dataset(Rng(20260811), TRUTH, n_serial=100)
+    init = replace(TRUTH, beta=0.4, tau=4.0, j=3.0, eps=5e-4)
+    fit = mle_fit(data, replace(init, **{name: start}))
+    assert getattr(fit, name) > 2 * DEFAULT_BOUNDS[name][0]
+    if name == "eps":
+        assert fit.loglik >= -305.22
+
+
+def test_mle_fit_clips_the_start_into_the_box():
+    # One evaluation: the result is the start, clipped into DEFAULT_BOUNDS
+    # (an eps of 0 included) without scipy's out-of-bounds warning, and read
+    # back inside the box although exp(log(30)) exceeds 30.
+    data = EpiData(cases=(), serial=(2.5, 3.0))
+    init = replace(TRUTH, beta=1e-9, tau=50.0, j=50.0, eps=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = mle_fit(data, init, max_evals=1)
+    assert fit.n_evals == 1
+    assert (fit.beta, fit.tau, fit.j, fit.eps) == pytest.approx((0.02, 30.0, 12.0, 1e-6), rel=1e-14)
+    for name, (lo, hi) in DEFAULT_BOUNDS.items():
+        assert lo <= getattr(fit, name) <= hi
 
 
 def test_mle_degenerate_no_serial_converges():
