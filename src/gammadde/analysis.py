@@ -22,7 +22,7 @@ from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival
 # module and reports its metrics absent when the name is missing.
 from .distributions import gamma_survival  # noqa: F401
 from .fcrk import DdeProblem
-from .ode_solver import OdeConfig, check_chain_stages, rk45_adaptive
+from .ode_solver import DEFAULT_RTOL, check_chain_stages, rk45_adaptive
 
 #: Machine-precision floor used when fitting convergence slopes.
 ERROR_FLOOR = 100 * np.finfo(float).eps
@@ -132,7 +132,9 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     default, or ``"eigen"`` (``linear_gamma`` with alpha = -a only).  The
     reference maps times to exact solution values: the closed form where one
     holds, otherwise at integer j the exact Erlang chain of the problem's own
-    rhs and history (integrated at tolerance 1e-12), otherwise it is None.
+    rhs and history, otherwise it is None.  The chain is built and solved
+    when the reference is called, at the default rtol 1e-10: LSODA receives
+    rtol 1e-13 and atol 1e-15.
     """
     tau = default_tau(name) if tau is None else tau
     if not tau > 0:
@@ -144,14 +146,12 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
         return problem, closed
     if not float(j).is_integer():
         return problem, None
-    params = approx.erlang_approx(int(j), tau)
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
 
     def chain_reference(t):
+        params = approx.erlang_approx(int(j), tau)
         check_chain_stages(j, params.n)
         t_arr = np.asarray(t, dtype=float)
-        times = np.atleast_1d(t_arr)
-        states, _ = chain_trajectory(rhs, params, history, times, cfg)
+        states, _ = chain_trajectory(rhs, params, history, np.atleast_1d(t_arr))
         return states[:, 0].reshape(t_arr.shape) if t_arr.ndim else float(states[0, 0])
 
     return problem, chain_reference
@@ -165,13 +165,13 @@ def chain_system(F, params, history):
     return build_hypoexp_system(F, params, history)
 
 
-def chain_trajectory(F, params, history, times, cfg):
+def chain_trajectory(F, params, history, times, rtol=DEFAULT_RTOL):
     """(states, labels) of the chain reduction of x' = F(x, conv) with the
     given chain, started from ``history`` at t = 0 and sampled at the
-    increasing ``times``, up to the last of them, with the ODE settings
-    ``cfg``."""
+    increasing ``times``, up to the last of them, at relative tolerance
+    ``rtol``."""
     problem = chain_system(F, params, history)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
+    states = rk45_adaptive(problem.rhs, problem.y0, times, rtol)
     return states, problem.labels
 
 

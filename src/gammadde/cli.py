@@ -35,7 +35,7 @@ from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, Rng, gamma_survival, hypoexp_survival
 from .epi import EpiData, SirParams, fit_log_likelihood, mle_fit, simulate_dataset
 from .fcrk import fcrk4_solve
-from .ode_solver import OdeConfig, OdeFailure, check_chain_stages
+from .ode_solver import DEFAULT_RTOL, OdeFailure, check_chain_stages
 from .quadrature import QuadConfig
 
 # Not called here: bench/layer_trace.py looks these names up on this module
@@ -150,11 +150,6 @@ def _quad_config(args):
     return QuadConfig(xi=QuadConfig.xi if args.xi is None else args.xi, h_int=args.quad_step)
 
 
-def _chain_cfg(args):
-    rtol = OdeConfig.rtol if args.rtol is None else args.rtol
-    return OdeConfig(rtol=rtol, atol=rtol * 1e-2)
-
-
 def _refuse_unread(args, mode, flags):
     """Refuse a flag that the command takes but ``mode`` does not read."""
     for flag in flags:
@@ -174,6 +169,7 @@ def cmd_solve(args):
     t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h")
+    rtol = DEFAULT_RTOL if args.rtol is None else _positive(args, "rtol")
     _rows(t_end / h + 1.0, f"--t-end {t_end:g} at --h {h:g}")
     times = np.arange(0.0, t_end + 0.5 * h, h)
     if args.method == "fcrk4":
@@ -184,14 +180,17 @@ def cmd_solve(args):
         params = approx.chain_params(variant, args.j, tau)
         check_chain_stages(args.j, params.n)
         states, labels = analysis.chain_trajectory(
-            problem.rhs, params, problem.history, times, _chain_cfg(args)
+            problem.rhs, params, problem.history, times, rtol
         )
         _write_csv(args.out, ["t", "x"] + list(labels[1:]), [times, *states.T])
     return 0
 
 
 def cmd_convergence(args):
-    h_list = [float(tok) for tok in args.h_list.split(",")]
+    try:
+        h_list = [float(tok) for tok in args.h_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--h-list takes comma-separated numbers, got {args.h_list}") from None
     if len(h_list) < 3 or len(set(h_list)) < len(h_list):
         raise ConfigError(f"--h-list needs three or more steps, none repeated, got {args.h_list}")
     if not all(0 < h < float("inf") for h in h_list):
@@ -221,6 +220,7 @@ def cmd_compare(args):
     t_end = _positive(args, "t_end")
     problem, _, tau = _problem(args, t_end)
     h = _positive(args, "h")
+    rtol = DEFAULT_RTOL if args.rtol is None else _positive(args, "rtol")
     times = np.linspace(0.0, t_end, n_out)
     # Every chain is built first, so an infeasible one is refused before the solve.
     chains = {
@@ -233,7 +233,7 @@ def cmd_compare(args):
     columns = {"gamma_dde": gamma_traj}
     for variant, params in chains.items():
         states, _ = analysis.chain_trajectory(
-            problem.rhs, params, problem.history, times, _chain_cfg(args)
+            problem.rhs, params, problem.history, times, rtol
         )
         columns[variant] = states[:, 0]
     _write_csv(args.out, ["t", *columns], [times, *columns.values()])
@@ -328,6 +328,8 @@ def cmd_survival(args):
     j = _positive(args, "j")
     n_out = SURVIVAL_N_OUT if args.n_out is None else _count(args, "n_out", 2)
     t_max = _finite(args, "t_max") if args.t_max is not None else 4.0 * tau
+    if not t_max >= 0:
+        raise ConfigError(f"--t-max must be nonnegative, got {t_max:g}")
     times = np.linspace(0.0, t_max, n_out)
     gamma_kernel = GammaKernel(shape=j, rate=j / tau)
     fixed_kernel = approx.fixed_hypoexp(j, tau).kernel()
@@ -343,6 +345,8 @@ def cmd_survival(args):
 
 
 def cmd_moment_poly(args):
+    if not 0 < args.fj < 1:
+        raise ConfigError(f"--fj must lie in (0, 1), got {args.fj:g}")
     poly = analysis.fm_polynomial(args.m, args.fj)
     roots = analysis.real_roots(poly)
     record = analysis.gm_checks(args.m, args.fj)
@@ -400,7 +404,8 @@ def _read_data(args):
 
 def cmd_epi_simulate(args):
     k, n_serial = _count(args, "K", 1), _count(args, "L", 0)
-    params = _sir_params(args, tuple(args.obs_dt * (i + 1) for i in range(k)))
+    obs_dt = _positive(args, "obs_dt")
+    params = _sir_params(args, tuple(obs_dt * (i + 1) for i in range(k)))
     data = simulate_dataset(Rng(args.seed), params, n_serial)
     _write_csv(args.cases, ["t", "count"], [params.obs_times, data.cases])
     _write_csv(args.serial, ["interval"], [data.serial])
@@ -466,7 +471,7 @@ _FLAGS = {
     "--h-list": dict(default="0.1,0.05,0.025,0.0125", help="comma-separated FCRK steps"),
     "--xi": dict(type=float, help="step coupling h_int^4 = xi h^4 (default (1/8)^4)"),
     "--quad-step": dict(type=float, help="quadrature step h_int, overriding --xi"),
-    "--rtol": dict(type=float, help=f"chain ODE relative tolerance (default {OdeConfig.rtol:g})"),
+    "--rtol": dict(type=float, help=f"chain ODE relative tolerance (default {DEFAULT_RTOL:g})"),
     "--method": dict(default="fcrk4", choices=("fcrk4", "chain")),
     "--variant": dict(
         help=f"chain variant (default {CHAIN_VARIANT}): " + ", ".join(approx.VARIANTS)

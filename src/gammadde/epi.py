@@ -25,7 +25,7 @@ from .analysis import chain_system
 from .approximations import ApproxConfig, chain_params
 from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
-from .ode_solver import OdeConfig, check_chain_stages, rk45_adaptive
+from .ode_solver import DEFAULT_RTOL, check_chain_stages, rk45_adaptive
 
 
 #: Largest population scale M.  Expected case counts are M times a fraction
@@ -116,7 +116,7 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     return replace(problem, y0=np.concatenate([[params.eps], problem.y0[1:]]))
 
 
-def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=OdeConfig.rtol):
+def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=DEFAULT_RTOL):
     """Per-interval incidences C(t_k) - C(t_{k-1}).
 
     Fractions of the population, so their sum is at most 1; multiply by M
@@ -124,8 +124,7 @@ def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=OdeCo
     """
     problem = build_sir_chain(params, rate_variant, approx_cfg)
     times = np.concatenate([[0.0], params.obs_times])
-    cfg = OdeConfig(rtol=rtol, atol=rtol * 1e-2)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
+    states = rk45_adaptive(problem.rhs, problem.y0, times, rtol)
     return np.maximum(np.diff(states[:, 0]), 0.0)
 
 
@@ -153,7 +152,7 @@ def _poisson_loglik(counts, mu):
     return xlogy(counts, mu) - mu - gammaln(counts + 1.0)
 
 
-def log_likelihood(params, data, rate_variant="fixed", approx_cfg=None, rtol=OdeConfig.rtol):
+def log_likelihood(params, data, rate_variant="fixed", approx_cfg=None, rtol=DEFAULT_RTOL):
     """Poisson case likelihood plus serial-interval likelihood.
 
     Returns -inf (rather than raising) when the model predicts zero

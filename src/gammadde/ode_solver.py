@@ -4,11 +4,12 @@ Every chain ODE in the package (the SIR likelihood, the chain comparisons,
 the integer-shape Erlang references) is solved here.  LSODA switches
 between Adams and BDF steps, so the stiff chains the two-moment
 constructions produce just above an integer shape cost little more than
-the others.
+the others.  One knob, the relative tolerance ``rtol`` of
+:func:`rk45_adaptive`, sets every solve's accuracy: at its default LSODA
+receives rtol 1e-13 and atol 1e-15.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint
@@ -18,6 +19,8 @@ class OdeFailure(RuntimeError):
     """Integration aborted: excess work, illegal input or non-finite state."""
 
 
+#: Relative tolerance of a chain ODE solve when none is given.
+DEFAULT_RTOL = 1e-10
 #: LSODA's global error tracks its tolerances, while the package's
 #: tolerance settings were chosen for errors 100 to 1000 times below them.
 #: Requested tolerances are divided by this factor so those settings keep
@@ -41,22 +44,6 @@ MAX_CHAIN_STAGES = 200
 _SUCCESS = "Integration successful."
 
 
-@dataclass(frozen=True)
-class OdeConfig:
-    """Relative and absolute tolerances."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-
-    def __post_init__(self):
-        # A nan tolerance passes a sign test, and LSODA then runs with
-        # no error control at all.
-        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
-            raise ValueError(
-                f"tolerances must be positive and finite, got {self.rtol}, {self.atol}"
-            )
-
-
 def check_chain_stages(j, n):
     """Refuse a chain ODE of ``n`` stages for shape ``j`` above
     ``MAX_CHAIN_STAGES``, before it is solved."""
@@ -67,27 +54,30 @@ def check_chain_stages(j, n):
         )
 
 
-def rk45_adaptive(rhs, y0, t0, cfg=None, *, t_eval):
-    """Integrate ``y' = rhs(t, y)`` from ``t0`` to the last of the output
-    times ``t_eval`` with LSODA (``scipy.integrate.odeint``).
+def rk45_adaptive(rhs, y0, t_eval, rtol=DEFAULT_RTOL):
+    """Integrate ``y' = rhs(t, y)`` from ``y(0) = y0`` to the last of the
+    output times ``t_eval`` with LSODA (``scipy.integrate.odeint``), and
+    return the states there, of shape ``(len(t_eval), dim)``.
 
     Despite its name this is not a Runge-Kutta method; the name stays while
     ``bench/layer_trace.py`` hooks it.  ``t_eval`` holds increasing times,
-    none before ``t0`` and at least one after it.  Returns
-    ``(t_eval, y)`` with ``y`` of shape ``(len(t_eval), dim)``.  Raises
+    none before 0 and at least one after it.  ``rtol`` must be positive and
+    finite; LSODA receives ``max(rtol / TOLERANCE_DIVISOR, RTOL_FLOOR)`` and
+    ``atol = (rtol * 1e-2) / TOLERANCE_DIVISOR``.  Raises
     :class:`OdeFailure` with LSODA's message when it gives up (excess work,
     illegal input) or the state goes non-finite.
     """
-    cfg = cfg or OdeConfig()
+    # A nan tolerance passes a sign test, and LSODA then runs with no error
+    # control at all.
+    if not 0 < rtol < np.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     times = np.asarray(t_eval, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("t_eval must be a non-empty 1-d sequence")
-    if times[0] < t0 - 1e-12:
-        raise ValueError("t_eval starts before t0")
-    if times[-1] <= t0:
-        raise ValueError("t_eval has no output time after t0: the output grid is empty")
-    starts_at_t0 = times[0] <= t0
-    grid = times if starts_at_t0 else np.concatenate([[t0], times])
+    if times.ndim != 1 or times.size == 0 or times[-1] <= 0:
+        raise ValueError("t_eval must be a 1-d sequence with an output time after 0")
+    if times[0] < -1e-12:
+        raise ValueError("t_eval starts before 0")
+    starts_at_0 = times[0] <= 0
+    grid = times if starts_at_0 else np.concatenate([[0.0], times])
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     # An overflow in the rhs ends the solve at once instead of leaving
     # LSODA to shrink its steps until the budget runs out.
@@ -98,8 +88,8 @@ def rk45_adaptive(rhs, y0, t0, cfg=None, *, t_eval):
                 rhs,
                 y0,
                 grid,
-                rtol=max(cfg.rtol / TOLERANCE_DIVISOR, RTOL_FLOOR),
-                atol=cfg.atol / TOLERANCE_DIVISOR,
+                rtol=max(rtol / TOLERANCE_DIVISOR, RTOL_FLOOR),
+                atol=(rtol * 1e-2) / TOLERANCE_DIVISOR,
                 mxstep=MAX_STEPS,
                 tfirst=True,
                 full_output=True,
@@ -110,4 +100,4 @@ def rk45_adaptive(rhs, y0, t0, cfg=None, *, t_eval):
         raise OdeFailure(f"LSODA: {info['message']}")
     if not np.all(np.isfinite(y)):
         raise OdeFailure("non-finite state")
-    return times, (y if starts_at_t0 else y[1:])
+    return y if starts_at_0 else y[1:]

@@ -14,7 +14,7 @@ from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel, Rng
 from gammadde.epi import SirParams, mle_fit, serial_density, simulate_dataset
 from gammadde.fcrk import fcrk4_solve
-from gammadde.ode_solver import OdeConfig, rk45_adaptive
+from gammadde.ode_solver import rk45_adaptive
 from gammadde.quadrature import (
     QuadConfig,
     _open_simpson_grid,
@@ -25,7 +25,6 @@ from gammadde.quadrature import (
 # kernel-driven test problems: fine enough that the composite rule sits in
 # its asymptotic regime across the whole step range.
 XI_SWEEP = (1.0 / 16.0) ** 4
-TIGHT = OdeConfig(rtol=1e-12, atol=1e-12)
 
 
 def _report(num, ok, text):
@@ -155,12 +154,9 @@ def test_criterion_05_mgf_error_orders():
                    f"{elapsed:.2f}s < 1s")
 
 
-CHAIN_CFG = OdeConfig(rtol=1e-11, atol=1e-13)
-
-
 def _chain_trajectory(problem, params, times):
     states, _ = analysis.chain_trajectory(
-        problem.rhs, params, problem.history, times, CHAIN_CFG
+        problem.rhs, params, problem.history, times, rtol=1e-11
     )
     return states[:, 0]
 
@@ -275,9 +271,7 @@ def test_criterion_10_epi_pipeline():
 
     problem = build_sir_chain(truth)
     rates = np.asarray(problem.params.rates())
-    _, states = rk45_adaptive(
-        problem.rhs, problem.y0, 0.0, TIGHT, t_eval=np.linspace(0.0, 120.0, 41)
-    )
+    states = rk45_adaptive(problem.rhs, problem.y0, np.linspace(0.0, 120.0, 41))
     infected = np.array([problem.rhs(0.0, y)[1:] for y in states])
     totals = 1.0 - states[:, 0] + infected.sum(axis=1) + rates[-1] * states[:, -1]
     conservation = float(np.max(np.abs(totals - 1.0)))

@@ -72,15 +72,21 @@ def test_linear_reference_closed_form_satisfies_ode():
     assert slope0 == pytest.approx(-0.3, abs=1e-4)
 
 
+def test_integer_shape_reference_builds_its_chain_when_called():
+    # Above the chain budget the problem still builds; only its reference,
+    # an Erlang chain of 2000 stages, is refused.
+    problem, reference = analysis.dde_problem("linear", 2000)
+    assert problem.kernel.shape == 2000
+    with pytest.raises(ValueError, match="a chain takes 1 to 1000 stages"):
+        reference(1.0)
+
+
 def test_linear_reference_chain_consistent_with_closed_form():
     # Integer-shape chain integration path against the closed form at j=1.
-    from gammadde.ode_solver import OdeConfig
-
     t = np.linspace(0.0, 10.0, 21)
     prob, closed = analysis.dde_problem("linear", 1)
     states, labels = analysis.chain_trajectory(
-        prob.rhs, erlang_approx(1, 1.0), prob.history, t,
-        OdeConfig(rtol=1e-12, atol=1e-14),
+        prob.rhs, erlang_approx(1, 1.0), prob.history, t, rtol=1e-12
     )
     assert labels == ("Y", "B1")
     assert np.max(np.abs(states[:, 0] - closed(t))) < 1e-10

@@ -18,9 +18,9 @@ from gammadde.chain_reduction import (
     build_hypoexp_system,
     chain_initial_state,
 )
-from gammadde.ode_solver import OdeConfig, rk45_adaptive
+from gammadde.ode_solver import rk45_adaptive
 
-TIGHT = OdeConfig(rtol=1e-12, atol=1e-14)
+TIGHT = 1e-12  # rtol
 
 
 def _partial_fraction_density(rates, t):
@@ -119,8 +119,8 @@ def test_integer_shape_chains_coincide():
     erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
     hyp = build_hypoexp_system(F, fixed_hypoexp(3, 1.0), hist)
     times = np.linspace(0.0, 10.0, 101)
-    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, TIGHT, t_eval=times)
-    _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, TIGHT, t_eval=times)
+    ye = rk45_adaptive(erl.rhs, erl.y0, times, TIGHT)
+    yh = rk45_adaptive(hyp.rhs, hyp.y0, times, TIGHT)
     assert np.max(np.abs(ye - yh)) < 1e-10
 
 
@@ -138,7 +138,7 @@ def test_impulse_response_reproduces_kernel_density():
     rates = params.rates()
     prob = build_hypoexp_system(lambda y, conv: 0.0, params, HistoryFunction.constant(0.0))
     times = np.linspace(0.05, 6.0, 60)
-    _, states = rk45_adaptive(prob.rhs, _unit_mass_in_stage_1(prob), 0.0, TIGHT, t_eval=times)
+    states = rk45_adaptive(prob.rhs, _unit_mass_in_stage_1(prob), times, TIGHT)
     outflow = rates[-1] * states[:, -1]
     assert np.max(np.abs(outflow - _partial_fraction_density(rates, times))) < 1e-6
 
@@ -154,7 +154,7 @@ def test_pure_transit_conserves_mass():
 
     y0 = np.append(_unit_mass_in_stage_1(prob), 0.0)
     times = np.linspace(0.0, 10.0, 30)
-    _, states = rk45_adaptive(augmented, y0, 0.0, TIGHT, t_eval=times)
+    states = rk45_adaptive(augmented, y0, times, TIGHT)
     totals = states[:, 1:].sum(axis=1)  # stages + absorbed (Y stays 0)
     assert np.max(np.abs(totals - 1.0)) < 1e-10
 
@@ -169,7 +169,7 @@ def test_delayed_term_tracks_equilibrium():
         params,
         HistoryFunction.constant(0.0),
     )
-    _, states = rk45_adaptive(prob.rhs, prob.y0, 0.0, TIGHT, t_eval=[40.0])
+    states = rk45_adaptive(prob.rhs, prob.y0, [40.0], TIGHT)
     assert params.rates()[-1] * states[-1][-1] == pytest.approx(target, abs=1e-6)
 
 
@@ -183,6 +183,6 @@ def test_integer_shape_exponential_history_matches_erlang(builder):
     erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
     hyp = build_hypoexp_system(F, builder(3, 1.0), hist)
     times = np.linspace(0.0, 10.0, 201)
-    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, TIGHT, t_eval=times)
-    _, yh = rk45_adaptive(hyp.rhs, hyp.y0, 0.0, TIGHT, t_eval=times)
+    ye = rk45_adaptive(erl.rhs, erl.y0, times, TIGHT)
+    yh = rk45_adaptive(hyp.rhs, hyp.y0, times, TIGHT)
     assert np.max(np.abs(yh[:, 0] - ye[:, 0])) < 1e-8

@@ -459,6 +459,18 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["survival", "--jump-at", "0"], "--delta 1e-06 must be below --jump-at 0"),
         (["survival", "--jump-at", "nan"], "--jump-at must be finite"),
         (["survival", "--jump-at", "2.5"], "--jump-at 2.5 must be an integer shape"),
+        # A chain tolerance that is not positive and finite, refused before
+        # the FCRK solve.
+        (["compare", "--j", "2.5", "--t-end", "1", "--rtol", "nan"], "--rtol must be finite"),
+        (["compare", "--j", "2.5", "--t-end", "1", "--rtol", "0"], "--rtol must be positive"),
+        (["convergence", "--h-list", "0.1,,0.05"], "--h-list takes comma-separated numbers"),
+        (["survival", "--j", "2.5", "--t-max", "-1"], "--t-max must be nonnegative"),
+        (["epi", "simulate", "--obs-dt", "0"], "--obs-dt must be positive"),
+        (["epi", "simulate", "--obs-dt", "nan"], "--obs-dt must be finite"),
+        (["moment-poly", "--m", "3", "--fj", "1.5"], "--fj must lie in (0, 1)"),
+        # At an integer shape above the chain budget only the reference,
+        # which convergence reads, refuses; solve reads none.
+        (["convergence", "--j", "2000", "--t-end", "0.2"], "a chain takes 1 to 1000 stages"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
@@ -472,13 +484,20 @@ def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
     assert named in err
 
 
+def test_fcrk_solve_builds_no_chain_at_a_large_integer_shape(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(capsys, "solve", "--j", "2000", "--t-end", "0.2", "--out", str(out))
+    assert code == 0, err
+    assert len(out.read_text().strip().split("\n")) == 6  # header + 5
+
+
 def test_non_finite_observation_spacing_refused_by_name(tmp_path, capsys):
     code, stdout, err = run_cli(
         capsys, "epi", "simulate", "--obs-dt", "nan",
         "--cases", str(tmp_path / "c.csv"), "--serial", str(tmp_path / "s.csv"),
     )
     assert code == 2 and stdout == ""
-    assert err == "error: observation times must be finite\n"
+    assert err == "error: --obs-dt must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("interval", ["nan", "inf"])

@@ -26,7 +26,7 @@ from gammadde.epi import (
 )
 from gammadde.epi import _poisson_loglik
 from gammadde.fcrk import DdeProblem, fcrk4_solve
-from gammadde.ode_solver import OdeConfig, rk45_adaptive
+from gammadde.ode_solver import rk45_adaptive
 
 TRUTH = SirParams(beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0)
 
@@ -97,9 +97,8 @@ def test_sir_rhs_is_the_chain_model(variant):
     problem = build_sir_chain(params, variant)
     rates = np.asarray(problem.params.rates())
     times = np.linspace(0.0, 120.0, 61)
-    cfg = OdeConfig(rtol=1e-12, atol=1e-14)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
-    _, ref = rk45_adaptive(*_i_stage_chain(params, rates), 0.0, cfg, t_eval=times)
+    states = rk45_adaptive(problem.rhs, problem.y0, times, rtol=1e-12)
+    ref = rk45_adaptive(*_i_stage_chain(params, rates), times, rtol=1e-12)
     infected = np.array([problem.rhs(0.0, y)[1:] for y in states])
     assert np.max(np.abs(1.0 - states[:, 0] - ref[:, 0])) < 1e-11
     assert np.max(np.abs(infected - ref[:, 1:])) < 1e-11
@@ -117,9 +116,7 @@ def test_mass_conservation():
     problem = build_sir_chain(TRUTH)
     rates = np.asarray(problem.params.rates())
     times = np.linspace(0.0, 120.0, 61)
-    _, states = rk45_adaptive(
-        problem.rhs, problem.y0, 0.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=times
-    )
+    states = rk45_adaptive(problem.rhs, problem.y0, times, rtol=1e-12)
     s = 1.0 - states[:, 0]
     infected = np.array([problem.rhs(0.0, y)[1:] for y in states])
     recovered = rates[-1] * states[:, -1]
@@ -132,9 +129,7 @@ def test_mass_conservation():
 def test_final_size_relation():
     params = replace(TRUTH, obs_times=tuple(float(t) for t in range(1, 401)))
     problem = build_sir_chain(params)
-    _, states = rk45_adaptive(
-        problem.rhs, problem.y0, 0.0, OdeConfig(rtol=1e-10, atol=1e-12), t_eval=[400.0]
-    )
+    states = rk45_adaptive(problem.rhs, problem.y0, [400.0])
     s_inf = 1.0 - states[-1, 0]
     s0 = 1.0 - params.eps
     residual = (1.0 - s_inf) + math.log(s_inf / s0) / (params.beta * params.tau)
@@ -155,9 +150,8 @@ def test_integer_shape_equals_erlang_chain():
     fixed = build_sir_chain(TRUTH, rate_variant="fixed")
     erl = build_sir_chain(TRUTH, rate_variant="erlang")
     times = np.linspace(0.0, 120.0, 41)
-    cfg = OdeConfig(rtol=1e-12, atol=1e-14)
-    _, yf = rk45_adaptive(fixed.rhs, fixed.y0, 0.0, cfg, t_eval=times)
-    _, ye = rk45_adaptive(erl.rhs, erl.y0, 0.0, cfg, t_eval=times)
+    yf = rk45_adaptive(fixed.rhs, fixed.y0, times, rtol=1e-12)
+    ye = rk45_adaptive(erl.rhs, erl.y0, times, rtol=1e-12)
     assert np.max(np.abs(yf - ye)) < 1e-10
 
 
@@ -167,8 +161,7 @@ def test_fcrk_on_the_c_dde_converges_to_the_erlang_chain():
     # it, closes on the chain at fourth order: about 16x per halving of h.
     problem = build_sir_chain(TRUTH, "erlang")
     times = np.linspace(0.0, 120.0, 241)
-    cfg = OdeConfig(rtol=1e-12, atol=1e-14)
-    _, states = rk45_adaptive(problem.rhs, problem.y0, 0.0, cfg, t_eval=times)
+    states = rk45_adaptive(problem.rhs, problem.y0, times, rtol=1e-12)
     dde = DdeProblem(
         rhs=lambda c, recovered: TRUTH.beta * (1.0 - c) * (c - recovered),
         kernel=GammaKernel(shape=TRUTH.j, rate=TRUTH.j / TRUTH.tau),

@@ -8,12 +8,11 @@ from gammadde import analysis, ode_solver
 from gammadde.approximations import erlang_approx
 from gammadde.chain_reduction import HistoryFunction, build_erlang_system
 from gammadde.epi import FIT_APPROX_CFG, SirParams, build_sir_chain, simulate_incidence
-from gammadde.ode_solver import OdeConfig, OdeFailure, rk45_adaptive
+from gammadde.ode_solver import OdeFailure, rk45_adaptive
 
 
 def test_rk45_decay_tight_tolerance():
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
-    _, y = rk45_adaptive(lambda t, y: -y, 1.0, 0.0, cfg, t_eval=[1.0])
+    y = rk45_adaptive(lambda t, y: -y, 1.0, [1.0])
     assert abs(y[-1, 0] - math.exp(-1)) < 1e-10
 
 
@@ -21,37 +20,34 @@ def test_rk45_oscillator_energy():
     def rhs(t, y):
         return np.array([y[1], -y[0]])
 
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
     t_end = 10 * 2 * math.pi
     times = np.linspace(0.0, t_end, 201)
-    _, y = rk45_adaptive(rhs, np.array([1.0, 0.0]), 0.0, cfg, t_eval=times)
+    y = rk45_adaptive(rhs, np.array([1.0, 0.0]), times)
     energy = y[:, 0] ** 2 + y[:, 1] ** 2
     assert np.max(np.abs(energy - 1.0)) < 1e-8
 
 
 def test_rk45_hits_requested_times():
     times = np.array([0.0, 0.3, 0.77, 1.0, 1.5])
-    out_t, out_y = rk45_adaptive(lambda t, y: -y, 1.0, 0.0, t_eval=times)
-    assert np.array_equal(out_t, times)
+    out_y = rk45_adaptive(lambda t, y: -y, 1.0, times)
     assert np.allclose(out_y[:, 0], np.exp(-times), atol=1e-9)
 
 
 def test_rk45_output_times_after_start():
-    # t0 is not an output time: it is integrated from but not returned.
+    # 0 is not an output time: it is integrated from but not returned.
     times = np.array([0.3, 0.77, 1.5])
-    out_t, out_y = rk45_adaptive(lambda t, y: -y, 1.0, 0.0, t_eval=times)
-    assert np.array_equal(out_t, times)
+    out_y = rk45_adaptive(lambda t, y: -y, 1.0, times)
     assert out_y.shape == (3, 1)
     assert np.allclose(out_y[:, 0], np.exp(-times), atol=1e-9)
 
 
 def test_rk45_output_times_validated():
     with pytest.raises(TypeError):
-        rk45_adaptive(lambda t, y: -y, 1.0, 0.0)
-    with pytest.raises(ValueError, match="before t0"):
-        rk45_adaptive(lambda t, y: -y, 1.0, 0.0, t_eval=[-0.5, 1.0])
-    with pytest.raises(ValueError, match="after t0"):
-        rk45_adaptive(lambda t, y: -y, 1.0, 0.0, t_eval=[0.0])
+        rk45_adaptive(lambda t, y: -y, 1.0)
+    with pytest.raises(ValueError, match="before 0"):
+        rk45_adaptive(lambda t, y: -y, 1.0, [-0.5, 1.0])
+    with pytest.raises(ValueError, match="after 0"):
+        rk45_adaptive(lambda t, y: -y, 1.0, [0.0])
 
 
 def test_rk45_logistic_chain_equilibrium():
@@ -63,22 +59,19 @@ def test_rk45_logistic_chain_equilibrium():
 def test_rk45_budget_exceeded(monkeypatch):
     # MAX_STEPS bounds the steps between consecutive output times.
     monkeypatch.setattr(ode_solver, "MAX_STEPS", 10)
-    cfg = OdeConfig(rtol=1e-12, atol=1e-12)
     with pytest.raises(OdeFailure, match="Excess work"):
-        rk45_adaptive(
-            lambda t, y: np.array([math.cos(20 * t)]), 0.0, 0.0, cfg, t_eval=[0.0, 50.0]
-        )
+        rk45_adaptive(lambda t, y: np.array([math.cos(20 * t)]), 0.0, [0.0, 50.0])
 
 
 def test_rk45_blowup_fails():
     # y' = y^2 from y(0) = 2 blows up at t = 1/2.
     with pytest.raises(OdeFailure, match="overflow"):
-        rk45_adaptive(lambda t, y: y * y, 2.0, 0.0, t_eval=[0.0, 1.0, 2.0])
+        rk45_adaptive(lambda t, y: y * y, 2.0, [0.0, 1.0, 2.0])
 
 
 def test_rk45_non_finite_state_fails():
     with pytest.raises(OdeFailure):
-        rk45_adaptive(lambda t, y: np.array([np.nan]), 1.0, 0.0, t_eval=[0.0, 1.0])
+        rk45_adaptive(lambda t, y: np.array([np.nan]), 1.0, [0.0, 1.0])
 
 
 def test_rk45_tolerance_consistency():
@@ -99,25 +92,15 @@ def test_rk45_tolerance_consistency():
     ]
     times = np.linspace(0.0, 10.0, 51)
     for prob in problems:
-        _, tight = rk45_adaptive(
-            prob.rhs, prob.y0, 0.0, OdeConfig(rtol=1e-12, atol=1e-14), t_eval=times
-        )
-        _, loose = rk45_adaptive(
-            prob.rhs, prob.y0, 0.0, OdeConfig(rtol=1e-10, atol=1e-12), t_eval=times
-        )
+        tight = rk45_adaptive(prob.rhs, prob.y0, times, rtol=1e-12)
+        loose = rk45_adaptive(prob.rhs, prob.y0, times)
         assert np.max(np.abs(tight - loose)) < 1e-8
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OdeConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        OdeConfig(atol=-1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            OdeConfig(rtol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            OdeConfig(atol=bad)
+    for bad in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            rk45_adaptive(lambda t, y: -y, 1.0, [1.0], rtol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +134,48 @@ def test_work_precision_sir_chain(j):
 
 def test_work_precision_erlang_reference():
     # The integer-shape reference of acceptance criterion 02 at j = 14
-    # (rtol 1e-12).  LSODA's relative tolerance floor of 1e-13 holds it at
-    # 5.7e-13 here, against 2.0e-14 for the explicit pair: the one use with
-    # a bound above the old error, still 1400 times below the smallest FCRK
-    # error the reference is compared with (8e-10).
+    # (the default rtol 1e-10, so LSODA receives rtol 1e-13 and atol 1e-15).
+    # LSODA's relative tolerance floor of 1e-13 holds it at 5.7e-13 here,
+    # against 2.0e-14 for the explicit pair: the one use with a bound above
+    # the old error, still 1400 times below the smallest FCRK error the
+    # reference is compared with (8e-10).
     times = np.linspace(0.0, 10.0, 1001)
     dde, reference = analysis.dde_problem("nonlinear", 14)
     problem = build_erlang_system(dde.rhs, erlang_approx(14, 2.25), dde.history)
     ref = _dop853(problem.rhs, problem.y0, times)[:, 0]
     assert np.max(np.abs(reference(times) - ref)) < 1e-12
+
+
+def test_lsoda_receives_the_package_tolerances(monkeypatch, tmp_path, capsys):
+    # What LSODA itself is handed by each production path: the requested
+    # rtol over 1000, floored at 1e-13, and atol = rtol * 1e-2 over 1000.
+    from gammadde.cli import main
+    from gammadde.epi import fit_log_likelihood, EpiData
+
+    seen = []
+    real = ode_solver.odeint
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["rtol"], kwargs["atol"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ode_solver, "odeint", spy)
+
+    def received(run):
+        seen.clear()
+        run()
+        return set(seen)
+
+    out = str(tmp_path / "out.csv")
+    chain = ["solve", "--method", "chain", "--j", "2.5", "--h", "0.5", "--t-end", "1"]
+    assert received(lambda: main(chain + ["--out", out])) == {(1e-13, 1e-15)}
+    compare = ["compare", "--j", "2.5", "--t-end", "1", "--n-out", "3", "--rtol", "1e-11"]
+    assert received(lambda: main(compare + ["--out", out])) == {(1e-13, 1e-11 * 1e-2 / 1000)}
+    capsys.readouterr()
+    params = SirParams(beta=0.5, tau=5.0, j=2.6, eps=1e-3, M=1000.0, obs_times=(1.0, 2.0))
+    data = EpiData(cases=(3, 4), serial=())
+    assert received(lambda: fit_log_likelihood(params, data)) == {
+        (1e-8 / 1000, 1e-8 * 1e-2 / 1000)
+    }
+    _, reference = analysis.dde_problem("nonlinear", 3)
+    assert received(lambda: reference(1.0)) == {(1e-13, 1e-15)}
