@@ -150,6 +150,20 @@ def _quad_config(args):
     return QuadConfig(xi=QuadConfig.xi if args.xi is None else args.xi, h_int=args.quad_step)
 
 
+def _check_chain_history(args, history, chains):
+    """Refuse a history that grows into the past as fast as the slowest
+    stage of one of ``chains`` decays: its compartment integrals diverge.
+    Every history the CLI builds is exponential."""
+    for params in chains:
+        slowest = min(params.rates())
+        if not slowest + history.growth > 0:
+            spec = "the default history" if args.history is None else f"--history {args.history}"
+            raise ConfigError(
+                f"{spec} grows into the past at rate {-history.growth:g}, not below "
+                f"the {params.variant} chain's slowest stage rate {slowest:g}"
+            )
+
+
 def _refuse_unread(args, mode, flags):
     """Refuse a flag that the command takes but ``mode`` does not read."""
     for flag in flags:
@@ -179,6 +193,7 @@ def cmd_solve(args):
         variant = CHAIN_VARIANT if args.variant is None else args.variant
         params = approx.chain_params(variant, args.j, tau)
         check_chain_stages(args.j, params.n)
+        _check_chain_history(args, problem.history, [params])
         states, labels = analysis.chain_trajectory(
             problem.rhs, params, problem.history, times, rtol
         )
@@ -228,6 +243,7 @@ def cmd_compare(args):
         for variant in ("fixed", "smoothed", "erlang")
     }
     check_chain_stages(args.j, max(params.n for params in chains.values()))
+    _check_chain_history(args, problem.history, chains.values())
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}

@@ -36,9 +36,9 @@ RTOL_FLOOR = 1e-13
 MAX_STEPS = 100_000
 #: Most stages of a chain ODE.  LSODA builds a dense finite-difference
 #: Jacobian of the whole state, so a solve's cost climbs steeply with the
-#: chain: on 2 vCPUs ``compare`` at its defaults spends 0.5 s, 2.2 s and
-#: 6.4 s beyond start-up at 100, 200 and 300 stages, ``epi simulate`` 0.1 s,
-#: 0.9 s and 3.0 s.  The largest chains solved in the tests have 20 stages,
+#: chain: on 2 vCPUs ``compare`` at its defaults spends 0.25 s, 1.4 s and
+#: 4.5 s beyond start-up at 100, 200 and 300 stages, ``epi simulate`` 0.1 s,
+#: 0.5 s and 2.0 s.  The largest chains solved in the tests have 20 stages,
 #: in the benchmark 7 and in the SIR fitter 13.
 MAX_CHAIN_STAGES = 200
 _SUCCESS = "Integration successful."

@@ -13,7 +13,12 @@ the solution is, so a composite open Simpson rule (which never touches the
 endpoints, where u vanishes / is undefined) retains its full order.  Both
 constants depend on the kernel alone, so the quadrature derives them
 itself.  The quadrature step is tied to the solver step through
-h_int^4 = xi * h^4 so neither side limits the other's accuracy.
+h_int^4 = xi * h^4.  That coupling is in time units: h_int, a step in
+omega, has none, while h has.  So a plan's panel count, cost and accuracy
+change when the same problem is written in other time units, and the
+coupling balances the quadrature error against the solver's only for mean
+delays near 1.  With h_int pinned the scheme does not depend on the unit
+of time.
 
 A quadrature *plan* is the set of nodes of one convolution: per node, the
 factor (rule weight times kernel weight) that multiplies the solution, and
@@ -67,6 +72,11 @@ class QuadConfig:
     ``h_int`` pins the quadrature step outright, bypassing the coupling;
     useful when the solver error is being measured against references and
     the quadrature must sit at a fixed reference accuracy.
+
+    The coupling is in time units: ``h_int`` is a step in omega, which
+    has no unit, and ``h`` is in time units.  Rewritten with time scaled by
+    k, a problem keeps its solution only with ``h_int`` pinned; at a
+    given ``xi`` its quadrature step changes by k.
     """
 
     xi: float = (1.0 / 8.0) ** 4

@@ -18,7 +18,9 @@ from gammadde.chain_reduction import (
     build_hypoexp_system,
     chain_initial_state,
 )
-from gammadde.ode_solver import rk45_adaptive
+from gammadde.analysis import chain_system
+from gammadde.distributions import stage_generator
+from gammadde.ode_solver import MAX_CHAIN_STAGES, OdeFailure, rk45_adaptive
 
 TIGHT = 1e-12  # rtol
 
@@ -101,6 +103,49 @@ def test_divergent_history_rejected():
             chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params)
         with pytest.raises(ValueError, match="diverges"):
             chain_initial_state(HistoryFunction.custom(lambda s: np.exp(-5.0 * s)), params)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rhs_is_the_row_block_product(variant):
+    # The rhs is the product of the (n+1, n) row block with the stages:
+    # row 0 is r_n e_n, rows 1..n are Q^T.  Every chain length up to the
+    # budget gives the same bits as the matmul of that block.
+    F = lambda x, conv: 0.8 * x - 1.1 * x * conv
+    rng = np.random.default_rng(7)
+    lengths = []
+    for j in (1.5, 2.5, 12.6, 199.5):
+        params = chain_params(variant, j, 2.0)
+        rates = params.rates()
+        lengths.append(params.n)
+        rows = np.vstack([np.zeros(params.n), stage_generator(rates).T])
+        rows[0, -1] = rates[-1]
+        rhs = chain_system(F, params, HistoryFunction.constant(1.0)).rhs
+        for _ in range(5):
+            state = rng.normal(size=params.n + 1)
+            expected = rows @ state[1:]
+            expected[0] = F(state[0], expected[0])
+            expected[1] += state[0]
+            assert np.array_equal(rhs(0.0, state), expected)
+    assert max(lengths) == MAX_CHAIN_STAGES
+
+
+def test_rhs_returns_a_fresh_array_per_call():
+    rhs = build_hypoexp_system(
+        lambda x, conv: x - conv, fixed_hypoexp(2.5, 1.0), HistoryFunction.constant(1.0)
+    ).rhs
+    state = np.linspace(1.0, 2.0, 4)
+    first, second = rhs(0.0, state), rhs(0.0, state)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+
+
+def test_overflowing_chain_head_fails_by_name():
+    # x' = x^2 from x(0) = 2 blows up at t = 1/2, inside the chain's rhs.
+    prob = build_hypoexp_system(
+        lambda x, conv: x * x, fixed_hypoexp(2.5, 1.0), HistoryFunction.constant(2.0)
+    )
+    with pytest.raises(OdeFailure, match="overflow"):
+        rk45_adaptive(prob.rhs, prob.y0, [0.0, 1.0, 2.0])
 
 
 def test_variant_guards():

@@ -163,6 +163,19 @@ def test_mgf_order_integer(capsys):
     assert max(payload["max_abs_error"].values()) < 1e-14
 
 
+def test_mgf_order_non_integer(capsys):
+    # Criterion 05 through the CLI: the Erlang chain's MGF error is of order
+    # 2 near zero, the two-moment chains' of order 3.
+    code, stdout, err = run_cli(capsys, "mgf-order", "--j", "2.5")
+    assert code == 0, err
+    payload = json.loads(stdout)
+    assert payload["identically_zero"] is False
+    expected = {"erlang": 2.0, "fixed": 3.0, "smoothed": 3.0}
+    assert payload["slopes"].keys() == expected.keys()
+    for variant, order in expected.items():
+        assert abs(payload["slopes"][variant] - order) < 0.2
+
+
 def test_survival_jump(capsys):
     code, stdout, _ = run_cli(
         capsys, "survival", "--jump-at", "3", "--tau", "1", "--t", "4"
@@ -477,6 +490,16 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
          "--history 'exp:1:inf'"),
         (["solve", "--j", "2.5", "--history", "exp:1:nan"], "--history 'exp:1:nan'"),
         (["survival", "--jump-at", "2", "--t", "-1"], "--t must be nonnegative"),
+        # A history growing into the past faster than a chain's slowest stage
+        # decays, refused by flag and variant before any solve.
+        (["solve", "--j", "2.5", "--history", "exp:1:-2.4", "--method", "chain"],
+         "--history exp:1:-2.4 grows into the past at rate 2.4, not below the fixed "
+         "chain's slowest stage rate 1.93833"),
+        (["solve", "--j", "2.5", "--history", "exp:1:-2.2", "--method", "chain",
+          "--variant", "smoothed"], "the smoothed chain's slowest stage rate 2.11325"),
+        (["compare", "--j", "2.5", "--history", "exp:1:-2.4"], "--history exp:1:-2.4"),
+        (["solve", "--method", "chain", "--problem", "linear_gamma", "--beta", "1e-3",
+          "--j", "2.5"], "the default history grows into the past at rate 2.23264"),
         (["moment-poly", "--m", "0", "--fj", "0.5"], "--m"),
         (["moment-poly", "--m", "171", "--fj", "0.5"], "--m"),
     ],
@@ -490,6 +513,16 @@ def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert named in err
+
+
+def test_fcrk_solves_a_history_that_outgrows_the_chains(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(
+        capsys, "solve", "--j", "2.5", "--history", "exp:1:-2.4", "--t-end", "1",
+        "--out", str(out),
+    )
+    assert code == 0, err
+    assert len(out.read_text().strip().split("\n")) == 22  # header + 21 times at h = 0.05
 
 
 def test_fcrk_solve_builds_no_chain_at_a_large_integer_shape(tmp_path, capsys):

@@ -475,6 +475,44 @@ def test_linear_in_the_history(block_nodes, h1, h2, c1, c2, alpha, beta, j, tau)
     assert np.all(gap <= 1e-12 * np.max(parts))
 
 
+def _rescaled_history(history, k):
+    """The history s -> history(s / k), exponential where history is."""
+    if history.kind == "exponential":
+        return HistoryFunction.exponential(history.value, history.growth / k)
+    return HistoryFunction.custom(lambda s: history(s / k))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    history=_HISTORIES,
+    alpha=st.floats(-2.0, 0.5),
+    beta=st.floats(-2.0, 2.0),
+    j=st.floats(1.0, 6.0),
+    tau=st.floats(0.5, 4.0),
+    k=st.floats(0.2, 8.0),
+)
+def test_time_rescaling_covariance_at_a_pinned_quadrature_step(history, alpha, beta, j, tau, k):
+    # Written in time units k times as long, the problem has kernel mean
+    # k tau, rhs F / k, history psi(s / k), step k h and horizon k T, and
+    # its mesh values are the original's.  The quadrature works in omega,
+    # which has no unit, so this holds with h_int pinned; the default
+    # coupling h_int^4 = xi h^4 ties h_int to the time unit and breaks it:
+    # on the eigen problem (j 2.15, tau 4.65, beta 0.35, h 0.05, T 5) the
+    # default-coupled solves at k = 1 and k = 5 differ by 4.5e-3.  Worst
+    # gap with h_int pinned, over 200 draws: 7.9e-15 of max |x|.
+    F = lambda x, conv: alpha * x + beta * x * conv  # noqa: E731
+    quad = QuadConfig(h_int=0.0125)
+    original = fcrk4_solve(_problem(F, j=j, tau=tau, t_end=1.0, history=history), 0.1, quad=quad)
+    rescaled = fcrk4_solve(
+        _problem(lambda x, conv: F(x, conv) / k, j=j, tau=k * tau, t_end=k * 1.0,
+                 history=_rescaled_history(history, k)),
+        k * 0.1,
+        quad=quad,
+    )
+    assert rescaled.n_steps == original.n_steps
+    assert np.max(np.abs(rescaled.x - original.x)) <= 1e-13 * np.max(np.abs(original.x))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     c=st.floats(-10.0, 10.0),
