@@ -490,6 +490,8 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
          "--history 'exp:1:inf'"),
         (["solve", "--j", "2.5", "--history", "exp:1:nan"], "--history 'exp:1:nan'"),
         (["survival", "--jump-at", "2", "--t", "-1"], "--t must be nonnegative"),
+        (["moment-poly", "--m", "0", "--fj", "0.5"], "--m"),
+        (["moment-poly", "--m", "171", "--fj", "0.5"], "--m"),
         # A history growing into the past faster than a chain's slowest stage
         # decays, refused by flag and variant before any solve.
         (["solve", "--j", "2.5", "--history", "exp:1:-2.4", "--method", "chain"],
@@ -500,8 +502,6 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["compare", "--j", "2.5", "--history", "exp:1:-2.4"], "--history exp:1:-2.4"),
         (["solve", "--method", "chain", "--problem", "linear_gamma", "--beta", "1e-3",
           "--j", "2.5"], "the default history grows into the past at rate 2.23264"),
-        (["moment-poly", "--m", "0", "--fj", "0.5"], "--m"),
-        (["moment-poly", "--m", "171", "--fj", "0.5"], "--m"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
