@@ -21,19 +21,17 @@ function enters only through the compartments' initial values
     B_i(0) = int_0^inf psi(-s) / r_i * kappa_i(s) ds,
 
 where kappa_i is the density of the first i stages in sequence, the
-convolution of their exponentials.  For an exponential history this has
-the closed form (c / r_i) prod_{k <= i} r_k / (r_k + rho), zero for c = 0;
-for a custom history all compartments are integrated numerically in one
-vector quadrature over the chain's generator.  At integer shape every
-two-moment chain has all rates equal, so it reproduces the Erlang
+convolution of their exponentials.  A chain takes only an exponential
+history, for which this has the closed form
+(c / r_i) prod_{k <= i} r_k / (r_k + rho), zero for c = 0; a custom
+history is refused, and FCRK solves the DDE from it.  At integer shape
+every two-moment chain has all rates equal, so it reproduces the Erlang
 reduction exactly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
 from .distributions import stage_generator
 
@@ -43,7 +41,8 @@ class HistoryFunction:
     """Prescribed solution values on (-inf, t0]; chains start at t0 = 0.
 
     Two kinds: ``exponential`` (c * exp(rho s); ``constant(c)`` is the one
-    with rho = 0) and ``custom`` (any vectorized callable).
+    with rho = 0) and ``custom`` (any vectorized callable).  Custom
+    histories are for FCRK only: a chain refuses them.
     """
 
     kind: str
@@ -109,37 +108,24 @@ def _chain_rhs(F, rates):
     return rhs
 
 
-def _exponential_init(c, rho, rates):
-    """Closed-form compartment integrals for psi(s) = c exp(rho s)."""
-    r = np.asarray(rates, dtype=float)
-    if np.any(r + rho <= 0):
-        raise ValueError(
-            f"history grows too fast for the chain: rate {r.min()} <= {-rho}"
-        )
-    return (c / r) * np.cumprod(r / (r + rho))
-
-
-def _custom_init(history, rates):
-    """Adaptive vector quadrature of the defining integrals for custom
-    histories: B(0) = int_0^inf psi(-s) e_1 exp(Q s) ds, since the
-    occupancy of stage i, row e_1 exp(Q s) of the chain's generator Q, is
-    kappa_i(s) / r_i."""
-    q = stage_generator(rates)
-    # A history growing too fast into the past overflows; the non-finite
-    # result is rejected below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, err = quad_vec(lambda s: float(history(-s)) * expm(q * s)[0], 0.0, np.inf)
-    if not np.all(np.isfinite(val)) or not err <= 1e-6 * max(1.0, np.linalg.norm(val)):
-        raise ValueError("history integral over the chain compartments diverges")
-    return val
-
-
 def chain_initial_state(history, params):
-    """Compartment initial values at t = 0 for the given history."""
-    rates = params.rates()
-    if history.kind == "exponential":
-        return _exponential_init(history.value, history.growth, rates)
-    return _custom_init(history, rates)
+    """Compartment initial values at t = 0, in closed form, for an
+    exponential history.  The integrals diverge unless the history grows
+    into the past more slowly than the chain's slowest stage decays."""
+    if history.kind != "exponential":
+        raise ValueError(
+            f"a chain needs an exponential history, not a {history.kind} one; "
+            "fcrk4_solve solves the DDE from a custom history"
+        )
+    rho = history.growth
+    r = np.asarray(params.rates(), dtype=float)
+    slowest = r.min()
+    if not slowest + rho > 0:
+        raise ValueError(
+            f"history grows into the past at rate {-rho:g}, not below "
+            f"the {params.variant} chain's slowest stage rate {slowest:g}"
+        )
+    return (history.value / r) * np.cumprod(r / (r + rho))
 
 
 def _build(F, params, history):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis
 from . import approximations as approx
-from .chain_reduction import HistoryFunction
+from .chain_reduction import HistoryFunction, chain_initial_state
 from .distributions import GammaKernel, Rng, gamma_survival, hypoexp_survival
 from .epi import EpiData, SirParams, fit_log_likelihood, mle_fit, simulate_dataset
 from .fcrk import fcrk4_solve
@@ -151,17 +151,16 @@ def _quad_config(args):
 
 
 def _check_chain_history(args, history, chains):
-    """Refuse a history that grows into the past as fast as the slowest
-    stage of one of ``chains`` decays: its compartment integrals diverge.
-    Every history the CLI builds is exponential."""
+    """Refuse, before any solve, a history that one of ``chains`` cannot
+    start from.  This defers to ``chain_initial_state``, the one place the
+    rule is written, and names the flag, or the default, that set the
+    history."""
     for params in chains:
-        slowest = min(params.rates())
-        if not slowest + history.growth > 0:
+        try:
+            chain_initial_state(history, params)
+        except ValueError as exc:
             spec = "the default history" if args.history is None else f"--history {args.history}"
-            raise ConfigError(
-                f"{spec} grows into the past at rate {-history.growth:g}, not below "
-                f"the {params.variant} chain's slowest stage rate {slowest:g}"
-            )
+            raise ConfigError(spec + str(exc).removeprefix("history")) from exc
 
 
 def _refuse_unread(args, mode, flags):

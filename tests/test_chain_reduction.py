@@ -1,5 +1,8 @@
+import ast
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from gammadde.chain_reduction import (
     build_hypoexp_system,
     chain_initial_state,
 )
-from gammadde.analysis import chain_system
+from gammadde.analysis import chain_system, chain_trajectory
 from gammadde.distributions import stage_generator
 from gammadde.ode_solver import MAX_CHAIN_STAGES, OdeFailure, rk45_adaptive
 
@@ -42,6 +45,8 @@ def test_history_kinds():
     assert h(-2.0) == pytest.approx(0.1 * math.exp(-0.2), rel=1e-15)
     h = HistoryFunction.custom(lambda s: np.cos(s))
     assert h(0.0) == 1.0
+    with pytest.raises(ValueError, match="unknown history kind"):
+        HistoryFunction(kind="bogus")(0.0)
 
 
 def test_constant_history_inits():
@@ -86,23 +91,48 @@ def test_exponential_history_against_quadrature():
         assert init[i] == pytest.approx(oracle(i), rel=1e-8)
 
 
-def test_custom_history_matches_closed_form():
-    for params in (chain_params(v, j, 1.0) for v in VARIANTS for j in (2.5, 6.3)):
-        closed = chain_initial_state(HistoryFunction.exponential(0.1, 0.1), params)
-        custom = chain_initial_state(
-            HistoryFunction.custom(lambda s: 0.1 * np.exp(0.1 * s)), params
-        )
-        assert np.allclose(custom, closed, rtol=1e-7)
-
-
 def test_divergent_history_rejected():
     params = fixed_hypoexp(2.5, 1.0)  # min rate 1.938
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params)
-        with pytest.raises(ValueError, match="diverges"):
+        # A custom history is refused by its kind, whether or not it
+        # outgrows the chain, in the library and on the way to a solve.
+        with pytest.raises(ValueError, match="exponential"):
             chain_initial_state(HistoryFunction.custom(lambda s: np.exp(-5.0 * s)), params)
+        with pytest.raises(ValueError, match="exponential"):
+            chain_trajectory(
+                lambda x, conv: -x + conv, params, HistoryFunction.custom(np.ones_like),
+                np.linspace(0.0, 1.0, 3),
+            )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_divergence_names_the_variant_and_its_slowest_rate(variant):
+    # Refused from the slowest stage's rate on, and named by it; just
+    # inside, the closed form is finite.
+    params = chain_params(variant, 2.5, 1.0)
+    slowest = min(params.rates())
+    named = f"the {variant} chain's slowest stage rate {slowest:g}"
+    for rho in (-slowest, -2.0 * slowest):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            chain_initial_state(HistoryFunction.exponential(1.0, rho), params)
+    init = chain_initial_state(HistoryFunction.exponential(1.0, -0.99 * slowest), params)
+    assert np.all(np.isfinite(init))
+
+
+def test_chain_reduction_imports_no_scipy():
+    # Chains start from exponential histories in closed form: no quadrature
+    # and no matrix exponential.
+    path = Path(__file__).resolve().parent.parent / "src" / "gammadde" / "chain_reduction.py"
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -223,6 +223,20 @@ def test_nonfinite_horizon_rejected():
                        t0=-bad, t_end=1.0)
 
 
+def test_empty_horizon_rejected():
+    with pytest.raises(ValueError, match="t_end must exceed t0"):
+        _problem(lambda x, conv: -x, t_end=0.0)
+
+
+def test_history_returning_one_number_is_broadcast():
+    # A history that returns one number for an array of times solves as the
+    # one that returns that number at each time.
+    rhs = lambda x, conv: -x + conv
+    scalar = fcrk4_solve(_problem(rhs, j=2.5, history=HistoryFunction.custom(lambda s: 1.0)), 0.1)
+    array = fcrk4_solve(_problem(rhs, j=2.5, history=HistoryFunction.custom(np.ones_like)), 0.1)
+    assert np.array_equal(scalar.x, array.x)
+
+
 def test_divergent_exponential_history_rejected():
     # psi(s) = e^(-3 s) grows into the past faster than the kernel (rate
     # 2.5) decays, so the delayed convolution does not exist.
