@@ -27,7 +27,7 @@ from .chain_reduction import (
     build_erlang_system,
     build_hypoexp_system,
 )
-from .fcrk import DdeProblem, FcrkTableau, Solution, fcrk4_solve
+from .fcrk import DdeProblem, Solution, fcrk4_solve
 from .quadrature import QuadConfig
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ChainOdeProblem",
     "ChainParams",
     "DdeProblem",
-    "FcrkTableau",
     "GammaKernel",
     "HistoryFunction",
     "HypoexpKernel",

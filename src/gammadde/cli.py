@@ -279,7 +279,12 @@ def cmd_stability(args):
     hypo, erlang = approx.fixed_hypoexp(j, tau), approx.erlang_approx(j, tau)
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     times = np.linspace(0.0, t_end, 4001)
-    gamma_growth = analysis.growth_rate(times, sol.query(times))
+    try:
+        gamma_growth = analysis.growth_rate(times, sol.query(times))
+    except ValueError as exc:
+        raise ConfigError(
+            f"the growth rate over --t-end {t_end:g} cannot be fitted: {exc} in its second half"
+        ) from None
     lam_hypo = analysis.dominant_eigenvalue(alpha, beta, hypo)
     lam_erl = analysis.dominant_eigenvalue(alpha, beta, erlang)
     _emit_json(

@@ -4,15 +4,20 @@ gamma-distributed delay over (0, inf), whose state is one real number.
 A functionally continuous method carries polynomial weights b(theta) and
 coefficients A(theta), so every stage owns a continuous interpolant.  That
 is what makes the infinite-delay convolution computable: evaluating
-int x(t - s) g(s) ds inside stage i needs x over the whole current step,
-which is not finished yet ("overlapping").  The partial stage interpolant
-
-    Y_i(theta) = x_n + h * sum_{j < i} A_ij(theta) K_j,   theta in [0, c_i]
-
-covers exactly that stretch, completed steps are covered by their step
+int x(t - s) g(s) ds inside a stage needs x over the whole current step,
+which is not finished yet ("overlapping").  The stage's own row covers
+exactly that stretch, completed steps are covered by their step
 interpolants, and everything before t0 by the history function.
 
-Every step interpolant and partial row is a cubic in theta, kept in one
+The fourth-order method here is three sweeps per step, each a cubic row
+in theta built from h times the slopes K of earlier stages: Euler from
+K0, the trapezoid from (K0, K1), and Simpson's cubic from K0 and the two
+stages of the sweep before it.  Stage 1 reads the Euler row at theta = 1,
+stages 2 and 3 the trapezoid row at theta = 1/2 and 1, stages 4 and 5
+the Simpson row over (K0, K2, K3) at theta = 1/2 and 1; the Simpson row
+over (K0, K4, K5) is the step interpolant b(theta).
+
+Every step interpolant and stage row is a cubic in theta, kept in one
 format: its coefficients in powers (1, theta, theta^2, theta^3).  The
 :class:`Solution` is the solve's state: the solver fills its mesh values
 and step coefficients ``poly`` step by step and returns it.  One lookup
@@ -41,44 +46,24 @@ import numpy as np
 from .quadrature import QuadConfig, convolution_integral, plan_nodes, plan_panels, tail_start
 
 
-@dataclass(frozen=True)
-class FcrkTableau:
-    """Polynomial Butcher tableau: A and b hold coefficients of
-    (theta, theta^2, theta^3) per entry, so A(0) = 0 and b(0) = 0 by
-    construction."""
+#: A step's three sweeps (see above): each maps h times its stages' slopes
+#: to its row's coefficients in powers (1, theta, theta^2, theta^3), whose
+#: constant term x_n the step sets.
+EULER = np.array([[0.0], [1.0], [0.0], [0.0]])
+TRAPEZOID = np.array([[0.0, 0.0], [1.0, 0.0], [-0.5, 0.5], [0.0, 0.0]])
+SIMPSON = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.5, 2.0, -0.5],
+                    [2.0 / 3.0, -4.0 / 3.0, 2.0 / 3.0]])
 
-    c: np.ndarray
-    a_coef: np.ndarray  # (stages, stages, 3), strictly lower triangular
-    b_coef: np.ndarray  # (stages, 3)
-
-    @property
-    def stages(self):
-        return len(self.c)
+#: The powers (1, theta, theta^2, theta^3) at the stage abscissae theta =
+#: 1/2 and theta = 1, whose plans are a step's rows 0 and 1.
+_POWERS = np.array([[1.0, 0.5, 0.25, 0.125], [1.0, 1.0, 1.0, 1.0]])
 
 
-def _tableau4():
-    # Six stages: an Euler/trapezoid sweep builds a quadratic interpolant,
-    # a second sweep upgrades it to the cubic that b(theta) propagates.
-    # Stage pairs (3,4) and (5,6) reuse one polynomial row, evaluated at
-    # theta = 1/2 and theta = 1 respectively.
-    c = np.array([0.0, 1.0, 0.5, 1.0, 0.5, 1.0])
-    a = np.zeros((6, 6, 3))
-    a[1, 0] = (1.0, 0.0, 0.0)
-    for row in (2, 3):
-        a[row, 0] = (1.0, -0.5, 0.0)
-        a[row, 1] = (0.0, 0.5, 0.0)
-    for row in (4, 5):
-        a[row, 0] = (1.0, -1.5, 2.0 / 3.0)
-        a[row, 2] = (0.0, 2.0, -4.0 / 3.0)
-        a[row, 3] = (0.0, -0.5, 2.0 / 3.0)
-    b = np.zeros((6, 3))
-    b[0] = (1.0, -1.5, 2.0 / 3.0)
-    b[4] = (0.0, 2.0, -4.0 / 3.0)
-    b[5] = (0.0, -0.5, 2.0 / 3.0)
-    return FcrkTableau(c=c, a_coef=a, b_coef=b)
-
-
-TABLEAU4 = _tableau4()
+def _row(sweep, x_n, slopes):
+    """The row of ``sweep`` (scaled by h) over its stages' ``slopes``."""
+    row = sweep @ slopes
+    row[0] = x_n
+    return row
 
 
 @dataclass(frozen=True)
@@ -300,11 +285,13 @@ def fcrk4_solve(problem, h, quad=None):
 
     Each stage value is fed the quadrature approximation of the convolution
     at its own abscissa, built from the history, all completed step
-    interpolants, and the lower-triangular portion of the current step.
+    interpolants, and its own row over the current step.
     One plan serves each distinct abscissa: stages 1, 3 and 5 share the
-    plan at t_n + h, stages 2 and 4 the plan at t_n + h/2, and each stage
-    is one product of two weight rows with the earlier stages, giving its
-    row value and its convolution.  The plan at t_n + h contracted with the
+    plan at t_n + h, stages 2 and 4 the plan at t_n + h/2.  A sweep
+    matrix turns h times the earlier stages' slopes into a stage's cubic
+    row, and one product of that row with the powers of theta at the
+    stage's abscissa and its plan's moments gives the stage's value and
+    convolution.  The plan at t_n + h contracted with the
     finished step's coefficients is stage 0's convolution in the next step,
     so a solve uses ``2 n_steps + 1`` plans: the one at t0, which reads the
     history only, and two per step, built in blocks of steps
@@ -347,21 +334,22 @@ def fcrk4_solve(problem, h, quad=None):
     sol.x[0] = _history_values(history, np.array([problem.t0]))[0]
     poly = sol.poly
 
-    tableau = TABLEAU4
-    h_a = h * tableau.a_coef
-    b_poly = h * tableau.b_coef.T
-    # Stage i is base[i] + weights[i, :, :i] @ K[:i]: row 0 of each gives
-    # its value at theta = c_i, row 1 its convolution, read from the plan
-    # at t_n + h/2 (plan row 0) or t_n + h (plan row 1).
-    c = tableau.c
-    plan_row = np.where(c == 0.5, 0, 1)
-    weights = np.empty((tableau.stages, 2, tableau.stages))
-    weights[:, 0] = np.einsum("ijq,iq->ij", h_a, c[:, None] ** np.arange(1, 4))
-    base = np.empty((tableau.stages, 2))
-    k_step = np.empty(tableau.stages)
+    euler, trapezoid, simpson = h * EULER, h * TRAPEZOID, h * SIMPSON
+    # A stage reads its row at theta = 1/2 (r = 0) or theta = 1 (r = 1):
+    # its value and convolution are offset[r] + reader[r] @ row, from the
+    # powers at theta and the running step's plan values and moments.
+    reader = np.empty((2, 2, 4))
+    reader[:, 0] = _POWERS
+    offset = np.zeros((2, 2))
+    k = np.empty(6)
+    rhs = problem.rhs
 
-    # Every node of the plan at t0 lies in the history.
-    conv_start = convolution_integral(
+    def stage(r, row):
+        return rhs(*(offset[r] + reader[r] @ row))
+
+    # Every node of the plan at t0 lies in the history.  Stage 0 reads its
+    # convolution as a numpy scalar, like every other stage.
+    conv_start = np.float64(convolution_integral(
         problem.t0,
         lambda times: _history_values(history, times),
         problem.kernel,
@@ -369,7 +357,7 @@ def fcrk4_solve(problem, h, quad=None):
         h,
         problem.t0,
         tail=_tails(sol, problem.kernel, np.array([problem.t0]), 0),
-    )
+    ))
     block_end = 0
     # An overflowing history or solution is reported by the stage check,
     # with its step and stage, instead of by a numpy warning.
@@ -379,19 +367,19 @@ def fcrk4_solve(problem, h, quad=None):
                 block_end = min(n + block_steps, n_steps)
                 block = _PlanBlock(sol, problem.kernel, quad, n, block_end)
             values, moments = block.plans(poly, n)
+            offset[:, 1], reader[:, 1] = values, moments
             x_n = sol.x[n]
-            weights[:, 1] = np.einsum("ijq,iq->ij", h_a, moments[plan_row, 1:])
-            base[:, 0] = x_n
-            base[:, 1] = values[plan_row] + moments[plan_row, 0] * x_n
-            base[0, 1] = conv_start
-            for i in range(tableau.stages):
-                y_i, conv = base[i] + weights[i, :, :i] @ k_step[:i]
-                k_step[i] = problem.rhs(y_i, conv)
-            if not np.isfinite(k_step).all():
-                stage = np.isfinite(k_step).argmin()
-                raise FloatingPointError(f"non-finite stage value at step {n}, stage {stage}")
-            poly[n, 0] = x_n
-            poly[n, 1:] = b_poly @ k_step
+            k[0] = rhs(x_n, conv_start)
+            k[1] = stage(1, _row(euler, x_n, k[:1]))
+            row = _row(trapezoid, x_n, k[:2])
+            k[2], k[3] = stage(0, row), stage(1, row)
+            row = _row(simpson, x_n, k[[0, 2, 3]])
+            k[4], k[5] = stage(0, row), stage(1, row)
+            if not np.isfinite(k).all():
+                raise FloatingPointError(
+                    f"non-finite stage value at step {n}, stage {np.isfinite(k).argmin()}"
+                )
+            poly[n] = _row(simpson, x_n, k[[0, 4, 5]])
             # The interpolant at theta = 1, summed as Solution.query sums it.
             sol.x[n + 1] = poly[n, 0] + (poly[n, 1] + (poly[n, 2] + poly[n, 3]))
             conv_start = values[1] + moments[1] @ poly[n]

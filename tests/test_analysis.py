@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,27 @@ def test_gm_derivative_recurrence_up_to_the_largest_degree(frac):
     # f within 1e-12 of 0 or 1, where the other checks of gm_checks fail.
     for m in range(1, analysis.MAX_DEGREE + 1):
         assert analysis.gm_checks(m, frac)["derivative_recurrence"], m
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: analysis.estimate_order([0.1, 0.05, 0.025], [1e-3, 0.0, 1e-5]),
+         "errors must be positive"),
+        (lambda: analysis.dde_problem("linear", 1.0, alpha=1.0), "takes no alpha or beta"),
+        (lambda: analysis.dde_problem("nonlinear", 1.0, history="eigen"),
+         "only applies to linear_gamma"),
+        (lambda: analysis.dde_problem("linear_gamma", 2.0), "needs beta"),
+        (lambda: analysis.dde_problem("linear_gamma", 2.0, alpha=0.5, beta=0.5, history="eigen"),
+         "with alpha = -a"),
+        (lambda: analysis.default_tau("quadratic"), "unknown problem 'quadratic'"),
+        (lambda: analysis.dde_problem("linear", 1.0, tau=0.0), "tau must be positive"),
+        (lambda: analysis.char_root(0.0, 2.0, 0.5), "tau and j must be positive"),
+        (lambda: analysis.gm_value(analysis.MAX_DEGREE + 1, 0.5, 0.3), "degree 171 is above 170"),
+    ],
+    ids=["error", "coefficients", "eigen_history", "beta", "eigen_alpha", "problem", "tau",
+         "char_root", "degree"],
+)
+def test_refusal_names_its_cause(call, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()

@@ -278,3 +278,17 @@ def test_unknown_variant_rejected(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: unknown chain variant")
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: ApproxConfig(hbar=-1e-3), "hbar must be nonnegative"),
+        (lambda: erlang_approx(2.0, 0.0), "mean must be positive, got 0.0"),
+        (lambda: regularized_smoothed(0.5, 1.0), "infeasible for shape 0.5 < 1"),
+    ],
+    ids=["hbar", "mean", "shape"],
+)
+def test_refusal_names_its_cause(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()

@@ -238,6 +238,8 @@ def test_config_file_merging(tmp_path, capsys):
         ({"func": 1}, ["solve", "--j", "1"]),
         ({"j": [1.0]}, ["solve"]),
         ({"n_out": 5.5}, ["compare", "--j", "2.5"]),
+        # A JSON value that is not an object.
+        ([{"j": 1.0}], ["solve", "--j", "1"]),
     ],
 )
 def test_bad_config_file_is_a_usage_error(config, argv, tmp_path, capsys):
@@ -502,6 +504,9 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         (["compare", "--j", "2.5", "--history", "exp:1:-2.4"], "--history exp:1:-2.4"),
         (["solve", "--method", "chain", "--problem", "linear_gamma", "--beta", "1e-3",
           "--j", "2.5"], "the default history grows into the past at rate 2.23264"),
+        # A horizon too short for the envelope fit, named with its peak count.
+        (["stability", "--j", "2.5", "--tau", "1", "--alpha", "0.89", "--beta", "-1.15",
+          "--t-end", "1"], "--t-end 1 cannot be fitted: need at least 4 envelope peaks, found 0"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):

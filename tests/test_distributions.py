@@ -291,3 +291,9 @@ def test_kernel_invariants(j, a):
     hk = HypoexpKernel((a, 2 * a))
     assert hypoexp_survival(hk, 0.0) == 1.0
     assert hypoexp_mgf(hk, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("t", [-1.0, [0.0, 1.0, -1e-300]], ids=["scalar", "array"])
+def test_hypoexp_survival_refuses_a_negative_time(t):
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        hypoexp_survival(HypoexpKernel((1.0, 2.0)), t)

@@ -304,3 +304,22 @@ def test_mle_degenerate_no_serial_converges():
     fit = mle_fit(data, replace(params, j=2.5), max_evals=150)
     assert math.isfinite(fit.loglik)
 
+
+@pytest.mark.parametrize(
+    "data, outcome",
+    [
+        # Two observation times, one case count.
+        (EpiData(cases=(1,), serial=()), "case series and observation grid differ in length"),
+        # The serial density underflows to 0 at an interval of 1e4.
+        (EpiData(cases=(), serial=(2.5, 1e4)), -np.inf),
+    ],
+    ids=["case_count", "serial_underflow"],
+)
+def test_log_likelihood_edges(data, outcome):
+    params = replace(TRUTH, obs_times=(1.0, 2.0))
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            log_likelihood(params, data)
+    else:
+        assert serial_density(params.j, params.tau, np.array(data.serial[-1:]))[0] == 0.0
+        assert log_likelihood(params, data) == outcome

@@ -12,32 +12,32 @@ from hypothesis import strategies as st
 from gammadde import analysis, fcrk, quadrature
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel
-from gammadde.fcrk import TABLEAU4, DdeProblem, fcrk4_solve
+from gammadde.fcrk import DdeProblem, fcrk4_solve
 from gammadde.quadrature import QuadConfig
 
 XI = (1 / 8) ** 4
 
 
-def test_tableau_structure():
-    # A(theta) and b(theta) from their coefficients of (theta, theta^2, theta^3).
-    def a_at(theta):
-        return TABLEAU4.a_coef @ np.array([theta, theta**2, theta**3])
+@pytest.mark.parametrize(
+    "sweep, at_one",
+    [(fcrk.EULER, [1.0]), (fcrk.TRAPEZOID, [0.5, 0.5]), (fcrk.SIMPSON, [1 / 6, 2 / 3, 1 / 6])],
+    ids=["euler", "trapezoid", "simpson"],
+)
+def test_sweep_structure(sweep, at_one):
+    # A sweep's weights on its stages h K at theta, from its coefficients of
+    # (1, theta, theta^2, theta^3).
+    def weights_at(theta):
+        return np.array([1.0, theta, theta**2, theta**3]) @ sweep
 
-    def b_at(theta):
-        return TABLEAU4.b_coef @ np.array([theta, theta**2, theta**3])
-
-    assert np.array_equal(a_at(0.0), np.zeros((6, 6)))
-    assert np.array_equal(b_at(0.0), np.zeros(6))
-    assert b_at(1.0).sum() == pytest.approx(1.0, abs=1e-15)
-    assert np.all(TABLEAU4.c >= 0.0)
-    # Lower triangular: stage i only sees earlier stages.
-    a1 = a_at(1.0)
-    assert np.allclose(a1, np.tril(a1, -1))
-    # Row sums at theta equal theta (consistency of the stage interpolants).
+    # Its row is x_n at theta = 0.
+    x_n, hk = 0.7, np.array([0.3, -1.1, 2.9])[: sweep.shape[1]]
+    assert np.polyval(fcrk._row(sweep, x_n, hk)[::-1], 0.0) == x_n
+    assert np.array_equal(weights_at(0.0), np.zeros(sweep.shape[1]))
+    # Its weights summed over stages give theta (consistency).
     for theta in (0.25, 0.5, 1.0):
-        rows = a_at(theta)[1:].sum(axis=1)
-        assert np.allclose(rows, theta)
-    assert b_at(1.0) == pytest.approx([1 / 6, 0, 0, 0, 2 / 3, 1 / 6])
+        assert weights_at(theta).sum() == pytest.approx(theta, abs=1e-15)
+    # Euler, the trapezoid and Simpson's rule at theta = 1.
+    assert weights_at(1.0) == pytest.approx(at_one, abs=1e-15)
 
 
 def _problem(rhs, j=1.0, tau=1.0, t_end=1.0, history=None):
@@ -205,7 +205,21 @@ def test_nonfinite_stage_named_by_step_and_stage():
 
     with pytest.raises(FloatingPointError, match="at step 2, stage 2$"):
         fcrk4_solve(_problem(rhs, t_end=1.0), 0.1)
-    assert len(calls) == 3 * TABLEAU4.stages
+    # Six stages per step, three steps.
+    assert len(calls) == 3 * 6
+
+
+def test_overflow_in_the_rhs_is_named_by_step_and_stage():
+    # x' = x^3 from x = 1 blows up at t = 1/2.  The rhs sees numpy scalars,
+    # so x^3 overflows to inf under the step's errstate instead of raising
+    # OverflowError, and the stage check names where it first appeared.
+    prob = DdeProblem(lambda x, conv: x**3, GammaKernel(2.0, 2.0), HistoryFunction.constant(1.0),
+                      t0=0.0, t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite stage value at step 6, stage 2$"):
+            fcrk4_solve(prob, 0.1)
 
 
 def test_bad_step_rejected():
@@ -262,9 +276,9 @@ def test_divergent_exponential_history_rejected():
     ids=["scalar"],
 )
 def test_one_quadrature_per_distinct_abscissa(problem, monkeypatch):
-    # The tableau has three distinct abscissae (0, 1/2, 1), and the plan at
-    # t_n + h also serves stage 0 of the next step: one plan at t0, then
-    # two per step, each built once.
+    # A step's stages read at three distinct abscissae (0, 1/2, 1), and the
+    # plan at t_n + h also serves stage 0 of the next step: one plan at t0,
+    # then two per step, each built once.
     build = quadrature.plan_nodes
     times = []
 
@@ -296,7 +310,8 @@ def test_stage_zero_sees_the_solutions_own_convolution(name):
 
     quad = QuadConfig()
     sol = fcrk4_solve(dataclasses.replace(prob, rhs=recording), 0.1, quad=quad)
-    stage_zero = np.array(convs[:: TABLEAU4.stages])
+    # Each step calls the rhs six times, stage 0 first.
+    stage_zero = np.array(convs[::6])
     assert len(stage_zero) == sol.n_steps
     times = _mesh(sol)[0][:-1]
     expected = np.array([

@@ -60,6 +60,22 @@ def test_every_private_name_has_a_caller_in_the_package():
     assert not test_only, f"private names without a caller in the package: {test_only}"
 
 
+def test_exports_are_the_names_the_package_imports():
+    # __all__ lists each public name that __init__ imports, once, and every
+    # name it lists resolves: dropping a name from one but not the other fails.
+    import gammadde
+
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert all(hasattr(gammadde, name) for name in gammadde.__all__)
+    assert len(set(gammadde.__all__)) == len(gammadde.__all__)
+    assert set(gammadde.__all__) == {name for name in imported if not name.startswith("_")}
+
+
 def test_benchmark_trace_finds_every_hook(monkeypatch):
     # bench/layer_trace.py finds the functions it times by name and reports
     # a metric absent when a name is gone; a refactor must not blank one.
