@@ -131,10 +131,10 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     ``history`` is a :class:`HistoryFunction`, ``None`` for the problem's
     default, or ``"eigen"`` (``linear_gamma`` with alpha = -a only).  The
     reference maps times to exact solution values: the closed form where one
-    holds, otherwise at integer j the exact Erlang chain of the problem's own
-    rhs and history, otherwise it is None.  The chain is built and solved
-    when the reference is called, at the default rtol 1e-10: LSODA receives
-    rtol 1e-13 and atol 1e-15.
+    holds, otherwise at integer j the exact Erlang chain of the problem
+    itself, otherwise it is None.  The chain is built and solved when the
+    reference is called, at the default rtol 1e-10: LSODA receives rtol
+    1e-13 and atol 1e-15.
     """
     tau = default_tau(name) if tau is None else tau
     if not tau > 0:
@@ -151,28 +151,27 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
         params = approx.erlang_approx(int(j), tau)
         check_chain_stages(j, params.n)
         t_arr = np.asarray(t, dtype=float)
-        states, _ = chain_trajectory(rhs, params, history, np.atleast_1d(t_arr))
+        states, _ = chain_trajectory(problem, params, np.atleast_1d(t_arr))
         return states[:, 0].reshape(t_arr.shape) if t_arr.ndim else float(states[0, 0])
 
     return problem, chain_reference
 
 
-def chain_system(F, params, history):
-    """The chain reduction of x' = F(x, conv) on the chain ``params`` of any
-    variant, started from ``history`` at t = 0."""
+def chain_system(problem, params):
+    """The chain reduction of the :class:`DdeProblem` ``problem`` on the
+    chain ``params`` of any variant."""
     if params.variant == "erlang":
-        return build_erlang_system(F, params, history)
-    return build_hypoexp_system(F, params, history)
+        return build_erlang_system(problem, params)
+    return build_hypoexp_system(problem, params)
 
 
-def chain_trajectory(F, params, history, times, rtol=DEFAULT_RTOL):
-    """(states, labels) of the chain reduction of x' = F(x, conv) with the
-    given chain, started from ``history`` at t = 0 and sampled at the
-    increasing ``times``, up to the last of them, at relative tolerance
-    ``rtol``."""
-    problem = chain_system(F, params, history)
-    states = rk45_adaptive(problem.rhs, problem.y0, times, rtol)
-    return states, problem.labels
+def chain_trajectory(problem, params, times, rtol=DEFAULT_RTOL):
+    """(states, labels) of the chain reduction of ``problem`` on the chain
+    ``params``, sampled at the increasing ``times``, up to the last of
+    them, at relative tolerance ``rtol``."""
+    chain = chain_system(problem, params)
+    states = rk45_adaptive(chain.rhs, chain.y0, times, rtol)
+    return states, chain.labels
 
 
 def linear_test_reference(j, t):
@@ -257,14 +256,13 @@ def integer_jump(j0, tau, t, delta=1e-6):
 # Linear stability of the chain reductions.
 
 
-def dominant_eigenvalue(alpha, beta, params):
+def dominant_eigenvalue(problem, params):
     """Eigenvalue with the largest real part of the system matrix of the
-    chain reduction of x' = alpha x + beta conv.  The rhs is linear, so the
-    matrix is read off it one column per unit state."""
-    problem = chain_system(
-        lambda x, conv: alpha * x + beta * conv, params, HistoryFunction.constant(0.0)
-    )
-    columns = [problem.rhs(0.0, unit) for unit in np.eye(len(problem.y0))]
+    chain reduction of the linear ``problem``, such as ``linear_gamma``'s
+    x' = alpha x + beta conv, on the chain ``params``.  The rhs is linear,
+    so the matrix is read off it one column per unit state."""
+    chain = chain_system(problem, params)
+    columns = [chain.rhs(0.0, unit) for unit in np.eye(len(chain.y0))]
     eig = np.linalg.eigvals(np.column_stack(columns))
     return eig[np.argmax(eig.real)]
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 
 from .distributions import HypoexpKernel
 
-#: Most stages a chain may have.  The largest chain the tests build has 20
-#: stages and the benchmark's 7; the SIR fitter's bounds allow 13.  At the
-#: budget a chain's generator matrix takes 8 MB.
+#: Most stages a chain may have.  The tests build chains up to the budget
+#: (1,000 stages for ``mgf-order``'s refusal at j = 999.5, 200 for the
+#: chain ODE's budget) and the benchmark up to 7; the SIR fitter's bounds
+#: allow 13.  At the budget a chain's generator matrix takes 8 MB.
 MAX_STAGES = 1000
 
 

@@ -1,11 +1,14 @@
 """Reduce a chain-approximated delay kernel to an equivalent ODE system.
 
 A DDE x' = F(x, x * g) whose kernel g is Erlang or hypoexponential is
-equivalent to an (n+1)-dimensional ODE: one auxiliary compartment per
-exponential stage, with the delayed term read off the final compartment's
-outflow r_n B_n.  The compartments evolve as B' = Q^T B + x e_1, with Q the
-generator of :func:`~gammadde.distributions.stage_generator`, the one place
-the chain's transition rule is written.  Every chain ODE of the package,
+equivalent to an (n+1)-dimensional ODE.  The builders take the gamma DDE
+as the :class:`~gammadde.fcrk.DdeProblem` that FCRK solves, read its rhs
+F, history and x0, and replace its kernel by the chain.  The ODE has one
+auxiliary compartment per exponential stage, with the delayed term read
+off the final compartment's outflow r_n B_n.  The compartments evolve as
+B' = Q^T B + x e_1, with Q the generator of
+:func:`~gammadde.distributions.stage_generator`, the one place the
+chain's transition rule is written.  Every chain ODE of the package,
 the SIR model's C' = beta (1 - C) (C - C * g) among them, is built here;
 its rhs is one ``ndarray.dot`` of an ``(n+1, n)`` row block, made once per
 problem, with B: row 0 is r_n e_n and gives the delayed term, rows 1..n
@@ -15,8 +18,9 @@ step, on at most 14 x 13 entries in the package's own solves, so the
 per-call dispatch of the ``@`` ufunc would cost more than the product:
 ``ndarray.dot`` gives the same bits in about 70% of the time (1.4-1.6
 against 2.2 microseconds per SIR-chain call on a 2-vCPU machine).
-Each call returns a new array.  Chains start at t = 0, and the history
-function enters only through the compartments' initial values
+Each call returns a new array.  Chains start at t0 = 0 and refuse any
+other t0.  The head starts at the problem's x0, and the history enters
+only through the compartments' initial values
 
     B_i(0) = int_0^inf psi(-s) / r_i * kappa_i(s) ds,
 
@@ -38,7 +42,8 @@ from .distributions import stage_generator
 
 @dataclass(frozen=True)
 class HistoryFunction:
-    """Prescribed solution values on (-inf, t0]; chains start at t0 = 0.
+    """Prescribed solution values on (-inf, t0); the solution's value at t0
+    is the problem's x0, by default the history's own value there.
 
     Two kinds: ``exponential`` (c * exp(rho s); ``constant(c)`` is the one
     with rho = 0) and ``custom`` (any vectorized callable).  Custom
@@ -128,22 +133,29 @@ def chain_initial_state(history, params):
     return (history.value / r) * np.cumprod(r / (r + rho))
 
 
-def _build(F, params, history):
+def _build(problem, params):
+    if problem.t0 != 0:
+        raise ValueError(
+            f"a chain starts at t0 = 0, not at t0 = {problem.t0:g}; "
+            "fcrk4_solve solves the DDE from any t0"
+        )
     rates = params.rates()
-    y0 = np.concatenate([[float(history(0.0))], chain_initial_state(history, params)])
+    y0 = np.concatenate([[problem.initial_value()], chain_initial_state(problem.history, params)])
     labels = ("Y",) + tuple(f"B{i + 1}" for i in range(len(rates)))
-    return ChainOdeProblem(rhs=_chain_rhs(F, rates), params=params, y0=y0, labels=labels)
+    return ChainOdeProblem(rhs=_chain_rhs(problem.rhs, rates), params=params, y0=y0, labels=labels)
 
 
-def build_erlang_system(F, params, history):
-    """ODE reduction of the Erlang-kernel DDE y' = F(y, b A_n)."""
+def build_erlang_system(problem, params):
+    """ODE reduction of ``problem`` with its kernel replaced by the Erlang
+    chain ``params``: y' = F(y, b A_n)."""
     if params.variant != "erlang":
         raise ValueError("params must come from the erlang approximation")
-    return _build(F, params, history)
+    return _build(problem, params)
 
 
-def build_hypoexp_system(F, params, history):
-    """ODE reduction of the hypoexponential-kernel DDE y' = F(y, mu B_n)."""
+def build_hypoexp_system(problem, params):
+    """ODE reduction of ``problem`` with its kernel replaced by the
+    hypoexponential chain ``params``: y' = F(y, mu B_n)."""
     if params.variant == "erlang":
         raise ValueError("params must come from a hypoexponential approximation")
-    return _build(F, params, history)
+    return _build(problem, params)

@@ -193,9 +193,7 @@ def cmd_solve(args):
         params = approx.chain_params(variant, args.j, tau)
         check_chain_stages(args.j, params.n)
         _check_chain_history(args, problem.history, [params])
-        states, labels = analysis.chain_trajectory(
-            problem.rhs, params, problem.history, times, rtol
-        )
+        states, labels = analysis.chain_trajectory(problem, params, times, rtol)
         _write_csv(args.out, ["t", "x"] + list(labels[1:]), [times, *states.T])
     return 0
 
@@ -247,9 +245,7 @@ def cmd_compare(args):
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}
     for variant, params in chains.items():
-        states, _ = analysis.chain_trajectory(
-            problem.rhs, params, problem.history, times, rtol
-        )
+        states, _ = analysis.chain_trajectory(problem, params, times, rtol)
         columns[variant] = states[:, 0]
     _write_csv(args.out, ["t", *columns], [times, *columns.values()])
     summary = {
@@ -285,8 +281,8 @@ def cmd_stability(args):
         raise ConfigError(
             f"the growth rate over --t-end {t_end:g} cannot be fitted: {exc} in its second half"
         ) from None
-    lam_hypo = analysis.dominant_eigenvalue(alpha, beta, hypo)
-    lam_erl = analysis.dominant_eigenvalue(alpha, beta, erlang)
+    lam_hypo = analysis.dominant_eigenvalue(problem, hypo)
+    lam_erl = analysis.dominant_eigenvalue(problem, erlang)
     _emit_json(
         {
             "gamma_growth_rate": gamma_growth,

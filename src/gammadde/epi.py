@@ -5,7 +5,9 @@ likelihood fitting.
 The model is a gamma DDE in the cumulative incidence C = 1 - S: by time t,
 C(t) have been infected and (C * g)(t) have recovered, g the density of the
 infectious period, so C' = beta (1 - C) (C - C * g), from C = 0 on
-(-inf, 0) and C(0) = eps.  It runs on the :mod:`~gammadde.chain_reduction`
+(-inf, 0) and C(0) = eps: a :class:`~gammadde.fcrk.DdeProblem` with the
+history constant(0) and x0 = eps (:func:`sir_dde`), which FCRK solves as
+it stands.  The likelihood runs on the :mod:`~gammadde.chain_reduction`
 of this DDE, with stage rates from a two-moment chain approximation of the
 Gamma(j, j/tau) infectious period: state (C, B_1..B_n), the infected in
 stage i are I_i = B_i' and the recovered R = r_n B_n.  Observations are
@@ -25,6 +27,7 @@ from .analysis import chain_system
 from .approximations import ApproxConfig, chain_params
 from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
+from .fcrk import DdeProblem
 from .ode_solver import DEFAULT_RTOL, check_chain_stages, rk45_adaptive
 
 
@@ -90,8 +93,25 @@ class EpiData:
 MAX_RATE = 1e120
 
 
+def sir_dde(params):
+    """The SIR model's C-DDE C' = beta (1 - C) (C - C * g) over the
+    observation window, g the Gamma(j, j/tau) density of the infectious
+    period, from C = 0 before t = 0 and C(0) = eps."""
+    if not params.obs_times:
+        raise ValueError("the SIR model needs an observation time to end its window")
+    beta = params.beta
+    return DdeProblem(
+        rhs=lambda c, recovered: beta * (1.0 - c) * (c - recovered),
+        kernel=GammaKernel(shape=params.j, rate=params.j / params.tau),
+        history=HistoryFunction.constant(0.0),
+        t0=0.0,
+        t_end=params.obs_times[-1],
+        x0=params.eps,
+    )
+
+
 def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
-    """Chain reduction of the SIR model's C-DDE; state (C, B_1..B_n).
+    """Chain reduction of :func:`sir_dde`; state (C, B_1..B_n).
 
     The history C = 0 gives every compartment 0 at t = 0, and the head
     starts at C(0) = eps.  Rates above ``MAX_RATE`` are refused, naming
@@ -107,13 +127,7 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
             f"tau = {params.tau:g} at j = {params.j:g} gives a stage rate of "
             f"{max(chain.rates()):.3g}, above the largest rate, {MAX_RATE:g}"
         )
-    beta = params.beta
-    problem = chain_system(
-        lambda c, recovered: beta * (1.0 - c) * (c - recovered),
-        chain,
-        HistoryFunction.constant(0.0),
-    )
-    return replace(problem, y0=np.concatenate([[params.eps], problem.y0[1:]]))
+    return chain_system(sir_dde(params), chain)
 
 
 def simulate_incidence(params, rate_variant="fixed", approx_cfg=None, rtol=DEFAULT_RTOL):

@@ -69,20 +69,29 @@ def _row(sweep, x_n, slopes):
 @dataclass(frozen=True)
 class DdeProblem:
     """x'(t) = rhs(x(t), conv(t)) for a real x, with conv the gamma-kernel
-    convolution of x over (0, inf), and x = history on (-inf, t0]: given
-    an array of times, the history returns one value per time."""
+    convolution of x over (0, inf), x = history on (-inf, t0) and x(t0) =
+    x0; x0 = None is the history's value at t0, read when a solve starts.
+    Given an array of times, the history returns one value per time.  FCRK
+    solves the problem, and the chain reduction solves it on a chain."""
 
     rhs: callable
     kernel: object
     history: object
     t0: float
     t_end: float
+    x0: float = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
             raise ValueError(f"t0 and t_end must be finite, got {self.t0}, {self.t_end}")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
+
+    def initial_value(self):
+        """x(t0): ``x0``, or the history's value at t0 when it is None."""
+        if self.x0 is None:
+            return _history_values(self.history, np.array([self.t0]))[0]
+        return float(self.x0)
 
 
 def _history_values(history, times):
@@ -98,7 +107,8 @@ class Solution:
     """Piecewise-polynomial interpolant produced by one FCRK solve.
 
     ``query(t)`` (or calling the object) is defined for every t <= t_end:
-    history values for t <= t0, step interpolants beyond; it returns one
+    history values for t < t0, step interpolants from t0 on, so at t0 it
+    returns the mesh value ``x[0]``, the problem's x0; it returns one
     value per time, a float for a scalar t.  ``x`` holds the n_steps + 1
     mesh values, and row m of the ``(n_steps, 4)`` array ``poly`` holds
     step m's interpolant x_m + h sum_s b_s(theta) K_ms in powers (1, theta,
@@ -144,7 +154,7 @@ class Solution:
         if np.any(t_arr > self.t_end + 1e-9 * max(1.0, abs(self.t_end))):
             raise ValueError("query beyond the end of the solve")
         out = np.empty(t_arr.size)
-        hist = t_arr <= self.t0
+        hist = t_arr < self.t0
         if hist.any():
             out[hist] = _history_values(self.history, t_arr[hist])
         out[~hist] = self._interp(*self._place(t_arr[~hist], self.n_steps - 1))
@@ -331,7 +341,7 @@ def fcrk4_solve(problem, h, quad=None):
     n_steps = max(n_steps, 1)
 
     sol = Solution(history, problem.t0, h, n_steps)
-    sol.x[0] = _history_values(history, np.array([problem.t0]))[0]
+    sol.x[0] = problem.initial_value()
     poly = sol.poly
 
     euler, trapezoid, simpson = h * EULER, h * TRAPEZOID, h * SIMPSON

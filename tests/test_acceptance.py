@@ -155,9 +155,7 @@ def test_criterion_05_mgf_error_orders():
 
 
 def _chain_trajectory(problem, params, times):
-    states, _ = analysis.chain_trajectory(
-        problem.rhs, params, problem.history, times, rtol=1e-11
-    )
+    states, _ = analysis.chain_trajectory(problem, params, times, rtol=1e-11)
     return states[:, 0]
 
 
@@ -204,8 +202,8 @@ def test_criterion_07_stability_divergence():
         sol = fcrk4_solve(problem, 0.05, quad=QuadConfig(xi=(1 / 8) ** 4))
         times = np.linspace(0.0, 80.0, 4001)
         growth = analysis.growth_rate(times, sol.query(times))
-        lam_h = analysis.dominant_eigenvalue(alpha, beta, approx.fixed_hypoexp(j, tau))
-        lam_e = analysis.dominant_eigenvalue(alpha, beta, approx.erlang_approx(j, tau))
+        lam_h = analysis.dominant_eigenvalue(problem, approx.fixed_hypoexp(j, tau))
+        lam_e = analysis.dominant_eigenvalue(problem, approx.erlang_approx(j, tau))
         ok &= np.sign(growth) == np.sign(lam_h.real)
         ok &= np.sign(growth) != np.sign(lam_e.real)
         notes.append(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gammadde import analysis
 from gammadde.approximations import erlang_approx, fixed_hypoexp, smoothed_hypoexp
+from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel, gamma_survival, hypoexp_survival
 
 
@@ -86,9 +87,7 @@ def test_linear_reference_chain_consistent_with_closed_form():
     # Integer-shape chain integration path against the closed form at j=1.
     t = np.linspace(0.0, 10.0, 21)
     prob, closed = analysis.dde_problem("linear", 1)
-    states, labels = analysis.chain_trajectory(
-        prob.rhs, erlang_approx(1, 1.0), prob.history, t, rtol=1e-12
-    )
+    states, labels = analysis.chain_trajectory(prob, erlang_approx(1, 1.0), t, rtol=1e-12)
     assert labels == ("Y", "B1")
     assert np.max(np.abs(states[:, 0] - closed(t))) < 1e-10
 
@@ -186,9 +185,17 @@ def test_integer_jump_ordering():
         analysis.integer_jump(2.5, 1.0, 4.0)
 
 
+def _linear_gamma(j, tau, alpha, beta):
+    """x' = alpha x + beta (x * g) from history 1, as ``stability`` solves it."""
+    problem, _ = analysis.dde_problem(
+        "linear_gamma", j, tau, alpha=alpha, beta=beta, history=HistoryFunction.constant(1.0)
+    )
+    return problem
+
+
 def test_dominant_eigenvalue_decoupled():
     params = fixed_hypoexp(2.5, 1.0)
-    lam = analysis.dominant_eigenvalue(0.3, 0.0, params)
+    lam = analysis.dominant_eigenvalue(_linear_gamma(2.5, 1.0, 0.3, 0.0), params)
     assert lam.real == pytest.approx(0.3, abs=1e-12)
     assert lam.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -199,14 +206,16 @@ def test_dominant_eigenvalue_matches_characteristic_root():
     tau, j, beta = 1.0, 3.0, 1.0
     a = j / tau
     lam_root = analysis.char_root(tau, j, beta)
-    lam_chain = analysis.dominant_eigenvalue(-a, beta, erlang_approx(j, tau))
+    problem = _linear_gamma(j, tau, -a, beta)
+    lam_chain = analysis.dominant_eigenvalue(problem, erlang_approx(j, tau))
     assert lam_chain.real == pytest.approx(lam_root, abs=1e-8)
 
 
 def test_dominant_eigenvalue_integer_chains_agree():
     for j in (2, 4):
-        lam_f = analysis.dominant_eigenvalue(0.89, -1.15, fixed_hypoexp(j, 1.0))
-        lam_e = analysis.dominant_eigenvalue(0.89, -1.15, erlang_approx(j, 1.0))
+        problem = _linear_gamma(j, 1.0, 0.89, -1.15)
+        lam_f = analysis.dominant_eigenvalue(problem, fixed_hypoexp(j, 1.0))
+        lam_e = analysis.dominant_eigenvalue(problem, erlang_approx(j, 1.0))
         assert abs(lam_f - lam_e) < 1e-10
 
 

@@ -22,10 +22,19 @@ from gammadde.chain_reduction import (
     chain_initial_state,
 )
 from gammadde.analysis import chain_system, chain_trajectory
-from gammadde.distributions import stage_generator
+from gammadde.distributions import GammaKernel, stage_generator
+from gammadde.fcrk import DdeProblem
 from gammadde.ode_solver import MAX_CHAIN_STAGES, OdeFailure, rk45_adaptive
 
 TIGHT = 1e-12  # rtol
+
+
+def _dde(F, history, t0=0.0):
+    """The gamma DDE x' = F(x, conv) from ``history``; a chain replaces its
+    kernel and reads the rest."""
+    return DdeProblem(
+        rhs=F, kernel=GammaKernel(shape=2.5, rate=2.5), history=history, t0=t0, t_end=t0 + 1.0
+    )
 
 
 def _partial_fraction_density(rates, t):
@@ -103,9 +112,21 @@ def test_divergent_history_rejected():
             chain_initial_state(HistoryFunction.custom(lambda s: np.exp(-5.0 * s)), params)
         with pytest.raises(ValueError, match="exponential"):
             chain_trajectory(
-                lambda x, conv: -x + conv, params, HistoryFunction.custom(np.ones_like),
+                _dde(lambda x, conv: -x + conv, HistoryFunction.custom(np.ones_like)),
+                params,
                 np.linspace(0.0, 1.0, 3),
             )
+
+
+def test_a_chain_starting_after_0_is_refused_by_name():
+    # A chain starts at t0 = 0; FCRK takes any t0.  Refused in the builder
+    # and on the way to a solve.
+    problem = _dde(lambda x, conv: -x + conv, HistoryFunction.constant(1.0), t0=1.5)
+    named = "a chain starts at t0 = 0, not at t0 = 1.5"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build_hypoexp_system(problem, fixed_hypoexp(2.5, 1.0))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        chain_trajectory(problem, erlang_approx(2.5, 1.0), [1.5, 2.0])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -149,7 +170,7 @@ def test_rhs_is_the_row_block_product(variant):
         lengths.append(params.n)
         rows = np.vstack([np.zeros(params.n), stage_generator(rates).T])
         rows[0, -1] = rates[-1]
-        rhs = chain_system(F, params, HistoryFunction.constant(1.0)).rhs
+        rhs = chain_system(_dde(F, HistoryFunction.constant(1.0)), params).rhs
         for _ in range(5):
             state = rng.normal(size=params.n + 1)
             expected = rows @ state[1:]
@@ -161,7 +182,7 @@ def test_rhs_is_the_row_block_product(variant):
 
 def test_rhs_returns_a_fresh_array_per_call():
     rhs = build_hypoexp_system(
-        lambda x, conv: x - conv, fixed_hypoexp(2.5, 1.0), HistoryFunction.constant(1.0)
+        _dde(lambda x, conv: x - conv, HistoryFunction.constant(1.0)), fixed_hypoexp(2.5, 1.0)
     ).rhs
     state = np.linspace(1.0, 2.0, 4)
     first, second = rhs(0.0, state), rhs(0.0, state)
@@ -172,27 +193,27 @@ def test_rhs_returns_a_fresh_array_per_call():
 def test_overflowing_chain_head_fails_by_name():
     # x' = x^2 from x(0) = 2 blows up at t = 1/2, inside the chain's rhs.
     prob = build_hypoexp_system(
-        lambda x, conv: x * x, fixed_hypoexp(2.5, 1.0), HistoryFunction.constant(2.0)
+        _dde(lambda x, conv: x * x, HistoryFunction.constant(2.0)), fixed_hypoexp(2.5, 1.0)
     )
     with pytest.raises(OdeFailure, match="overflow"):
         rk45_adaptive(prob.rhs, prob.y0, [0.0, 1.0, 2.0])
 
 
 def test_variant_guards():
-    hist = HistoryFunction.constant(1.0)
+    problem = _dde(lambda y, c: 0.0, HistoryFunction.constant(1.0))
     with pytest.raises(ValueError):
-        build_erlang_system(lambda y, c: 0.0, fixed_hypoexp(2.5, 1.0), hist)
+        build_erlang_system(problem, fixed_hypoexp(2.5, 1.0))
     with pytest.raises(ValueError):
-        build_hypoexp_system(lambda y, c: 0.0, erlang_approx(2.5, 1.0), hist)
+        build_hypoexp_system(problem, erlang_approx(2.5, 1.0))
 
 
 def test_integer_shape_chains_coincide():
     # At integer shape the two-moment chain is the Erlang chain; constant
     # history must then give identical trajectories.
     F = lambda y, conv: 0.8 * y - 1.1 * conv
-    hist = HistoryFunction.constant(1.0)
-    erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
-    hyp = build_hypoexp_system(F, fixed_hypoexp(3, 1.0), hist)
+    problem = _dde(F, HistoryFunction.constant(1.0))
+    erl = build_erlang_system(problem, erlang_approx(3, 1.0))
+    hyp = build_hypoexp_system(problem, fixed_hypoexp(3, 1.0))
     times = np.linspace(0.0, 10.0, 101)
     ye = rk45_adaptive(erl.rhs, erl.y0, times, TIGHT)
     yh = rk45_adaptive(hyp.rhs, hyp.y0, times, TIGHT)
@@ -211,7 +232,7 @@ def test_impulse_response_reproduces_kernel_density():
     # chain kernel's density, equivalently -d/dt of its survival.
     params = fixed_hypoexp(2.5, 1.0)
     rates = params.rates()
-    prob = build_hypoexp_system(lambda y, conv: 0.0, params, HistoryFunction.constant(0.0))
+    prob = build_hypoexp_system(_dde(lambda y, conv: 0.0, HistoryFunction.constant(0.0)), params)
     times = np.linspace(0.05, 6.0, 60)
     states = rk45_adaptive(prob.rhs, _unit_mass_in_stage_1(prob), times, TIGHT)
     outflow = rates[-1] * states[:, -1]
@@ -221,7 +242,7 @@ def test_impulse_response_reproduces_kernel_density():
 def test_pure_transit_conserves_mass():
     params = smoothed_hypoexp(3.4, 2.0)
     rates = np.asarray(params.rates())
-    prob = build_hypoexp_system(lambda y, conv: 0.0, params, HistoryFunction.constant(0.0))
+    prob = build_hypoexp_system(_dde(lambda y, conv: 0.0, HistoryFunction.constant(0.0)), params)
 
     def augmented(t, state):
         core = prob.rhs(t, state[:-1])
@@ -240,9 +261,7 @@ def test_delayed_term_tracks_equilibrium():
     target = 1.7
     params = fixed_hypoexp(2.5, 1.0)
     prob = build_hypoexp_system(
-        lambda y, conv: 5.0 * (target - y),
-        params,
-        HistoryFunction.constant(0.0),
+        _dde(lambda y, conv: 5.0 * (target - y), HistoryFunction.constant(0.0)), params
     )
     states = rk45_adaptive(prob.rhs, prob.y0, [40.0], TIGHT)
     assert params.rates()[-1] * states[-1][-1] == pytest.approx(target, abs=1e-6)
@@ -254,9 +273,9 @@ def test_integer_shape_exponential_history_matches_erlang(builder):
     # must reproduce the Erlang reduction for a non-constant history as
     # well.
     F = lambda y, conv: 0.8 * y - 1.1 * conv
-    hist = HistoryFunction.exponential(1.0, 0.5)
-    erl = build_erlang_system(F, erlang_approx(3, 1.0), hist)
-    hyp = build_hypoexp_system(F, builder(3, 1.0), hist)
+    problem = _dde(F, HistoryFunction.exponential(1.0, 0.5))
+    erl = build_erlang_system(problem, erlang_approx(3, 1.0))
+    hyp = build_hypoexp_system(problem, builder(3, 1.0))
     times = np.linspace(0.0, 10.0, 201)
     ye = rk45_adaptive(erl.rhs, erl.y0, times, TIGHT)
     yh = rk45_adaptive(hyp.rhs, hyp.y0, times, TIGHT)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gammadde import fcrk, quadrature
 from gammadde.approximations import VARIANTS
 from gammadde.chain_reduction import HistoryFunction
-from gammadde.distributions import GammaKernel, Rng
+from gammadde.distributions import Rng
 from gammadde.epi import (
     DEFAULT_BOUNDS,
     MAX_POPULATION,
@@ -23,9 +24,10 @@ from gammadde.epi import (
     serial_density,
     simulate_dataset,
     simulate_incidence,
+    sir_dde,
 )
 from gammadde.epi import _poisson_loglik
-from gammadde.fcrk import DdeProblem, fcrk4_solve
+from gammadde.fcrk import fcrk4_solve
 from gammadde.ode_solver import rk45_adaptive
 
 TRUTH = SirParams(beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0)
@@ -155,26 +157,43 @@ def test_integer_shape_equals_erlang_chain():
     assert np.max(np.abs(yf - ye)) < 1e-10
 
 
-def test_fcrk_on_the_c_dde_converges_to_the_erlang_chain():
+def test_fcrk_on_the_c_dde_converges_to_the_erlang_chain(monkeypatch):
     # At integer shape the Erlang chain is the gamma model itself, so FCRK
-    # on C' = beta (1 - C) (C - C * g), from C = 0 before t = 0 and eps at
-    # it, closes on the chain at fourth order: about 16x per halving of h.
+    # on the chain's own C-DDE, C' = beta (1 - C) (C - C * g) from C = 0
+    # before t = 0 and eps at it, closes on the chain at fourth order:
+    # about 16x per halving of h.
+    dde = sir_dde(TRUTH)
+    assert dde.history == HistoryFunction.constant(0.0) and dde.x0 == TRUTH.eps
+    assert (dde.t0, dde.t_end) == (0.0, 120.0)
     problem = build_sir_chain(TRUTH, "erlang")
     times = np.linspace(0.0, 120.0, 241)
     states = rk45_adaptive(problem.rhs, problem.y0, times, rtol=1e-12)
-    dde = DdeProblem(
-        rhs=lambda c, recovered: TRUTH.beta * (1.0 - c) * (c - recovered),
-        kernel=GammaKernel(shape=TRUTH.j, rate=TRUTH.j / TRUTH.tau),
-        history=HistoryFunction.custom(lambda s: np.where(s < 0, 0.0, TRUTH.eps)),
-        t0=0.0,
-        t_end=120.0,
-    )
+    # The zero history certifies a tail cut of every history-side node.
+    history_nodes = []
+    build = quadrature.plan_nodes
+
+    def counted(*args):
+        sides = build(*args)
+        past = next(sides)
+        history_nodes.append(past[1].size)
+        yield past
+        yield from sides
+
+    monkeypatch.setattr(quadrature, "plan_nodes", counted)
+    monkeypatch.setattr(fcrk, "plan_nodes", counted)
     gaps = [
         np.max(np.abs(fcrk4_solve(dde, h).query(times) - states[:, 0]))
         for h in (0.1, 0.05, 0.025)
     ]
+    assert history_nodes and sum(history_nodes) == 0
     assert gaps[0] / gaps[1] > 12 and gaps[1] / gaps[2] > 12
     assert gaps[2] < 2e-8
+
+
+def test_an_empty_observation_grid_is_refused():
+    # The C-DDE's window ends at the last observation time.
+    with pytest.raises(ValueError, match="needs an observation time"):
+        simulate_incidence(replace(TRUTH, obs_times=()))
 
 
 def test_serial_density():

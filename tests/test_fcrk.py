@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammadde import analysis, fcrk, quadrature
+from gammadde.approximations import erlang_approx
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel
 from gammadde.fcrk import DdeProblem, fcrk4_solve
@@ -74,13 +75,40 @@ def test_plain_ode_reduces_to_classical_rk():
 
 def test_query_contract():
     sol = fcrk4_solve(_problem(lambda x, conv: -x + conv, t_end=2.0), 0.1)
-    assert sol.query(0.0) == 1.0  # history value at the junction
+    assert sol.query(0.0) == 1.0  # x0, by default the history's value there
     assert sol.query(-3.7) == 1.0
     times, values = _mesh(sol)
     assert np.array_equal(sol.query(times), values)
     with pytest.raises(ValueError):
         sol.query(2.5)
     assert sol(1.0) == sol.query(1.0)
+
+
+def test_query_reads_x0_at_t0_and_the_history_before_it():
+    # x(t0) = x0 apart from the history: the mesh value x[0], read by every
+    # query at t0; only earlier times read the history.
+    prob = DdeProblem(
+        rhs=lambda x, conv: -x + conv,
+        kernel=GammaKernel(shape=2.0, rate=2.0),
+        history=HistoryFunction.constant(1.0),
+        t0=0.5,
+        t_end=2.0,
+        x0=0.25,
+    )
+    sol = fcrk4_solve(prob, 0.1)
+    assert sol.x[0] == 0.25
+    assert sol.query(0.5) == 0.25
+    assert np.array_equal(sol.query([-3.7, 0.5 - 1e-12, 0.5]), [1.0, 1.0, 0.25])
+
+
+def test_a_copy_with_another_history_starts_from_it():
+    # x0 = None is read off the history when a solve starts, so a copy of
+    # the problem with another history does not keep the old start.
+    prob = _problem(lambda x, conv: 0.0)
+    copy = dataclasses.replace(prob, history=HistoryFunction.constant(2.0))
+    assert (prob.initial_value(), copy.initial_value()) == (1.0, 2.0)
+    assert np.all(fcrk4_solve(copy, 0.1).x == 2.0)
+    assert analysis.chain_system(copy, erlang_approx(1, 1.0)).y0[0] == 2.0
 
 
 def test_query_refuses_nan():
@@ -574,20 +602,25 @@ CRITERION_01_ERROR_AT_H005 = 9.7e-6
     growth=st.one_of(st.none(), st.floats(-0.25, 0.5)),
     alpha=st.floats(-1.0, 0.5),
     beta=st.floats(-1.0, 1.0),
+    x0=st.one_of(st.none(), st.floats(0.25, 2.0)),
 )
-def test_fcrk_matches_the_erlang_chain_at_integer_shape(name, j, tau, c, growth, alpha, beta):
+def test_fcrk_matches_the_erlang_chain_at_integer_shape(
+    name, j, tau, c, growth, alpha, beta, x0
+):
     # At integer j the Erlang chain is the exact reduction of the gamma DDE,
-    # so every registry entry's chain reference is its exact solution.
+    # from any history and x0, so the chain of the same problem is its
+    # exact solution.  A negative x0 blows the nonlinear problem up within
+    # [0, 3]: x0 is drawn from the range of c.
     hist = (
         HistoryFunction.constant(c) if growth is None
         else HistoryFunction.exponential(c, growth)
     )
     coefficients = {"alpha": alpha, "beta": beta} if name == "linear_gamma" else {}
-    prob, reference = analysis.dde_problem(
-        name, j, tau, history=hist, t_end=3.0, **coefficients
-    )
+    prob, _ = analysis.dde_problem(name, j, tau, history=hist, t_end=3.0, **coefficients)
+    prob = dataclasses.replace(prob, x0=x0)
     times = np.linspace(0.0, 3.0, 101)
-    exact = reference(times)
+    states, _ = analysis.chain_trajectory(prob, erlang_approx(j, tau), times)
+    exact = states[:, 0]
     err = np.max(np.abs(fcrk4_solve(prob, 0.05).query(times) - exact))
     assert err <= 16 * CRITERION_01_ERROR_AT_H005 * max(1.0, np.max(np.abs(exact)))
 

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from gammadde import analysis, ode_solver
 from gammadde.approximations import erlang_approx
-from gammadde.chain_reduction import HistoryFunction, build_erlang_system
+from gammadde.chain_reduction import build_erlang_system
 from gammadde.epi import FIT_APPROX_CFG, SirParams, build_sir_chain, simulate_incidence
 from gammadde.ode_solver import OdeFailure, rk45_adaptive
 
@@ -79,15 +79,9 @@ def test_rk45_tolerance_consistency():
     from gammadde.chain_reduction import build_hypoexp_system
 
     problems = [
+        build_hypoexp_system(analysis.dde_problem("linear", 2.5)[0], fixed_hypoexp(2.5, 1.0)),
         build_hypoexp_system(
-            lambda y, conv: 0.8 * y - 1.1 * conv,
-            fixed_hypoexp(2.5, 1.0),
-            HistoryFunction.constant(1.0),
-        ),
-        build_hypoexp_system(
-            lambda y, conv: y - y * conv / 2.0,
-            fixed_hypoexp(3.4, 2.25),
-            HistoryFunction.constant(1.0),
+            analysis.dde_problem("nonlinear", 3.4)[0], fixed_hypoexp(3.4, 2.25)
         ),
     ]
     times = np.linspace(0.0, 10.0, 51)
@@ -141,7 +135,7 @@ def test_work_precision_erlang_reference():
     # reference is compared with (8e-10).
     times = np.linspace(0.0, 10.0, 1001)
     dde, reference = analysis.dde_problem("nonlinear", 14)
-    problem = build_erlang_system(dde.rhs, erlang_approx(14, 2.25), dde.history)
+    problem = build_erlang_system(dde, erlang_approx(14, 2.25))
     ref = _dop853(problem.rhs, problem.y0, times)[:, 0]
     assert np.max(np.abs(reference(times) - ref)) < 1e-12
 
