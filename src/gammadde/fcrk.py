@@ -30,12 +30,15 @@ compute: its tail cut reads only the history and the steps finished before
 the block (:func:`_tails`).  So the solver builds the plans of a block of
 steps at once, before the first of them runs.  A plan's nodes in the
 history and in the steps finished before the block read x through the
-history and the step interpolants, and sum to one value per plan; its
-nodes in each of the block's own steps reduce to the moments
-``sum f theta^(0..3)``, which form one table.  A step contracts its plans'
-rows of that table with the contiguous ``poly`` rows of the block's
-completed steps, and its stages contract the running step's moments with
-their rows' coefficients.
+history and the step interpolants, and sum to one value per plan; an
+exponential history c e^(rho s) is read in log space instead, with rho s
+in the factors' exponent (see :func:`~gammadde.quadrature.plan_nodes`),
+so far in the past the kernel weight's underflow and e^(rho s)'s overflow
+do not meet.  Its nodes in each of the block's own steps reduce to the
+moments ``sum f theta^(0..3)``, which form one table.  A step contracts
+its plans' rows of that table with the contiguous ``poly`` rows of the
+block's completed steps, and its stages contract the running step's
+moments with their rows' coefficients.
 """
 
 import math
@@ -141,10 +144,14 @@ class Solution:
         return step.astype(np.intp), theta_total - step
 
     def _interp(self, step, theta):
-        """Finished steps' interpolants at offsets theta, by Horner's rule."""
-        out = self.poly[step, 3]
-        for q in (2, 1, 0):
-            out = self.poly[step, q] + theta * out
+        """Finished steps' interpolants at offsets theta, by Horner's rule
+        on one gather of their coefficients."""
+        coef = self.poly.take(step, axis=0)
+        out = coef[:, 3] * theta
+        for q in (2, 1):
+            out += coef[:, q]
+            out *= theta
+        out += coef[:, 0]
         return out
 
     def query(self, t):
@@ -168,8 +175,8 @@ class Solution:
 #: many entries (45 steps).  It bounds the memory a block takes, and a
 #: larger block spreads numpy's per-call overhead over more nodes.  Under
 #: tracemalloc the two solves of test_solve_memory_stays_small peak at
-#: 0.74 MB (stability, 45 steps and 16,200 table entries per block) and
-#: 1.24 MB (criterion 03's floor, 6 steps and up to 28,872 nodes per block).
+#: 0.77 MB (stability, 45 steps and 16,200 table entries per block) and
+#: 1.33 MB (criterion 03's floor, 6 steps and up to 28,872 nodes per block).
 BLOCK_NODES = 32768
 #: Most steps one solve may take.  The longest solve in the tests takes
 #: 2,000 steps (acceptance criterion 03 at h = 0.005) and in the benchmark
@@ -188,6 +195,17 @@ def _log(value):
     return math.log(value) if value > 0.0 else -math.inf
 
 
+def _exponential(history):
+    """Whether ``history`` is c e^(rho s) (a constant one has rho = 0)."""
+    return getattr(history, "kind", None) == "exponential"
+
+
+def _growth(history):
+    """The rate rho an exponential history folds into the history-side
+    factors of its plans (see :func:`plan_nodes`); 0 for a custom one."""
+    return history.growth if _exponential(history) else 0.0
+
+
 def _tails(sol, kernel, times, n0):
     """Per plan at ``times``, the lag beyond which its nodes are dropped
     (see :func:`plan_nodes`), or None for a custom history, which keeps
@@ -197,7 +215,7 @@ def _tails(sol, kernel, times, n0):
     at most TAIL_TOLERANCE / 2 times the largest |x| up to x[n0].
     """
     history = sol.history
-    if getattr(history, "kind", None) != "exponential":
+    if not _exponential(history):
         return None
     x_max, poly_max = sol._sizes(n0)
     log_share = _log(TAIL_TOLERANCE / 2.0 * x_max)
@@ -221,12 +239,16 @@ def _plan_sums(plan, values, plans):
 
 
 def _history_sums(history, factor, s, counts):
-    """Per plan, the sum of ``factor * history(s)`` over its history-side
-    nodes, calling the history once at the nodes whose factor is nonzero."""
+    """Per plan, the sum of the history-side terms ``factor * history(s)``.
+    An exponential history c e^(rho s) is never called: its factors carry
+    e^(rho s) already (see :func:`_growth`), so the terms are factor * c.
+    A custom one is called once, at the nodes whose factor is nonzero."""
+    plan = np.repeat(np.arange(len(counts)), counts)
+    if _exponential(history):
+        return _plan_sums(plan, factor * history.value, len(counts))
     live = np.flatnonzero(factor)
-    plan = np.repeat(np.arange(len(counts)), counts)[live]
     vals = _history_values(history, s[live]) * factor[live]
-    return _plan_sums(plan, vals, len(counts))
+    return _plan_sums(plan[live], vals, len(counts))
 
 
 class _PlanBlock:
@@ -236,14 +258,14 @@ class _PlanBlock:
     Row ``2 (n - n0)`` holds the plan of step n at t_n + h/2, the next row
     the one at t_n + h.  The history and the steps before the block are
     finished when it is built: ``values`` holds each plan's sum of ``factor
-    * x`` over its nodes there, read through the history function and the
-    steps' interpolants.  ``table`` holds each plan's moments ``sum f
-    theta^(0..3)`` in the block's own steps, four columns per step; with
-    ``Solution.poly[m]`` they give its value on step m once m is finished.
-    A step contracts the columns of the block's completed steps with their
-    contiguous ``poly`` rows, and the running step's nodes enter through
-    its own columns, which serve any partial row of the step (see
-    :func:`fcrk4_solve`).
+    * x`` over its nodes there, read through the history (see
+    :func:`_history_sums`) and the steps' interpolants.  ``table`` holds
+    each plan's moments ``sum f theta^(0..3)`` in the block's own steps,
+    four columns per step; with ``Solution.poly[m]`` they give its value
+    on step m once m is finished.  A step contracts the columns of the
+    block's completed steps with their contiguous ``poly`` rows, and the
+    running step's nodes enter through its own columns, which serve any
+    partial row of the step (see :func:`fcrk4_solve`).
     The history side is reduced before the recent side's nodes are built.
     """
 
@@ -254,7 +276,9 @@ class _PlanBlock:
         times = sol.t0 + last * h
         times[0::2] += 0.5 * h
         times[1::2] += h
-        sides = plan_nodes(times, kernel, quad, h, sol.t0, _tails(sol, kernel, times, n0))
+        sides = plan_nodes(
+            times, kernel, quad, h, sol.t0, _tails(sol, kernel, times, n0), _growth(sol.history)
+        )
         self.values = _history_sums(sol.history, *next(sides))
         factor, s, counts = next(sides)
         # A node never reads past its plan's own step: one on t_n + h reads
@@ -312,9 +336,7 @@ def fcrk4_solve(problem, h, quad=None):
     if not 0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got {h}")
     history = problem.history
-    if getattr(history, "kind", None) == "exponential" and (
-        history.growth <= -problem.kernel.rate
-    ):
+    if _growth(history) <= -problem.kernel.rate:
         raise ValueError(
             f"history grows into the past at rate {-history.growth}, not "
             f"slower than the kernel decays ({problem.kernel.rate}): the "
@@ -357,16 +379,23 @@ def fcrk4_solve(problem, h, quad=None):
     def stage(r, row):
         return rhs(*(offset[r] + reader[r] @ row))
 
-    # Every node of the plan at t0 lies in the history.  Stage 0 reads its
-    # convolution as a numpy scalar, like every other stage.
+    # Every node of the plan at t0 lies in the history, whose growth its
+    # factors carry, so it reads an exponential history as its constant c.
+    # Stage 0 reads its convolution as a numpy scalar, like every other
+    # stage.
+    if _exponential(history):
+        accessor = lambda times: np.full(len(times), history.value)
+    else:
+        accessor = lambda times: _history_values(history, times)
     conv_start = np.float64(convolution_integral(
         problem.t0,
-        lambda times: _history_values(history, times),
+        accessor,
         problem.kernel,
         quad,
         h,
         problem.t0,
         tail=_tails(sol, problem.kernel, np.array([problem.t0]), 0),
+        growth=_growth(history),
     ))
     block_end = 0
     # An overflowing history or solution is reported by the stage check,

@@ -22,7 +22,9 @@ of time.
 
 A quadrature *plan* is the set of nodes of one convolution: per node, the
 factor (rule weight times kernel weight) that multiplies the solution, and
-the time where the solution is read.  It depends on the kernel, the
+the time where the solution is read.  For a history c e^(rho s) the
+history-side factors may carry e^(rho s) as well, added in log space, so
+that only c remains to be read there.  It depends on the kernel, the
 quadrature configuration, the solver step, t0 and the time of the
 convolution, and on the solution only through the tail cut below, so
 :func:`plan_nodes` builds the plans of many times at once;
@@ -134,11 +136,13 @@ def _open_simpson_grid(lo, hi, panels, first=0):
     return nodes.ravel(), weights.ravel()
 
 
-def _log_weight(omega, kernel, alpha, beta):
-    """log of the solution-independent factor of u(t, omega).
+def _log_weight(omega, kernel, alpha, beta, growth=0.0):
+    """log of the solution-independent factor of u(t, omega), times
+    e^(-growth sigma).
 
     Computed in log space: the factor underflows to zero at both endpoints
-    instead of overflowing through the 1/omega pole.
+    instead of overflowing through the 1/omega pole.  ``growth`` > -a, so
+    the exponent still falls to -inf where sigma overflows.
     """
     j, a = kernel.shape, kernel.rate
     log_c = (
@@ -151,12 +155,13 @@ def _log_weight(omega, kernel, alpha, beta):
     # underflows to zero anyway.
     with np.errstate(over="ignore"):
         sigma **= beta
-    # log_c + (beta j - 1) log L - a sigma + L, without temporaries.
+    # log_c + (beta j - 1) log L - (a + growth) sigma + L, without
+    # temporaries.
     with np.errstate(divide="ignore"):
         out = np.log(big_l)
     out *= beta * j - 1.0
     out += log_c
-    out -= a * sigma
+    out -= (a + growth) * sigma
     out += big_l
     return out, sigma
 
@@ -204,15 +209,19 @@ def tail_start(kernel, growth, log_bound):
     return j * y / b
 
 
-def _plan_part(times, lo, hi, panels, first, kernel, alpha, beta):
-    """(factor, s, counts) of the nodes of one omega piece per plan."""
+def _plan_part(times, lo, hi, panels, first, kernel, alpha, beta, growth=0.0):
+    """(factor, s, counts) of the nodes of one omega piece per plan, each
+    factor times e^(growth s)."""
     omega, weights = _open_simpson_grid(lo, hi, panels, first)
-    log_w, sigma = _log_weight(omega, kernel, alpha, beta)
-    factor = np.exp(log_w, out=log_w)
-    factor *= weights
+    log_w, sigma = _log_weight(omega, kernel, alpha, beta, growth)
     counts = 3 * (panels - first)
     s = np.repeat(times, counts)
+    if growth:
+        # growth s = growth t - growth sigma, whose second term log_w holds.
+        log_w += growth * s
     s -= sigma
+    factor = np.exp(log_w, out=log_w)
+    factor *= weights
     return factor, s, counts
 
 
@@ -225,7 +234,7 @@ def _panels_below(omega_min, lo, hi, panels):
     return np.maximum(np.floor(share * panels), 0.0).astype(int)
 
 
-def plan_nodes(times, kernel, cfg, h, t0, tail=None):
+def plan_nodes(times, kernel, cfg, h, t0, tail=None, growth=0.0):
     """Quadrature plans of int_0^inf x(t - s) g(s) ds at each t of ``times``.
 
     Yields the plans' nodes in two sides, each a triple ``(factor, s,
@@ -239,6 +248,13 @@ def plan_nodes(times, kernel, cfg, h, t0, tail=None):
     nodes with a nonzero factor need x.  The second side is built when the
     first has been taken, so a caller that reduces the history side before
     asking for the next never holds both.
+
+    ``growth``, the rate rho of a history c e^(rho s) (greater than -a),
+    folds e^(rho s) into the factors of the history side: their sum over a
+    plan, times c, is that side's value.  It is added to the kernel
+    weight's log before the one exponential, so a node where the weight
+    underflows and e^(rho s) overflows keeps its finite product.  At the
+    default 0 the factors are the rule's own.
 
     ``tail``, if given, holds per plan a lag s_min (``inf`` for none): the
     panels of either side whose nodes all lie beyond it are not built, and
@@ -262,18 +278,23 @@ def plan_nodes(times, kernel, cfg, h, t0, tail=None):
         omega_min = np.exp(-(np.asarray(tail, dtype=float) ** (1.0 / beta)) / alpha)
         past_first = _panels_below(omega_min, *past)
         recent_first = _panels_below(omega_min, *recent)
-    yield _plan_part(times, *past, past_first, kernel, alpha, beta)
+    yield _plan_part(times, *past, past_first, kernel, alpha, beta, growth)
     yield _plan_part(times, *recent, recent_first, kernel, alpha, beta)
 
 
-def convolution_integral(t, accessor, kernel, cfg, h, t0, tail=None):
+def convolution_integral(t, accessor, kernel, cfg, h, t0, tail=None, growth=0.0):
     """Quadrature value of int_0^inf x(t - s) g(s) ds at time t.
 
-    The one-plan case of :func:`plan_nodes`, whose ``tail`` then holds one
-    lag.  ``accessor`` is called once with the ascending times of the nodes
-    whose factor is nonzero, and returns one value per time.
+    The one-plan case of :func:`plan_nodes`, whose ``tail`` and ``growth``
+    it takes; ``tail`` then holds one lag.  ``accessor`` is called once
+    with the ascending times of the nodes whose factor is nonzero, and
+    returns one value per time.  With a ``growth`` rho the history-side
+    factors carry e^(rho s), so there the accessor returns x(s) e^(-rho s):
+    for a history c e^(rho s), just c.
     """
-    (past_f, past_s, _), (recent_f, recent_s, _) = plan_nodes([t], kernel, cfg, h, t0, tail)
+    (past_f, past_s, _), (recent_f, recent_s, _) = plan_nodes(
+        [t], kernel, cfg, h, t0, tail, growth
+    )
     factor = np.concatenate([past_f, recent_f])
     live = factor != 0.0
     times = np.concatenate([past_s, recent_s])[live]

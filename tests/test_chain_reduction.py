@@ -21,7 +21,7 @@ from gammadde.chain_reduction import (
     build_hypoexp_system,
     chain_initial_state,
 )
-from gammadde.analysis import chain_system, chain_trajectory
+from gammadde.analysis import chain_system, chain_trajectory, dde_problem
 from gammadde.distributions import GammaKernel, stage_generator
 from gammadde.fcrk import DdeProblem
 from gammadde.ode_solver import MAX_CHAIN_STAGES, OdeFailure, rk45_adaptive
@@ -29,11 +29,13 @@ from gammadde.ode_solver import MAX_CHAIN_STAGES, OdeFailure, rk45_adaptive
 TIGHT = 1e-12  # rtol
 
 
-def _dde(F, history, t0=0.0):
-    """The gamma DDE x' = F(x, conv) from ``history``; a chain replaces its
-    kernel and reads the rest."""
+def _dde(F, history, t0=0.0, tau=1.0):
+    """The gamma DDE x' = F(x, conv) from ``history``, with kernel shape 2.5
+    and mean ``tau``; a chain of that mean replaces its kernel and reads the
+    rest."""
     return DdeProblem(
-        rhs=F, kernel=GammaKernel(shape=2.5, rate=2.5), history=history, t0=t0, t_end=t0 + 1.0
+        rhs=F, kernel=GammaKernel(shape=2.5, rate=2.5 / tau), history=history, t0=t0,
+        t_end=t0 + 1.0,
     )
 
 
@@ -129,6 +131,17 @@ def test_a_chain_starting_after_0_is_refused_by_name():
         chain_trajectory(problem, erlang_approx(2.5, 1.0), [1.5, 2.0])
 
 
+def test_a_chain_of_another_mean_is_refused_by_name():
+    # A 7-stage chain of mean 3 is not a reduction of the DDE whose kernel
+    # is Gamma(2.5, rate 2.5), of mean 1.
+    problem = dde_problem("linear", 2.5)[0]
+    named = "the erlang chain's mean 3 is not the mean 1 of the problem's kernel"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        chain_system(problem, erlang_approx(7, 3.0))
+    # A chain of the kernel's own mean is built.
+    assert chain_system(problem, erlang_approx(7, 1.0)).y0.shape == (8,)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_divergence_names_the_variant_and_its_slowest_rate(variant):
     # Refused from the slowest stage's rate on, and named by it; just
@@ -170,7 +183,7 @@ def test_rhs_is_the_row_block_product(variant):
         lengths.append(params.n)
         rows = np.vstack([np.zeros(params.n), stage_generator(rates).T])
         rows[0, -1] = rates[-1]
-        rhs = chain_system(_dde(F, HistoryFunction.constant(1.0)), params).rhs
+        rhs = chain_system(_dde(F, HistoryFunction.constant(1.0), tau=2.0), params).rhs
         for _ in range(5):
             state = rng.normal(size=params.n + 1)
             expected = rows @ state[1:]
@@ -242,7 +255,9 @@ def test_impulse_response_reproduces_kernel_density():
 def test_pure_transit_conserves_mass():
     params = smoothed_hypoexp(3.4, 2.0)
     rates = np.asarray(params.rates())
-    prob = build_hypoexp_system(_dde(lambda y, conv: 0.0, HistoryFunction.constant(0.0)), params)
+    prob = build_hypoexp_system(
+        _dde(lambda y, conv: 0.0, HistoryFunction.constant(0.0), tau=2.0), params
+    )
 
     def augmented(t, state):
         core = prob.rhs(t, state[:-1])

@@ -530,6 +530,31 @@ def test_fcrk_solves_a_history_that_outgrows_the_chains(tmp_path, capsys):
     assert len(out.read_text().strip().split("\n")) == 22  # header + 21 times at h = 0.05
 
 
+@pytest.mark.parametrize(
+    "quad, bound",
+    # Measured gaps from the chain at t = 1: 5.2e-5 and 4.0e-6 of its value.
+    [([], 1e-4), (["--quad-step", "0.001"], 1e-5)],
+    ids=["default", "quad_step"],
+)
+def test_fcrk_solves_a_history_growing_into_the_past_nearly_as_fast_as_the_kernel_decays(
+    quad, bound, tmp_path, capsys
+):
+    # rho = -1.9 against the kernel rate 2: at lags past about 373 the
+    # kernel weight underflows where e^(1.9 s) overflows.  FCRK reads the
+    # history in log space and agrees with the exact chain at integer j.
+    argv = ["solve", "--j", "2", "--history", "exp:1:-1.9", "--t-end", "1", "--h", "0.1"]
+    finals = []
+    for method in (["--method", "fcrk4", *quad], ["--method", "chain"]):
+        out = tmp_path / "traj.csv"
+        code, _, err = run_cli(capsys, *argv, *method, "--out", str(out))
+        assert code == 0, err
+        last = out.read_text().strip().split("\n")[-1].split(",")
+        assert float(last[0]) == 1.0
+        finals.append(float(last[1]))
+    fcrk_value, chain_value = finals
+    assert abs(fcrk_value - chain_value) <= bound * abs(chain_value)
+
+
 def test_fcrk_solve_builds_no_chain_at_a_large_integer_shape(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code, _, err = run_cli(capsys, "solve", "--j", "2000", "--t-end", "0.2", "--out", str(out))

@@ -450,7 +450,7 @@ def test_nodes_on_a_plans_own_time_read_its_own_step(t0, h, monkeypatch):
     s = np.column_stack([at - 1e-12 * h, at]).ravel()
     history = (np.zeros(0), np.zeros(0), np.zeros_like(counts))
 
-    def nodes(times, kernel, quad, h, t0, tail):
+    def nodes(times, kernel, quad, h, t0, tail, growth):
         yield history
         yield np.ones(len(s)), s, counts
 
@@ -477,7 +477,7 @@ def test_solve_memory_stays_small(name, j, tau, coefficients, t_end, h, quad):
     # A plan block holds at most fcrk.BLOCK_NODES nodes and half as many
     # moment table entries, and reduces its history side before it builds
     # the rest, so a long or node-heavy solve holds little beyond its own
-    # mesh and step coefficients.  Peaks at 32768: 0.74 MB and 1.24 MB.
+    # mesh and step coefficients.  Peaks at 32768: 0.77 MB and 1.33 MB.
     prob = analysis.dde_problem(name, j, tau, t_end=t_end, **coefficients)[0]
     tracemalloc.start()
     try:
@@ -625,6 +625,49 @@ def test_fcrk_matches_the_erlang_chain_at_integer_shape(
     assert err <= 16 * CRITERION_01_ERROR_AT_H005 * max(1.0, np.max(np.abs(exact)))
 
 
+@pytest.mark.parametrize("j", [2, 3, 5])
+@pytest.mark.parametrize("f", [0.9, 0.99])
+def test_fcrk_keeps_the_far_tail_of_a_history_growing_into_the_past(j, f):
+    # psi(s) = e^(rho s) with rho = -f a.  Far in the past the kernel weight
+    # underflows while e^(rho s) overflows, and their product still matters:
+    # read apart, the terms are inf or lost.  Against the exact Erlang chain
+    # the gaps at f = 0.99 were 2.9e-5 (j = 2), 1.9e-5 (j = 3) and 8.0e-4
+    # (j = 5), and at most 2.6e-5 at f = 0.9.  Forming e^(rho s) apart from
+    # the kernel weight fails at step 0 for j = 2 and misses by 1.9e-2 and
+    # 2.8e-1 for j = 3 and 5.
+    prob = analysis.dde_problem("linear", j, t_end=5.0,
+                                history=HistoryFunction.exponential(1.0, -f * j))[0]
+    times = np.linspace(0.0, 5.0, 101)
+    exact = analysis.chain_trajectory(prob, erlang_approx(j, 1.0), times)[0][:, 0]
+    err = np.max(np.abs(fcrk4_solve(prob, 0.05).query(times) - exact))
+    assert err <= 2e-3 * np.max(np.abs(exact))
+
+
+def test_plans_never_call_an_exponential_history(monkeypatch):
+    # An exponential history's growth is in its plans' factors, so the solve
+    # reads it once, for x0 = psi(t0), and not at all when x0 is given.  A
+    # custom history is read by every plan block.
+    call = HistoryFunction.__call__
+    calls = []
+
+    def counted(self, s):
+        calls.append(self.kind)
+        return call(self, s)
+
+    monkeypatch.setattr(HistoryFunction, "__call__", counted)
+    rhs = lambda x, conv: 0.8 * x - 1.1 * conv  # noqa: E731
+    for hist in (HistoryFunction.constant(1.5), HistoryFunction.exponential(1.0, -0.5)):
+        prob = _problem(rhs, j=2.0, t_end=2.0, history=hist)
+        calls.clear()
+        fcrk4_solve(prob, 0.05)
+        assert calls == ["exponential"]
+        calls.clear()
+        fcrk4_solve(dataclasses.replace(prob, x0=1.0), 0.05)
+        assert calls == []
+        fcrk4_solve(dataclasses.replace(prob, x0=1.0, history=_custom(hist)), 0.05)
+        assert calls.count("custom") > 1
+
+
 def _custom(history):
     """The same history as a custom one, which keeps every quadrature panel."""
     return HistoryFunction.custom(history)
@@ -652,15 +695,18 @@ def _gap(cut, full):
 
 @pytest.mark.parametrize("j", [2.57, 6.3])
 @pytest.mark.parametrize("f", [0.5, 0.9, 0.99])
-def test_tail_cut_is_certified_for_a_history_growing_into_the_past(j, f):
+def test_tail_cut_is_certified_for_a_history_growing_into_the_past(j, f, monkeypatch):
     # psi(s) = e^(rho s) with rho = -f a: the further past, the larger the
     # history, so far-tail nodes that carry a negligible share of the kernel
     # still matter.  A cut on the kernel alone moves these solutions by
     # 4.9e-11 to 1.0 of their maximum; the certified cut by rounding only.
+    # The uncut solve is the same exponential history with no tail: the
+    # custom copy loses the far tail where the kernel factor underflows.
     prob = analysis.dde_problem("linear", j, t_end=5.0,
                                 history=HistoryFunction.exponential(1.0, -f * j))[0]
     cut = fcrk4_solve(prob, 0.05).x
-    full = fcrk4_solve(dataclasses.replace(prob, history=_custom(prob.history)), 0.05).x
+    monkeypatch.setattr(fcrk, "_tails", lambda *args: None)
+    full = fcrk4_solve(prob, 0.05).x
     assert _gap(cut, full) <= 1e-15
 
 
