@@ -15,14 +15,17 @@ validated like flags and explicit flags win.
 Every command is deterministic given its flags and --seed.  Output tables
 are CSV with a header row, LF line endings and 17-significant-digit
 floats (round-trip exact); scalar results are printed as JSON on stdout.
+``--out -`` writes to stdout alone, for every command.
 The epi commands read their case and serial-interval tables back in the
 same format.  Exit codes: 0 success, 2 usage or configuration error, 3
 numerical failure.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -48,7 +51,8 @@ EXIT_NUMERICAL = 3
 #: Most rows of one output table: the times of a trajectory or survival
 #: curve, the case counts and the serial intervals.  The largest table in
 #: the tests has 1,001 rows and in the benchmark 2,001 (a survival curve);
-#: at the budget a five-column table takes about 120 MB of CSV text.
+#: at the budget a five-column table is about 120 MB of CSV text, written a
+#: row at a time.
 MAX_ROWS = 1_000_000
 
 
@@ -57,24 +61,31 @@ class ConfigError(Exception):
 
 
 def _write_csv(path, header, columns):
-    """A CSV table to ``path`` or stdout: one sequence of ``columns`` per
-    header name.  Floats get 17 significant digits, so they read back
-    exactly; integers (case counts up to ``epi.MAX_POPULATION``) stay exact.
+    """A CSV table to ``path``, or to stdout for None or ``-``: one sequence
+    of ``columns`` per header name, all of one length.  Floats get 17
+    significant digits, so they read back exactly; integers (case counts up
+    to ``epi.MAX_POPULATION``) stay exact.
+
+    A column is formatted by its type, through one row format per table, and
+    rows are written as they are formatted: no text of the whole table is
+    ever held.
     """
-    lines = [",".join(header)]
-    for row in zip(*(np.asarray(c).tolist() for c in columns), strict=True):
-        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in columns]}")
+    row = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    rows = map(row.format, *(c.tolist() for c in columns))
+    stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if stdout else open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(rows)
 
 
 def _emit_json(obj, path=None):
+    """``obj`` as indented JSON on stdout, and also to the file ``path``
+    unless that is None or ``-``, which mean stdout alone."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
+    if path and path != "-":
         with open(path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
@@ -553,7 +564,15 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built at the first call and then reused.
+
+    Parsing leaves a parser as it was: each call fills a new namespace, and
+    no flag here collects into a default (no ``append`` action), so one
+    parser serves every ``main`` call of a process.  Its callers share it,
+    so none may change it.
+    """
     parser = argparse.ArgumentParser(
         prog="gamma-dde",
         description="Gamma-distributed DDE solver and chain approximations",

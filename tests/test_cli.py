@@ -878,3 +878,99 @@ def test_epi_simulate_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mgf-order", "--j", "1.5"],
+        ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--t-end", "40",
+         "--h", "0.1"],
+        ["survival", "--jump-at", "3"],
+        ["moment-poly", "--m", "2", "--fj", "0.5"],
+        ["epi", "fit", "--max-evals", "2"],
+        ["solve", "--j", "2", "--t-end", "1", "--h", "0.1"],
+        ["survival", "--j", "2.5", "--n-out", "5"],
+    ],
+    ids=lambda argv: "_".join(argv[:2]),
+)
+def test_out_dash_is_stdout_for_every_command(argv, tmp_path, monkeypatch, capsys):
+    # `--out -` prints what the command prints without --out, and writes no
+    # file: not even one named "-".
+    monkeypatch.chdir(tmp_path)
+    write_data(tmp_path)
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, dash, _ = run_cli(capsys, *argv, "--out", "-")
+    assert code == 0
+    assert dash == plain
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cases.csv", "serial.csv"]
+
+
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; a run after a --config run
+    # and after both kinds of refusal reads only its own flags.
+    assert build_parser() is build_parser()
+    out = tmp_path / "compare.csv"
+    plain = ["compare", "--j", "2.5", "--t-end", "1", "--h", "0.1", "--out", str(out)]
+    first = run_cli(capsys, *plain)
+    first_table = out.read_text()
+    assert first[0] == 0 and len(first_table.splitlines()) == 502
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_out": 7}))
+    assert run_cli(capsys, "--config", str(cfg), *plain)[0] == 0
+    assert len(out.read_text().splitlines()) == 8
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the flag
+        main(["compare", "--n-out", "x"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "compare", "--j", "2.5", "--history", "junk:1")[0] == 2
+
+    assert run_cli(capsys, *plain) == first
+    assert out.read_text() == first_table
+
+
+def _parent_csv(header, columns):
+    """The CSV text of a table as the per-value writer formatted it: the
+    reference for the bytes of ``cli._write_csv``."""
+    lines = [",".join(header)]
+    for row in zip(*(np.asarray(c).tolist() for c in columns), strict=True):
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_COLUMN = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+               1.7976931348623157e308, 0.1, 1 / 3]
+TABLES = {
+    "floats": (["a", "b"], [EDGE_COLUMN, np.array(EDGE_COLUMN[::-1])]),
+    "counts": (["t", "count"], [(1.0, 2.5, 3.0), (0, 7, 10**18)]),
+    "header_only": (["interval"], [()]),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("dest", ["stdout", "dash", "file"])
+def test_csv_writer_bytes_match_the_per_value_formatter(table, dest, tmp_path, capsys):
+    header, columns = TABLES[table]
+    path = {"stdout": None, "dash": "-", "file": tmp_path / "t.csv"}[dest]
+    cli._write_csv(path, header, columns)
+    text = capsys.readouterr().out
+    if dest == "file":
+        assert text == ""
+        text = path.read_bytes().decode()
+    assert text == _parent_csv(header, columns)
+
+
+def test_csv_writer_refuses_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        cli._write_csv(path, ["a", "b"], [[1.0, 2.0], [1.0]])
+    assert not path.exists()
+
+
+def test_an_empty_serial_table_is_its_header(tmp_path, capsys):
+    serial = tmp_path / "serial.csv"
+    argv = ["epi", "simulate", "--K", "3", "--L", "0",
+            "--cases", str(tmp_path / "cases.csv"), "--serial", str(serial)]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert serial.read_text() == "interval\n"
