@@ -2,8 +2,8 @@
 
 * The built-in test problems, in one registry: ``dde_problem(name, j, ...)``
   returns a problem and its reference solution for each name in
-  ``PROBLEMS``; ``chain_system`` builds any chain reduction and
-  ``chain_trajectory`` integrates it.
+  ``PROBLEMS``; ``chain_system`` builds any chain reduction, and
+  ``ode_solver`` checks and integrates it.
 * Convergence-order estimation.
 * MGF error orders and survival jumps of the kernel replacements.
 * Linear-stability spectra of the chains and trajectory growth rates.
@@ -22,7 +22,7 @@ from .distributions import GammaKernel, gamma_mgf, hypoexp_mgf, hypoexp_survival
 # module and reports its metrics absent when the name is missing.
 from .distributions import gamma_survival  # noqa: F401
 from .fcrk import DdeProblem
-from .ode_solver import DEFAULT_RTOL, check_chain_stages, rk45_adaptive
+from .ode_solver import check_chain, rk45_adaptive
 
 #: Machine-precision floor used when fitting convergence slopes.
 ERROR_FLOOR = 100 * np.finfo(float).eps
@@ -132,9 +132,9 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     default, or ``"eigen"`` (``linear_gamma`` with alpha = -a only).  The
     reference maps times to exact solution values: the closed form where one
     holds, otherwise at integer j the exact Erlang chain of the problem
-    itself, otherwise it is None.  The chain is built and solved when the
-    reference is called, at the default rtol 1e-10: LSODA receives rtol
-    1e-13 and atol 1e-15.
+    itself, otherwise it is None.  The chain is built, checked and solved
+    when the reference is called, at the default rtol 1e-10: LSODA receives
+    rtol 1e-13 and atol 1e-15.
     """
     tau = default_tau(name) if tau is None else tau
     if not tau > 0:
@@ -149,9 +149,10 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
 
     def chain_reference(t):
         params = approx.erlang_approx(int(j), tau)
-        check_chain_stages(j, params.n)
+        check_chain(j, tau, params)
+        chain = chain_system(problem, params)
         t_arr = np.asarray(t, dtype=float)
-        states, _ = chain_trajectory(problem, params, np.atleast_1d(t_arr))
+        states = rk45_adaptive(chain.rhs, chain.y0, np.atleast_1d(t_arr))
         return states[:, 0].reshape(t_arr.shape) if t_arr.ndim else float(states[0, 0])
 
     return problem, chain_reference
@@ -163,15 +164,6 @@ def chain_system(problem, params):
     if params.variant == "erlang":
         return build_erlang_system(problem, params)
     return build_hypoexp_system(problem, params)
-
-
-def chain_trajectory(problem, params, times, rtol=DEFAULT_RTOL):
-    """(states, labels) of the chain reduction of ``problem`` on the chain
-    ``params``, sampled at the increasing ``times``, up to the last of
-    them, at relative tolerance ``rtol``."""
-    chain = chain_system(problem, params)
-    states = rk45_adaptive(chain.rhs, chain.y0, times, rtol)
-    return states, chain.labels
 
 
 def linear_test_reference(j, t):

@@ -45,9 +45,9 @@ class HistoryFunction:
     """Prescribed solution values on (-inf, t0); the solution's value at t0
     is the problem's x0, by default the history's own value there.
 
-    Two kinds: ``exponential`` (c * exp(rho s); ``constant(c)`` is the one
-    with rho = 0) and ``custom`` (any vectorized callable).  Custom
-    histories are for FCRK only: a chain refuses them.
+    Two kinds: ``exponential`` (c * exp(rho s), rho finite; ``constant(c)``
+    is the one with rho = 0) and ``custom`` (any vectorized callable
+    ``fn``).  Custom histories are for FCRK only: a chain refuses them.
     """
 
     kind: str
@@ -55,14 +55,20 @@ class HistoryFunction:
     growth: float = 0.0
     fn: object = None
 
+    def __post_init__(self):
+        if self.kind not in ("exponential", "custom"):
+            raise ValueError(f"unknown history kind {self.kind!r}")
+        if not np.isfinite(self.growth):
+            raise ValueError(f"growth rate must be finite, got {self.growth}")
+        if self.kind == "custom" and not callable(self.fn):
+            raise ValueError(f"a custom history needs a callable fn, got {self.fn!r}")
+
     @classmethod
     def constant(cls, c):
         return cls.exponential(c, 0.0)
 
     @classmethod
     def exponential(cls, c, rho):
-        if not np.isfinite(rho):
-            raise ValueError(f"growth rate must be finite, got {rho}")
         return cls(kind="exponential", value=float(c), growth=float(rho))
 
     @classmethod
@@ -76,10 +82,8 @@ class HistoryFunction:
             out = np.full(s_arr.shape, self.value)
         elif self.kind == "exponential":
             out = self.value * np.exp(self.growth * s_arr)
-        elif self.kind == "custom":
-            out = np.asarray(self.fn(s_arr), dtype=float)
         else:
-            raise ValueError(f"unknown history kind {self.kind!r}")
+            out = np.asarray(self.fn(s_arr), dtype=float)
         return out if out.ndim else float(out)
 
 

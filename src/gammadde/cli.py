@@ -34,17 +34,16 @@ import numpy as np
 
 from . import analysis
 from . import approximations as approx
-from .chain_reduction import HistoryFunction, chain_initial_state
+from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, Rng, gamma_survival, hypoexp_survival
 from .epi import EpiData, SirParams, fit_log_likelihood, mle_fit, simulate_dataset
 from .fcrk import fcrk4_solve
-from .ode_solver import DEFAULT_RTOL, OdeFailure, check_chain_stages
+from .ode_solver import DEFAULT_RTOL, OdeFailure, check_chain, rk45_adaptive
 from .quadrature import QuadConfig
 
 # Not called here: bench/layer_trace.py looks these names up on this module
 # and reports a layer's metrics absent when one is missing.
 from .chain_reduction import build_erlang_system, build_hypoexp_system  # noqa: F401
-from .ode_solver import rk45_adaptive  # noqa: F401
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -85,7 +84,7 @@ def _emit_json(obj, path=None):
     """``obj`` as indented JSON on stdout, and also to the file ``path``
     unless that is None or ``-``, which mean stdout alone."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path and path != "-":
+    if path not in (None, "-"):
         with open(path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
@@ -158,20 +157,26 @@ def _count(args, flag, least):
 
 
 def _quad_config(args):
+    if args.xi is not None and args.quad_step is not None:
+        raise ConfigError("--xi is not read with --quad-step")
     return QuadConfig(xi=QuadConfig.xi if args.xi is None else args.xi, h_int=args.quad_step)
 
 
-def _check_chain_history(args, history, chains):
-    """Refuse, before any solve, a history that one of ``chains`` cannot
-    start from.  This defers to ``chain_initial_state``, the one place the
-    rule is written, and names the flag, or the default, that set the
-    history."""
-    for params in chains:
+def _chains(args, problem, tau, variants):
+    """The chain reductions of ``problem`` on ``variants``, by variant, each
+    built and checked before any solve.  A history a chain cannot start
+    from, the one cause of a CLI problem's refusal in ``chain_system``, is
+    refused naming the flag, or the default, that set it."""
+    chains = {}
+    for variant in variants:
+        params = approx.chain_params(variant, args.j, tau)
+        check_chain(args.j, tau, params)
         try:
-            chain_initial_state(history, params)
+            chains[variant] = analysis.chain_system(problem, params)
         except ValueError as exc:
             spec = "the default history" if args.history is None else f"--history {args.history}"
             raise ConfigError(spec + str(exc).removeprefix("history")) from exc
+    return chains
 
 
 def _refuse_unread(args, mode, flags):
@@ -201,11 +206,9 @@ def cmd_solve(args):
         _write_csv(args.out, ["t", "x"], [times, np.asarray(sol.query(times), dtype=float)])
     else:
         variant = CHAIN_VARIANT if args.variant is None else args.variant
-        params = approx.chain_params(variant, args.j, tau)
-        check_chain_stages(args.j, params.n)
-        _check_chain_history(args, problem.history, [params])
-        states, labels = analysis.chain_trajectory(problem, params, times, rtol)
-        _write_csv(args.out, ["t", "x"] + list(labels[1:]), [times, *states.T])
+        chain = _chains(args, problem, tau, [variant])[variant]
+        states = rk45_adaptive(chain.rhs, chain.y0, times, rtol)
+        _write_csv(args.out, ["t", "x"] + list(chain.labels[1:]), [times, *states.T])
     return 0
 
 
@@ -246,18 +249,12 @@ def cmd_compare(args):
     rtol = DEFAULT_RTOL if args.rtol is None else _positive(args, "rtol")
     times = np.linspace(0.0, t_end, n_out)
     # Every chain is built first, so an infeasible one is refused before the solve.
-    chains = {
-        variant: approx.chain_params(variant, args.j, tau)
-        for variant in ("fixed", "smoothed", "erlang")
-    }
-    check_chain_stages(args.j, max(params.n for params in chains.values()))
-    _check_chain_history(args, problem.history, chains.values())
+    chains = _chains(args, problem, tau, ("fixed", "smoothed", "erlang"))
     sol = fcrk4_solve(problem, h, quad=_quad_config(args))
     gamma_traj = np.asarray(sol.query(times), dtype=float)
     columns = {"gamma_dde": gamma_traj}
-    for variant, params in chains.items():
-        states, _ = analysis.chain_trajectory(problem, params, times, rtol)
-        columns[variant] = states[:, 0]
+    for variant, chain in chains.items():
+        columns[variant] = rk45_adaptive(chain.rhs, chain.y0, times, rtol)[:, 0]
     _write_csv(args.out, ["t", *columns], [times, *columns.values()])
     summary = {
         f"max_dev_{k}": float(np.max(np.abs(columns[k] - gamma_traj)))
@@ -501,7 +498,7 @@ _FLAGS = {
     "--h": dict(type=float, default=0.05, help="FCRK step"),
     "--h-list": dict(default="0.1,0.05,0.025,0.0125", help="comma-separated FCRK steps"),
     "--xi": dict(type=float, help="step coupling h_int^4 = xi h^4 (default (1/8)^4)"),
-    "--quad-step": dict(type=float, help="quadrature step h_int, overriding --xi"),
+    "--quad-step": dict(type=float, help="quadrature step h_int, in place of --xi"),
     "--rtol": dict(type=float, help=f"chain ODE relative tolerance (default {DEFAULT_RTOL:g})"),
     "--method": dict(default="fcrk4", choices=("fcrk4", "chain")),
     "--variant": dict(

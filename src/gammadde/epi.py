@@ -10,7 +10,8 @@ history constant(0) and x0 = eps (:func:`sir_dde`), which FCRK solves as
 it stands.  The likelihood runs on the :mod:`~gammadde.chain_reduction`
 of this DDE, with stage rates from a two-moment chain approximation of the
 Gamma(j, j/tau) infectious period: state (C, B_1..B_n), the infected in
-stage i are I_i = B_i' and the recovered R = r_n B_n.  Observations are
+stage i are I_i = B_i' and the recovered R = r_n B_n, checked and solved
+as :mod:`~gammadde.ode_solver` does every chain ODE.  Observations are
 daily case counts C_k ~ Poisson(M * (C(t_k) - C(t_{k-1}))) and serial
 intervals drawn from the stationary forward recurrence density
 survival(t)/tau.
@@ -28,7 +29,7 @@ from .approximations import ApproxConfig, chain_params
 from .chain_reduction import HistoryFunction
 from .distributions import GammaKernel, gamma_survival, sample_equilibrium_gamma
 from .fcrk import DdeProblem
-from .ode_solver import DEFAULT_RTOL, check_chain_stages, rk45_adaptive
+from .ode_solver import DEFAULT_RTOL, MAX_RATE, check_chain, rk45_adaptive
 
 
 #: Largest population scale M.  Expected case counts are M times a fraction
@@ -86,13 +87,6 @@ class EpiData:
         object.__setattr__(self, "serial", serial)
 
 
-#: Largest stage rate or transmission rate beta the chain ODE takes.  LSODA
-#: rejects rates from about 1e150 on as illegal input.  The largest rate in
-#: the tests is 166 and in the benchmark 209; the fitter's bounds keep the
-#: rates below 5,000.
-MAX_RATE = 1e120
-
-
 def sir_dde(params):
     """The SIR model's C-DDE C' = beta (1 - C) (C - C * g) over the
     observation window, g the Gamma(j, j/tau) density of the infectious
@@ -114,19 +108,13 @@ def build_sir_chain(params, rate_variant="fixed", approx_cfg=None):
     """Chain reduction of :func:`sir_dde`; state (C, B_1..B_n).
 
     The history C = 0 gives every compartment 0 at t = 0, and the head
-    starts at C(0) = eps.  Rates above ``MAX_RATE`` are refused, naming
-    the parameter that sets them, and so are chains above
-    ``ode_solver.MAX_CHAIN_STAGES`` stages.
+    starts at C(0) = eps.  A beta above ``ode_solver.MAX_RATE`` is
+    refused, and so is a chain that ``ode_solver.check_chain`` refuses.
     """
     if params.beta > MAX_RATE:
         raise ValueError(f"beta = {params.beta:g} is above the largest rate, {MAX_RATE:g}")
     chain = chain_params(rate_variant, params.j, params.tau, approx_cfg)
-    check_chain_stages(params.j, chain.n)
-    if max(chain.rates()) > MAX_RATE:
-        raise ValueError(
-            f"tau = {params.tau:g} at j = {params.j:g} gives a stage rate of "
-            f"{max(chain.rates()):.3g}, above the largest rate, {MAX_RATE:g}"
-        )
+    check_chain(params.j, params.tau, chain)
     return chain_system(sir_dde(params), chain)
 
 

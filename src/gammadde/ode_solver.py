@@ -1,7 +1,9 @@
 """Chain ODE integration on scipy's LSODA.
 
 Every chain ODE in the package (the SIR likelihood, the chain comparisons,
-the integer-shape Erlang references) is solved here.  LSODA switches
+the integer-shape Erlang references) takes one path: it is built by
+``analysis.chain_system``, refused by :func:`check_chain` if LSODA cannot
+take it, and solved here by :func:`rk45_adaptive`.  LSODA switches
 between Adams and BDF steps, so the stiff chains the two-moment
 constructions produce just above an integer shape cost little more than
 the others.  One knob, the relative tolerance ``rtol`` of
@@ -42,16 +44,28 @@ MAX_STEPS = 100_000
 #: tests (acceptance criterion 02's Erlang reference at j = 14) and 6 in the
 #: benchmark; the SIR fitter's bounds allow 13.
 MAX_CHAIN_STAGES = 200
+#: Largest stage rate, or SIR transmission rate beta, of a chain ODE.
+#: LSODA rejects rates from about 1e150 on as illegal input.  The largest
+#: rate in the tests is 166 and in the benchmark 209; the SIR fitter's
+#: bounds keep the rates below 5,000.
+MAX_RATE = 1e120
 _SUCCESS = "Integration successful."
 
 
-def check_chain_stages(j, n):
-    """Refuse a chain ODE of ``n`` stages for shape ``j`` above
-    ``MAX_CHAIN_STAGES``, before it is solved."""
-    if n > MAX_CHAIN_STAGES:
+def check_chain(j, tau, params):
+    """Refuse, before it is solved, the chain ``params`` of the gamma kernel
+    of shape ``j`` and mean ``tau`` if LSODA cannot take it: more than
+    ``MAX_CHAIN_STAGES`` stages, or a stage rate above ``MAX_RATE``."""
+    if params.n > MAX_CHAIN_STAGES:
         raise ValueError(
-            f"shape j = {j:g} takes a chain of {n} stages, above the "
+            f"shape j = {j:g} takes a chain of {params.n} stages, above the "
             f"{MAX_CHAIN_STAGES} that a chain ODE solve takes"
+        )
+    fastest = max(params.rates())
+    if fastest > MAX_RATE:
+        raise ValueError(
+            f"tau = {tau:g} at j = {j:g} gives a stage rate of "
+            f"{fastest:.3g}, above the largest rate, {MAX_RATE:g}"
         )
 
 

@@ -21,7 +21,7 @@ from gammadde.chain_reduction import (
     build_hypoexp_system,
     chain_initial_state,
 )
-from gammadde.analysis import chain_system, chain_trajectory, dde_problem
+from gammadde.analysis import chain_system, dde_problem
 from gammadde.distributions import GammaKernel, stage_generator
 from gammadde.fcrk import DdeProblem
 from gammadde.ode_solver import MAX_CHAIN_STAGES, OdeFailure, rk45_adaptive
@@ -58,6 +58,22 @@ def test_history_kinds():
     assert h(0.0) == 1.0
     with pytest.raises(ValueError, match="unknown history kind"):
         HistoryFunction(kind="bogus")(0.0)
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        (dict(kind="exponential", value=1.0, growth=math.nan), "growth rate must be finite"),
+        (dict(kind="exponential", growth=-math.inf), "growth rate must be finite"),
+        (dict(kind="custom"), "a custom history needs a callable fn, got None"),
+        (dict(kind="custom", fn=1.0), "a custom history needs a callable fn, got 1.0"),
+        (dict(kind="constant", value=1.0), "unknown history kind 'constant'"),
+    ],
+)
+def test_a_history_checks_its_fields_when_built(fields, named):
+    # Refused where the history is made, not at its first call or in a solve.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        HistoryFunction(**fields)
 
 
 def test_constant_history_inits():
@@ -109,26 +125,24 @@ def test_divergent_history_rejected():
         with pytest.raises(ValueError):
             chain_initial_state(HistoryFunction.exponential(1.0, -5.0), params)
         # A custom history is refused by its kind, whether or not it
-        # outgrows the chain, in the library and on the way to a solve.
+        # outgrows the chain, in the library and where a chain is built.
         with pytest.raises(ValueError, match="exponential"):
             chain_initial_state(HistoryFunction.custom(lambda s: np.exp(-5.0 * s)), params)
         with pytest.raises(ValueError, match="exponential"):
-            chain_trajectory(
-                _dde(lambda x, conv: -x + conv, HistoryFunction.custom(np.ones_like)),
-                params,
-                np.linspace(0.0, 1.0, 3),
+            chain_system(
+                _dde(lambda x, conv: -x + conv, HistoryFunction.custom(np.ones_like)), params
             )
 
 
 def test_a_chain_starting_after_0_is_refused_by_name():
     # A chain starts at t0 = 0; FCRK takes any t0.  Refused in the builder
-    # and on the way to a solve.
+    # and where any variant's chain is built.
     problem = _dde(lambda x, conv: -x + conv, HistoryFunction.constant(1.0), t0=1.5)
     named = "a chain starts at t0 = 0, not at t0 = 1.5"
     with pytest.raises(ValueError, match=re.escape(named)):
         build_hypoexp_system(problem, fixed_hypoexp(2.5, 1.0))
     with pytest.raises(ValueError, match=re.escape(named)):
-        chain_trajectory(problem, erlang_approx(2.5, 1.0), [1.5, 2.0])
+        chain_system(problem, erlang_approx(2.5, 1.0))
 
 
 def test_a_chain_of_another_mean_is_refused_by_name():

@@ -440,6 +440,11 @@ def test_exit_code_config_error(capsys):
         ["survival", "--jump-at", "2", "--delta", "inf"],
         ["survival", "--jump-at", "2", "--delta", "0"],
         ["survival", "--jump-at", "2", "--delta=-1e-6"],
+        # Stage rates LSODA cannot take in the other chain ODE solves,
+        # refused by name as in the epi commands.
+        ["solve", "--method", "chain", "--j", "2.5", "--tau", "1e-130", "--t-end", "1"],
+        ["compare", "--j", "2.5", "--tau", "1e-130", "--t-end", "1"],
+        ["convergence", "--j", "3", "--tau", "1e-130"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -507,6 +512,13 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
         # A horizon too short for the envelope fit, named with its peak count.
         (["stability", "--j", "2.5", "--tau", "1", "--alpha", "0.89", "--beta", "-1.15",
           "--t-end", "1"], "--t-end 1 cannot be fitted: need at least 4 envelope peaks, found 0"),
+        # Stage rates LSODA cannot take, in every chain ODE solve.
+        (["solve", "--method", "chain", "--j", "2.5", "--tau", "1e-130", "--t-end", "1"],
+         "tau = 1e-130 at j = 2.5 gives a stage rate of 6.63e+130"),
+        (["compare", "--j", "2.5", "--tau", "1e-130", "--t-end", "1"],
+         "tau = 1e-130 at j = 2.5 gives a stage rate of 6.63e+130"),
+        (["convergence", "--j", "3", "--tau", "1e-130"],
+         "tau = 1e-130 at j = 3 gives a stage rate of 3e+130"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
@@ -768,6 +780,8 @@ def test_exit_code_numerical_failure(capsys):
         (["survival", "--jump-at", "3", "--n-out", "7"], "--n-out is not read by survival --jump-at"),
         # Every case here is given --j 2.5.
         (["survival", "--jump-at", "3"], "--j is not read by survival --jump-at"),
+        (["solve", "--t-end", "1", "--xi", "1", "--quad-step", "0.01"],
+         "--xi is not read with --quad-step"),
     ],
 )
 def test_flag_the_mode_does_not_read_is_refused(argv, message, tmp_path, capsys):
@@ -974,3 +988,37 @@ def test_an_empty_serial_table_is_its_header(tmp_path, capsys):
             "--cases", str(tmp_path / "cases.csv"), "--serial", str(serial)]
     assert run_cli(capsys, *argv)[0] == 0
     assert serial.read_text() == "interval\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mgf-order", "--j", "1.5"], ["survival", "--j", "2.5", "--n-out", "3"]],
+    ids=["json", "table"],
+)
+def test_an_empty_out_path_is_refused_by_every_command(argv, tmp_path, monkeypatch, capsys):
+    # "" names no file and is not stdout: a JSON command and a table command
+    # both fail to open it, before anything is printed.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, *argv, "--out", "")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--j", "201"], "j = 201 takes a chain of 201 stages"),
+        (["--j", "2.5", "--tau", "1e-130"], "tau = 1e-130"),
+        (["--j", "2.5", "--history", "exp:1:-2.4"], "--history exp:1:-2.4"),
+    ],
+    ids=["stages", "rate", "history"],
+)
+def test_compare_refuses_a_chain_before_the_fcrk_solve(argv, named, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("fcrk4_solve ran before the chains were refused")
+
+    monkeypatch.setattr(cli, "fcrk4_solve", no_solve)
+    code, stdout, err = run_cli(capsys, "compare", "--t-end", "0.5", *argv)
+    assert code == 2 and stdout == ""
+    assert named in err

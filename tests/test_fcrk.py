@@ -14,6 +14,7 @@ from gammadde.approximations import erlang_approx
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import GammaKernel
 from gammadde.fcrk import DdeProblem, fcrk4_solve
+from gammadde.ode_solver import rk45_adaptive
 from gammadde.quadrature import QuadConfig
 
 XI = (1 / 8) ** 4
@@ -619,8 +620,8 @@ def test_fcrk_matches_the_erlang_chain_at_integer_shape(
     prob, _ = analysis.dde_problem(name, j, tau, history=hist, t_end=3.0, **coefficients)
     prob = dataclasses.replace(prob, x0=x0)
     times = np.linspace(0.0, 3.0, 101)
-    states, _ = analysis.chain_trajectory(prob, erlang_approx(j, tau), times)
-    exact = states[:, 0]
+    chain = analysis.chain_system(prob, erlang_approx(j, tau))
+    exact = rk45_adaptive(chain.rhs, chain.y0, times)[:, 0]
     err = np.max(np.abs(fcrk4_solve(prob, 0.05).query(times) - exact))
     assert err <= 16 * CRITERION_01_ERROR_AT_H005 * max(1.0, np.max(np.abs(exact)))
 
@@ -638,7 +639,8 @@ def test_fcrk_keeps_the_far_tail_of_a_history_growing_into_the_past(j, f):
     prob = analysis.dde_problem("linear", j, t_end=5.0,
                                 history=HistoryFunction.exponential(1.0, -f * j))[0]
     times = np.linspace(0.0, 5.0, 101)
-    exact = analysis.chain_trajectory(prob, erlang_approx(j, 1.0), times)[0][:, 0]
+    chain = analysis.chain_system(prob, erlang_approx(j, 1.0))
+    exact = rk45_adaptive(chain.rhs, chain.y0, times)[:, 0]
     err = np.max(np.abs(fcrk4_solve(prob, 0.05).query(times) - exact))
     assert err <= 2e-3 * np.max(np.abs(exact))
 

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from gammadde import analysis, ode_solver
-from gammadde.approximations import erlang_approx
+from gammadde.approximations import erlang_approx, fixed_hypoexp
 from gammadde.chain_reduction import build_erlang_system
 from gammadde.epi import FIT_APPROX_CFG, SirParams, build_sir_chain, simulate_incidence
-from gammadde.ode_solver import OdeFailure, rk45_adaptive
+from gammadde.ode_solver import MAX_RATE, OdeFailure, check_chain, rk45_adaptive
 
 
 def test_rk45_decay_tight_tolerance():
@@ -95,6 +95,16 @@ def test_config_validation():
     for bad in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError, match="rtol must be positive and finite"):
             rk45_adaptive(lambda t, y: -y, 1.0, [1.0], rtol=bad)
+
+
+def test_check_chain_holds_both_budgets():
+    # Each budget lets its bound through and refuses, by name, what is over it.
+    check_chain(200, 1.0, erlang_approx(200, 1.0))
+    with pytest.raises(ValueError, match="j = 200.5 takes a chain of 201 stages"):
+        check_chain(200.5, 1.0, fixed_hypoexp(200.5, 1.0))
+    check_chain(1, 2 / MAX_RATE, erlang_approx(1, 2 / MAX_RATE))
+    with pytest.raises(ValueError, match="tau = 5e-121 at j = 1 gives a stage rate of 2e"):
+        check_chain(1, 5e-121, erlang_approx(1, 5e-121))
 
 
 # ---------------------------------------------------------------------------
