@@ -132,30 +132,37 @@ def dde_problem(name, j, tau=None, *, alpha=None, beta=None, history=None, t_end
     default, or ``"eigen"`` (``linear_gamma`` with alpha = -a only).  The
     reference maps times to exact solution values: the closed form where one
     holds, otherwise at integer j the exact Erlang chain of the problem
-    itself, otherwise it is None.  The chain is built, checked and solved
-    when the reference is called, at the default rtol 1e-10: LSODA receives
-    rtol 1e-13 and atol 1e-15.
+    itself (an :class:`ErlangReference`), otherwise it is None.
     """
     tau = default_tau(name) if tau is None else tau
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     kernel = GammaKernel(shape=j, rate=j / tau)
-    rhs, history, closed = _PROBLEMS[name][1](j, tau, alpha, beta, history)
+    rhs, history, reference = _PROBLEMS[name][1](j, tau, alpha, beta, history)
     problem = DdeProblem(rhs=rhs, kernel=kernel, history=history, t0=0.0, t_end=t_end)
-    if closed is not None:
-        return problem, closed
-    if not float(j).is_integer():
-        return problem, None
+    if reference is None and float(j).is_integer():
+        reference = ErlangReference(problem, j, tau)
+    return problem, reference
 
-    def chain_reference(t):
-        params = approx.erlang_approx(int(j), tau)
-        check_chain(j, tau, params)
-        chain = chain_system(problem, params)
+
+class ErlangReference:
+    """The exact solution of ``problem`` at integer shape j: its Erlang chain,
+    solved when called at the default rtol (LSODA receives rtol 1e-13 and
+    atol 1e-15).  :meth:`chain` builds and checks the chain alone."""
+
+    def __init__(self, problem, j, tau):
+        self.problem, self.j, self.tau = problem, j, tau
+
+    def chain(self):
+        params = approx.erlang_approx(int(self.j), self.tau)
+        check_chain(self.j, self.tau, params)
+        return chain_system(self.problem, params)
+
+    def __call__(self, t):
+        chain = self.chain()
         t_arr = np.asarray(t, dtype=float)
         states = rk45_adaptive(chain.rhs, chain.y0, np.atleast_1d(t_arr))
         return states[:, 0].reshape(t_arr.shape) if t_arr.ndim else float(states[0, 0])
-
-    return problem, chain_reference
 
 
 def chain_system(problem, params):

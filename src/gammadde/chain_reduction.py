@@ -45,23 +45,24 @@ class HistoryFunction:
     """Prescribed solution values on (-inf, t0); the solution's value at t0
     is the problem's x0, by default the history's own value there.
 
-    Two kinds: ``exponential`` (c * exp(rho s), rho finite; ``constant(c)``
-    is the one with rho = 0) and ``custom`` (any vectorized callable
-    ``fn``).  Custom histories are for FCRK only: a chain refuses them.
+    One form, psi(s) = m(s) e^(rho s), rho = ``growth`` finite: m is the
+    constant ``value`` c when ``fn`` is None (``exponential(c, rho)``), else
+    the vectorized callable ``fn`` (``custom(fn, growth)``, no ``value``).
+    FCRK folds e^(rho s) into its quadrature factors and reads m alone
+    (:meth:`amplitude`).  Custom histories are for FCRK only.
     """
 
-    kind: str
     value: float = 0.0
     growth: float = 0.0
     fn: object = None
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "custom"):
-            raise ValueError(f"unknown history kind {self.kind!r}")
         if not np.isfinite(self.growth):
             raise ValueError(f"growth rate must be finite, got {self.growth}")
-        if self.kind == "custom" and not callable(self.fn):
+        if self.fn is not None and not callable(self.fn):
             raise ValueError(f"a custom history needs a callable fn, got {self.fn!r}")
+        if self.fn is not None and self.value != 0.0:
+            raise ValueError(f"a custom history takes no value, got {self.value!r}")
 
     @classmethod
     def constant(cls, c):
@@ -69,21 +70,30 @@ class HistoryFunction:
 
     @classmethod
     def exponential(cls, c, rho):
-        return cls(kind="exponential", value=float(c), growth=float(rho))
+        return cls(value=float(c), growth=float(rho))
 
     @classmethod
-    def custom(cls, fn):
-        return cls(kind="custom", fn=fn)
+    def custom(cls, fn, growth=0.0):
+        if fn is None:
+            raise ValueError("a custom history needs a callable fn, got None")
+        return cls(growth=float(growth), fn=fn)
+
+    def amplitude(self, times):
+        """m at the array ``times``, one value per time: c, or ``fn(times)``
+        with one returned number broadcast; any other shape is refused."""
+        vals = np.asarray(self.value if self.fn is None else self.fn(times), dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(times.shape, float(vals))
+        if vals.shape != times.shape:
+            raise ValueError(f"history must return one value per time, got shape {vals.shape}")
+        return vals
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        if self.kind == "exponential" and self.growth == 0.0:
-            # Not c e^(0 s): at s = -inf that is c * nan.
-            out = np.full(s_arr.shape, self.value)
-        elif self.kind == "exponential":
-            out = self.value * np.exp(self.growth * s_arr)
-        else:
-            out = np.asarray(self.fn(s_arr), dtype=float)
+        out = self.amplitude(s_arr)
+        # Not m e^(0 s) at rho = 0: at s = -inf that is m * nan.
+        if self.growth:
+            out = out * np.exp(self.growth * s_arr)
         return out if out.ndim else float(out)
 
 
@@ -121,11 +131,8 @@ def chain_initial_state(history, params):
     """Compartment initial values at t = 0, in closed form, for an
     exponential history.  The integrals diverge unless the history grows
     into the past more slowly than the chain's slowest stage decays."""
-    if history.kind != "exponential":
-        raise ValueError(
-            f"a chain needs an exponential history, not a {history.kind} one; "
-            "fcrk4_solve solves the DDE from a custom history"
-        )
+    if history.fn is not None:
+        raise ValueError("a chain needs an exponential history; fcrk4_solve takes a custom one")
     rho = history.growth
     r = np.asarray(params.rates(), dtype=float)
     slowest = r.min()

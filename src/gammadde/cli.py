@@ -229,8 +229,10 @@ def cmd_convergence(args):
             "with these flags: see the README for when convergence has one"
         )
     times = np.linspace(0.0, t_end, 1001)
-    # The solves come first: they refuse bad quadrature settings and
-    # oversized work before the reference, a chain solve at integer j, runs.
+    # An Erlang chain reference is checked before the solves, which refuse
+    # bad settings and oversized work before it is solved.
+    if isinstance(reference, analysis.ErlangReference):
+        reference.chain()
     quad = _quad_config(args)
     values = [fcrk4_solve(problem, h, quad=quad).query(times) for h in h_list]
     ref_values = reference(times)

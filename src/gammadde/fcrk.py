@@ -30,15 +30,15 @@ compute: its tail cut reads only the history and the steps finished before
 the block (:func:`_tails`).  So the solver builds the plans of a block of
 steps at once, before the first of them runs.  A plan's nodes in the
 history and in the steps finished before the block read x through the
-history and the step interpolants, and sum to one value per plan; an
-exponential history c e^(rho s) is read in log space instead, with rho s
-in the factors' exponent (see :func:`~gammadde.quadrature.plan_nodes`),
-so far in the past the kernel weight's underflow and e^(rho s)'s overflow
-do not meet.  Its nodes in each of the block's own steps reduce to the
-moments ``sum f theta^(0..3)``, which form one table.  A step contracts
-its plans' rows of that table with the contiguous ``poly`` rows of the
-block's completed steps, and its stages contract the running step's
-moments with their rows' coefficients.
+history and the step interpolants, and sum to one value per plan; a
+history m(s) e^(rho s) is read in log space, with rho s in the factors'
+exponent (see :func:`~gammadde.quadrature.plan_nodes`), so far in the past
+the kernel weight's underflow and e^(rho s)'s overflow do not meet, and
+the factors multiply m alone.  Its nodes in each of the block's own steps
+reduce to the moments ``sum f theta^(0..3)``, which form one table.  A
+step contracts its plans' rows of that table with the contiguous ``poly``
+rows of the block's completed steps, and its stages contract the running
+step's moments with their rows' coefficients.
 """
 
 import math
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain_reduction import HistoryFunction
 from .quadrature import QuadConfig, convolution_integral, plan_nodes, plan_panels, tail_start
 
 
@@ -74,12 +75,13 @@ class DdeProblem:
     """x'(t) = rhs(x(t), conv(t)) for a real x, with conv the gamma-kernel
     convolution of x over (0, inf), x = history on (-inf, t0) and x(t0) =
     x0; x0 = None is the history's value at t0, read when a solve starts.
-    Given an array of times, the history returns one value per time.  FCRK
-    solves the problem, and the chain reduction solves it on a chain."""
+    The history is a :class:`~gammadde.chain_reduction.HistoryFunction`;
+    a bare callable is refused.  FCRK solves the problem, and the chain
+    reduction solves it on a chain."""
 
     rhs: callable
     kernel: object
-    history: object
+    history: HistoryFunction
     t0: float
     t_end: float
     x0: float = None
@@ -89,21 +91,14 @@ class DdeProblem:
             raise ValueError(f"t0 and t_end must be finite, got {self.t0}, {self.t_end}")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
+        if not isinstance(self.history, HistoryFunction):
+            raise TypeError(f"a {type(self.history).__name__} history is not a HistoryFunction")
 
     def initial_value(self):
         """x(t0): ``x0``, or the history's value at t0 when it is None."""
         if self.x0 is None:
-            return _history_values(self.history, np.array([self.t0]))[0]
+            return self.history(np.array([self.t0]))[0]
         return float(self.x0)
-
-
-def _history_values(history, times):
-    vals = np.asarray(history(times), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(len(times), float(vals))
-    if vals.shape != times.shape:
-        raise ValueError(f"history must return one value per time, got shape {vals.shape}")
-    return vals
 
 
 class Solution:
@@ -163,7 +158,7 @@ class Solution:
         out = np.empty(t_arr.size)
         hist = t_arr < self.t0
         if hist.any():
-            out[hist] = _history_values(self.history, t_arr[hist])
+            out[hist] = self.history(t_arr[hist])
         out[~hist] = self._interp(*self._place(t_arr[~hist], self.n_steps - 1))
         return out if np.ndim(t) else out[0]
 
@@ -195,27 +190,17 @@ def _log(value):
     return math.log(value) if value > 0.0 else -math.inf
 
 
-def _exponential(history):
-    """Whether ``history`` is c e^(rho s) (a constant one has rho = 0)."""
-    return getattr(history, "kind", None) == "exponential"
-
-
-def _growth(history):
-    """The rate rho an exponential history folds into the history-side
-    factors of its plans (see :func:`plan_nodes`); 0 for a custom one."""
-    return history.growth if _exponential(history) else 0.0
-
-
 def _tails(sol, kernel, times, n0):
     """Per plan at ``times``, the lag beyond which its nodes are dropped
-    (see :func:`plan_nodes`), or None for a custom history, which keeps
-    every node.  The dropped history part of a plan, bounded through the
-    history c e^(rho s) itself, and its dropped part in steps before step
-    n0, bounded through their largest sum of |poly| coefficients, are each
-    at most TAIL_TOLERANCE / 2 times the largest |x| up to x[n0].
+    (see :func:`plan_nodes`), or None for a custom history, whose m nothing
+    bounds: it keeps every node.  The dropped history part of a plan,
+    bounded through the history c e^(rho s) itself, and its dropped part in
+    steps before step n0, bounded through their largest sum of |poly|
+    coefficients, are each at most TAIL_TOLERANCE / 2 times the largest |x|
+    up to x[n0].
     """
     history = sol.history
-    if not _exponential(history):
+    if history.fn is not None:
         return None
     x_max, poly_max = sol._sizes(n0)
     log_share = _log(TAIL_TOLERANCE / 2.0 * x_max)
@@ -239,15 +224,15 @@ def _plan_sums(plan, values, plans):
 
 
 def _history_sums(history, factor, s, counts):
-    """Per plan, the sum of the history-side terms ``factor * history(s)``.
-    An exponential history c e^(rho s) is never called: its factors carry
-    e^(rho s) already (see :func:`_growth`), so the terms are factor * c.
-    A custom one is called once, at the nodes whose factor is nonzero."""
+    """Per plan, the sum of the history-side terms ``factor * m(s)``, the
+    factors carrying e^(rho s) (see :func:`plan_nodes`).  An exponential
+    history is never called: its m is c.  A custom one's m is read once, at
+    the nodes whose factor is nonzero."""
     plan = np.repeat(np.arange(len(counts)), counts)
-    if _exponential(history):
+    if history.fn is None:
         return _plan_sums(plan, factor * history.value, len(counts))
     live = np.flatnonzero(factor)
-    vals = _history_values(history, s[live]) * factor[live]
+    vals = history.amplitude(s[live]) * factor[live]
     return _plan_sums(plan[live], vals, len(counts))
 
 
@@ -277,7 +262,7 @@ class _PlanBlock:
         times[0::2] += 0.5 * h
         times[1::2] += h
         sides = plan_nodes(
-            times, kernel, quad, h, sol.t0, _tails(sol, kernel, times, n0), _growth(sol.history)
+            times, kernel, quad, h, sol.t0, _tails(sol, kernel, times, n0), sol.history.growth
         )
         self.values = _history_sums(sol.history, *next(sides))
         factor, s, counts = next(sides)
@@ -336,7 +321,7 @@ def fcrk4_solve(problem, h, quad=None):
     if not 0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got {h}")
     history = problem.history
-    if _growth(history) <= -problem.kernel.rate:
+    if history.growth <= -problem.kernel.rate:
         raise ValueError(
             f"history grows into the past at rate {-history.growth}, not "
             f"slower than the kernel decays ({problem.kernel.rate}): the "
@@ -380,22 +365,17 @@ def fcrk4_solve(problem, h, quad=None):
         return rhs(*(offset[r] + reader[r] @ row))
 
     # Every node of the plan at t0 lies in the history, whose growth its
-    # factors carry, so it reads an exponential history as its constant c.
-    # Stage 0 reads its convolution as a numpy scalar, like every other
-    # stage.
-    if _exponential(history):
-        accessor = lambda times: np.full(len(times), history.value)
-    else:
-        accessor = lambda times: _history_values(history, times)
+    # factors carry, so it reads the history's m alone.  Stage 0 reads its
+    # convolution as a numpy scalar, like every other stage.
     conv_start = np.float64(convolution_integral(
         problem.t0,
-        accessor,
+        history.amplitude,
         problem.kernel,
         quad,
         h,
         problem.t0,
         tail=_tails(sol, problem.kernel, np.array([problem.t0]), 0),
-        growth=_growth(history),
+        growth=history.growth,
     ))
     block_end = 0
     # An overflowing history or solution is reported by the stage check,

@@ -22,9 +22,9 @@ of time.
 
 A quadrature *plan* is the set of nodes of one convolution: per node, the
 factor (rule weight times kernel weight) that multiplies the solution, and
-the time where the solution is read.  For a history c e^(rho s) the
+the time where the solution is read.  For a history m(s) e^(rho s) the
 history-side factors may carry e^(rho s) as well, added in log space, so
-that only c remains to be read there.  It depends on the kernel, the
+that only m remains to be read there.  It depends on the kernel, the
 quadrature configuration, the solver step, t0 and the time of the
 convolution, and on the solution only through the tail cut below, so
 :func:`plan_nodes` builds the plans of many times at once;
@@ -45,7 +45,7 @@ the integral over the skipped panels; the rule's sum over them is of the
 same size, since the integrand only grows towards the cut there.
 :func:`tail_start` inverts the bounds through the Chernoff bound
 Q(j, x) <= (e x / j)^j e^(-x), x >= j, so no special function is needed.
-Nothing is known of a custom history, so its plans keep every panel.
+Nothing is known of a custom history's m, so its plans keep every panel.
 """
 
 import math
@@ -142,27 +142,28 @@ def _log_weight(omega, kernel, alpha, beta, growth=0.0):
 
     Computed in log space: the factor underflows to zero at both endpoints
     instead of overflowing through the 1/omega pole.  ``growth`` > -a, so
-    the exponent still falls to -inf where sigma overflows.
+    the exponent still falls to -inf where sigma overflows, and it is set to
+    -inf, the factor's limit, at a node that underflows to omega = 0.
     """
     j, a = kernel.shape, kernel.rate
     log_c = (
         math.log(beta) + beta * j * math.log(alpha) + j * math.log(a) - math.lgamma(j)
     )
-    big_l = np.log(omega)
-    np.negative(big_l, out=big_l)
-    sigma = alpha * big_l
     # At a small shape beta is large, and sigma overflows where the weight
-    # underflows to zero anyway.
-    with np.errstate(over="ignore"):
+    # underflows to zero anyway; at omega = 0 the exponent is inf - inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        big_l = np.log(omega)
+        np.negative(big_l, out=big_l)
+        sigma = alpha * big_l
         sigma **= beta
-    # log_c + (beta j - 1) log L - (a + growth) sigma + L, without
-    # temporaries.
-    with np.errstate(divide="ignore"):
+        # log_c + (beta j - 1) log L - (a + growth) sigma + L, without
+        # temporaries.
         out = np.log(big_l)
-    out *= beta * j - 1.0
-    out += log_c
-    out -= (a + growth) * sigma
-    out += big_l
+        out *= beta * j - 1.0
+        out += log_c
+        out -= (a + growth) * sigma
+        out += big_l
+    out[omega == 0.0] = -np.inf
     return out, sigma
 
 
@@ -249,12 +250,12 @@ def plan_nodes(times, kernel, cfg, h, t0, tail=None, growth=0.0):
     first has been taken, so a caller that reduces the history side before
     asking for the next never holds both.
 
-    ``growth``, the rate rho of a history c e^(rho s) (greater than -a),
+    ``growth``, the rate rho of a history m(s) e^(rho s) (greater than -a),
     folds e^(rho s) into the factors of the history side: their sum over a
-    plan, times c, is that side's value.  It is added to the kernel
-    weight's log before the one exponential, so a node where the weight
-    underflows and e^(rho s) overflows keeps its finite product.  At the
-    default 0 the factors are the rule's own.
+    plan, each times m at its node, is that side's value.  It is added to
+    the kernel weight's log before the one exponential, so a node where the
+    weight underflows and e^(rho s) overflows keeps its finite product.  At
+    the default 0 the factors are the rule's own.
 
     ``tail``, if given, holds per plan a lag s_min (``inf`` for none): the
     panels of either side whose nodes all lie beyond it are not built, and
@@ -290,7 +291,7 @@ def convolution_integral(t, accessor, kernel, cfg, h, t0, tail=None, growth=0.0)
     with the ascending times of the nodes whose factor is nonzero, and
     returns one value per time.  With a ``growth`` rho the history-side
     factors carry e^(rho s), so there the accessor returns x(s) e^(-rho s):
-    for a history c e^(rho s), just c.
+    for a history m(s) e^(rho s), just m(s).
     """
     (past_f, past_s, _), (recent_f, recent_s, _) = plan_nodes(
         [t], kernel, cfg, h, t0, tail, growth

@@ -48,32 +48,44 @@ def _partial_fraction_density(rates, t):
 
 
 def test_history_kinds():
+    # One form, m(s) e^(rho s): m is c without fn, fn(s) with it.
     h = HistoryFunction.constant(0.5)
     assert h(-3.0) == 0.5
     assert np.array_equal(h(np.array([-1.0, 0.0])), [0.5, 0.5])
-    assert h == HistoryFunction.exponential(0.5, 0.0)
+    assert h == HistoryFunction.exponential(0.5, 0.0) == HistoryFunction(value=0.5)
     h = HistoryFunction.exponential(0.1, 0.1)
     assert h(-2.0) == pytest.approx(0.1 * math.exp(-0.2), rel=1e-15)
+    assert np.array_equal(h.amplitude(np.array([-2.0, 0.0])), [0.1, 0.1])
     h = HistoryFunction.custom(lambda s: np.cos(s))
     assert h(0.0) == 1.0
-    with pytest.raises(ValueError, match="unknown history kind"):
-        HistoryFunction(kind="bogus")(0.0)
+    h = HistoryFunction.custom(np.cos, growth=-0.5)
+    assert h(-2.0) == pytest.approx(math.cos(-2.0) * math.exp(1.0), rel=1e-15)
+    assert np.array_equal(h.amplitude(np.array([-2.0])), [math.cos(-2.0)])
 
 
 @pytest.mark.parametrize(
     "fields, named",
     [
-        (dict(kind="exponential", value=1.0, growth=math.nan), "growth rate must be finite"),
-        (dict(kind="exponential", growth=-math.inf), "growth rate must be finite"),
-        (dict(kind="custom"), "a custom history needs a callable fn, got None"),
-        (dict(kind="custom", fn=1.0), "a custom history needs a callable fn, got 1.0"),
-        (dict(kind="constant", value=1.0), "unknown history kind 'constant'"),
+        (dict(value=1.0, growth=math.nan), "growth rate must be finite"),
+        (dict(growth=-math.inf), "growth rate must be finite"),
+        (dict(fn=1.0), "a custom history needs a callable fn, got 1.0"),
+        (dict(fn="cos"), "a custom history needs a callable fn, got 'cos'"),
+        # A value beside fn would be accepted and then ignored.
+        (dict(value=2.0, fn=np.cos), "a custom history takes no value, got 2.0"),
+        (dict(fn=np.cos, growth=math.nan), "growth rate must be finite"),
     ],
 )
 def test_a_history_checks_its_fields_when_built(fields, named):
     # Refused where the history is made, not at its first call or in a solve.
     with pytest.raises(ValueError, match=re.escape(named)):
         HistoryFunction(**fields)
+
+
+@pytest.mark.parametrize("fn", [None, 1.0], ids=["none", "number"])
+def test_a_custom_history_needs_a_callable(fn):
+    # custom(None) is not the zero history, nor custom(1.0) a constant one.
+    with pytest.raises(ValueError, match=re.escape(f"needs a callable fn, got {fn!r}")):
+        HistoryFunction.custom(fn)
 
 
 def test_constant_history_inits():

@@ -406,8 +406,9 @@ def test_exit_code_config_error(capsys):
         ["compare", "--j", "2.5", "--t-end", "1", "--rtol", "nan"],
         # (j/tau)^j of the eigenfunction's growth rate overflows.
         ["solve", "--problem", "linear_gamma", "--j", "1e100", "--beta", "0.5", "--t-end", "1"],
-        # A quadrature step of 0, refused before the reference (a 1000-stage
-        # Erlang chain, over 5 s of LSODA) is solved.
+        # A quadrature step of 0 with a 1000-stage Erlang chain reference
+        # (over 5 s of LSODA): the chain is refused by the stage budget
+        # before any solve.
         ["convergence", "--j", "1000", "--t-end", "0.5", "--quad-step", "0"],
         # Over the FCRK step budget, refused before the solution is allocated.
         ["stability", "--j", "2.5", "--alpha", "0.89", "--beta", "-1.15", "--t-end", "1e13",
@@ -445,6 +446,13 @@ def test_exit_code_config_error(capsys):
         ["solve", "--method", "chain", "--j", "2.5", "--tau", "1e-130", "--t-end", "1"],
         ["compare", "--j", "2.5", "--tau", "1e-130", "--t-end", "1"],
         ["convergence", "--j", "3", "--tau", "1e-130"],
+        # Stage rates LSODA fails on (6.6e14, 7.8e11 and 3e11), refused
+        # before the solve.
+        ["solve", "--method", "chain", "--j", "2.5", "--tau", "1e-14"],
+        ["compare", "--j", "2.5", "--t-end", "1", "--tau", "1e-14"],
+        ["epi", "loglik", "--cases", "{tmp}/cases.csv", "--serial", "{tmp}/serial.csv",
+         "--j", "2.5", "--tau", "1e-11"],
+        ["convergence", "--j", "3", "--t-end", "1", "--tau", "1e-11"],
     ],
 )
 def test_exit_code_bad_input(argv, tmp_path, capsys):
@@ -519,6 +527,14 @@ def test_exit_code_bad_input(argv, tmp_path, capsys):
          "tau = 1e-130 at j = 2.5 gives a stage rate of 6.63e+130"),
         (["convergence", "--j", "3", "--tau", "1e-130"],
          "tau = 1e-130 at j = 3 gives a stage rate of 3e+130"),
+        (["solve", "--method", "chain", "--j", "2.5", "--tau", "1e-14"],
+         "tau = 1e-14 at j = 2.5 gives a stage rate of 6.63e+14, above the largest rate, 1e+06"),
+        (["compare", "--j", "2.5", "--t-end", "1", "--tau", "1e-14"],
+         "tau = 1e-14 at j = 2.5 gives a stage rate of 6.63e+14"),
+        (["epi", "loglik", "--j", "2.5", "--tau", "1e-11"],
+         "tau = 1e-11 at j = 2.5 gives a stage rate of 7.76e+11"),
+        (["convergence", "--j", "3", "--t-end", "1", "--tau", "1e-11"],
+         "tau = 1e-11 at j = 3 gives a stage rate of 3e+11"),
     ],
 )
 def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
@@ -530,6 +546,22 @@ def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert named in err
+
+
+def test_fcrk_solves_a_delay_whose_past_piece_is_subnormal(tmp_path, capsys):
+    # At t = 0.6125 the image of t0 is 5e-324: a quadrature node underflows
+    # to omega = 0 and gets factor 0, the weight's limit there.  x' = -0.3 x
+    # is the vanishing-delay limit.
+    out = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            capsys, "solve", "--j", "3", "--tau", "1e-9", "--t-end", "10", "--h", "0.025",
+            "--out", str(out),
+        )
+    assert code == 0 and err == ""
+    final = float(out.read_text().strip().split("\n")[-1].split(",")[1])
+    assert final == pytest.approx(np.exp(-3.0), rel=1e-6)
 
 
 def test_fcrk_solves_a_history_that_outgrows_the_chains(tmp_path, capsys):
@@ -1022,3 +1054,30 @@ def test_compare_refuses_a_chain_before_the_fcrk_solve(argv, named, monkeypatch,
     code, stdout, err = run_cli(capsys, "compare", "--t-end", "0.5", *argv)
     assert code == 2 and stdout == ""
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--j", "201"], "j = 201 takes a chain of 201 stages"),
+        (["--j", "2000"], "a chain takes 1 to 1000 stages"),
+        (["--j", "3", "--tau", "1e-130"], "tau = 1e-130"),
+    ],
+    ids=["stages", "erlang", "rate"],
+)
+def test_convergence_refuses_its_reference_chain_before_the_fcrk_solves(
+    argv, named, tmp_path, monkeypatch, capsys
+):
+    # convergence refuses its exact Erlang chain reference before any of its
+    # solves; solve --method fcrk4 reads no chain and takes these flags.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("fcrk4_solve ran before the reference chain was refused")
+
+    monkeypatch.setattr(cli, "fcrk4_solve", no_solve)
+    code, stdout, err = run_cli(capsys, "convergence", "--t-end", "0.5", *argv)
+    assert code == 2 and stdout == ""
+    assert named in err
+    monkeypatch.undo()
+    out = str(tmp_path / "x.csv")
+    code, _, err = run_cli(capsys, "solve", "--t-end", "0.5", *argv, "--out", out)
+    assert code == 0, err

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gammadde import fcrk, quadrature
-from gammadde.approximations import VARIANTS
+from gammadde.approximations import VARIANTS, chain_params
 from gammadde.chain_reduction import HistoryFunction
 from gammadde.distributions import Rng
 from gammadde.epi import (
     DEFAULT_BOUNDS,
+    FIT_APPROX_CFG,
     MAX_POPULATION,
     EpiData,
     SirParams,
@@ -28,7 +29,7 @@ from gammadde.epi import (
 )
 from gammadde.epi import _poisson_loglik
 from gammadde.fcrk import fcrk4_solve
-from gammadde.ode_solver import rk45_adaptive
+from gammadde.ode_solver import DEFAULT_RTOL, MAX_RATE, rk45_adaptive
 
 TRUTH = SirParams(beta=0.5, tau=5.0, j=4.0, eps=1e-3, M=1000.0)
 
@@ -342,3 +343,19 @@ def test_log_likelihood_edges(data, outcome):
     else:
         assert serial_density(params.j, params.tau, np.array(data.serial[-1:]))[0] == 0.0
         assert log_likelihood(params, data) == outcome
+
+
+@pytest.mark.parametrize("j", [1.3, 2.5, 6.3, 13.0])
+def test_the_sir_chain_solves_at_the_largest_rate(j):
+    # MAX_RATE sits under every LSODA failure measured (beta from 3.0e6,
+    # stage rates from 1.6e8): with beta and the fastest stage rate both at
+    # the bound, the fixed chain and the fitter's chain at its rtol solve.
+    # Just above it, beta is refused by name.
+    for variant, cfg, rtol in (
+        ("fixed", None, DEFAULT_RTOL), ("smoothed_regularized", FIT_APPROX_CFG, 1e-8)
+    ):
+        tau = 1.001 * max(chain_params(variant, j, 1.0, cfg).rates()) / MAX_RATE
+        params = SirParams(beta=MAX_RATE, tau=tau, j=j, eps=1e-3, M=1000.0)
+        assert np.isfinite(simulate_incidence(params, variant, cfg, rtol)).all()
+    with pytest.raises(ValueError, match="beta = 1.5e\\+06 is above the largest rate, 1e\\+06"):
+        build_sir_chain(replace(params, beta=1.5 * MAX_RATE))

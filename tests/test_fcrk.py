@@ -534,10 +534,12 @@ def test_linear_in_the_history(block_nodes, h1, h2, c1, c2, alpha, beta, j, tau)
 
 
 def _rescaled_history(history, k):
-    """The history s -> history(s / k), exponential where history is."""
-    if history.kind == "exponential":
-        return HistoryFunction.exponential(history.value, history.growth / k)
-    return HistoryFunction.custom(lambda s: history(s / k))
+    """The history s -> history(s / k): m(s / k) e^((rho / k) s), exponential
+    where history is."""
+    fn = history.fn
+    return dataclasses.replace(
+        history, growth=history.growth / k, fn=None if fn is None else lambda s: fn(s / k)
+    )
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -645,15 +647,52 @@ def test_fcrk_keeps_the_far_tail_of_a_history_growing_into_the_past(j, f):
     assert err <= 2e-3 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("j", [1.3, 2.57, 3.0])
+@pytest.mark.parametrize("f", [0.99, 0.999])
+def test_a_custom_history_that_states_its_growth_keeps_its_far_tail(j, f):
+    # psi(s) = e^(rho s) with rho = -f a, given as m = 1 and growth rho: its
+    # plans carry e^(rho s) in log space as an exponential history's do,
+    # and the solve matches the exponential one (gaps 0 to 6.7e-18 of max
+    # |x|).  Read as the plain callable e^(rho s) it misses by 1.6e-2 to
+    # 0.96, or stops at step 0 (j = 1.3).
+    prob = analysis.dde_problem("linear", j, t_end=5.0,
+                                history=HistoryFunction.exponential(1.0, -f * j))[0]
+    exact = fcrk4_solve(prob, 0.05).x
+    custom = HistoryFunction.custom(np.ones_like, growth=-f * j)
+    assert _gap(fcrk4_solve(dataclasses.replace(prob, history=custom), 0.05).x, exact) <= 1e-15
+
+
+@pytest.mark.parametrize("c, rho", [(1.5, 0.0), (-0.7, 0.8), (2.0, -1.2)])
+def test_a_custom_constant_m_is_the_exponential_history(c, rho):
+    # fn = c with growth rho is c e^(rho s): the same values before t0, and
+    # after it the same solve up to the exponential one's certified tail cut.
+    prob = _problem(lambda x, conv: 0.8 * x - 1.1 * conv, j=2.57, t_end=3.0,
+                    history=HistoryFunction.exponential(c, rho))
+    custom = dataclasses.replace(prob, history=HistoryFunction.custom(lambda s: c, growth=rho))
+    exact, sol = fcrk4_solve(prob, 0.05), fcrk4_solve(custom, 0.05)
+    past = np.linspace(-40.0, -1e-3, 201)
+    assert np.array_equal(sol.query(past), exact.query(past))
+    times = np.linspace(0.0, 3.0, 201)
+    assert _gap(sol.query(times), exact.query(times)) <= 1e-15
+
+
+def test_a_problem_takes_a_history_function_only():
+    # A bare callable has no growth to fold into the plans: refused by name
+    # where the problem is made.
+    with pytest.raises(TypeError, match="a function history is not a HistoryFunction"):
+        _problem(lambda x, conv: -x, history=lambda s: np.ones_like(s))
+
+
 def test_plans_never_call_an_exponential_history(monkeypatch):
-    # An exponential history's growth is in its plans' factors, so the solve
-    # reads it once, for x0 = psi(t0), and not at all when x0 is given.  A
-    # custom history is read by every plan block.
+    # An exponential history's growth is in its plans' factors and its m is
+    # c, so the solve calls it once, for x0 = psi(t0), and not at all when
+    # x0 is given.  A custom copy's fn, the same history, is called by every
+    # plan block.
     call = HistoryFunction.__call__
     calls = []
 
     def counted(self, s):
-        calls.append(self.kind)
+        calls.append(self)
         return call(self, s)
 
     monkeypatch.setattr(HistoryFunction, "__call__", counted)
@@ -662,12 +701,12 @@ def test_plans_never_call_an_exponential_history(monkeypatch):
         prob = _problem(rhs, j=2.0, t_end=2.0, history=hist)
         calls.clear()
         fcrk4_solve(prob, 0.05)
-        assert calls == ["exponential"]
+        assert calls == [hist]
         calls.clear()
         fcrk4_solve(dataclasses.replace(prob, x0=1.0), 0.05)
         assert calls == []
         fcrk4_solve(dataclasses.replace(prob, x0=1.0, history=_custom(hist)), 0.05)
-        assert calls.count("custom") > 1
+        assert len(calls) > 1
 
 
 def _custom(history):

@@ -11,6 +11,7 @@ from gammadde.quadrature import (
     _open_simpson_grid,
     _transform_params,
     convolution_integral,
+    plan_nodes,
 )
 
 
@@ -154,3 +155,21 @@ def test_convolution_history_overflow_is_masked():
     )
     expected = math.exp(-0.194 * 5.0) * (0.984 / (0.984 - 0.194)) ** 3.7
     assert val == pytest.approx(expected, rel=1e-6)
+
+
+def test_a_node_at_omega_0_gets_factor_0():
+    # At mean delay 1e-9 (j = 3) the image of t0 from t = 0.6125 is 5e-324,
+    # so the past piece's one panel puts its first node at omega = 0, where
+    # the weight's log is inf - inf.  Its limit there is 0.
+    kern = GammaKernel(3.0, 3e9)
+    alpha, beta = _transform_params(kern)
+    assert np.exp(-(0.6125 ** (1.0 / beta)) / alpha) == 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (past_f, _, past_counts), (recent_f, _, _) = plan_nodes(
+            [0.6125], kern, QuadConfig(), 0.025, 0.0
+        )
+    assert past_counts.tolist() == [3]
+    assert np.isfinite(past_f).all() and np.isfinite(recent_f).all()
+    assert past_f[0] == 0.0
+    assert recent_f.sum() == pytest.approx(1.0, rel=1e-6)
