@@ -15,7 +15,8 @@ K0, the trapezoid from (K0, K1), and Simpson's cubic from K0 and the two
 stages of the sweep before it.  Stage 1 reads the Euler row at theta = 1,
 stages 2 and 3 the trapezoid row at theta = 1/2 and 1, stages 4 and 5
 the Simpson row over (K0, K2, K3) at theta = 1/2 and 1; the Simpson row
-over (K0, K4, K5) is the step interpolant b(theta).
+over (K0, K4, K5) is the step interpolant b(theta).  One product reads a
+sweep's row at both abscissae.
 
 Every step interpolant and stage row is a cubic in theta, kept in one
 format: its coefficients in powers (1, theta, theta^2, theta^3).  The
@@ -37,8 +38,9 @@ the kernel weight's underflow and e^(rho s)'s overflow do not meet, and
 the factors multiply m alone.  Its nodes in each of the block's own steps
 reduce to the moments ``sum f theta^(0..3)``, which form one table.  A
 step contracts its plans' rows of that table with the contiguous ``poly``
-rows of the block's completed steps, and its stages contract the running
-step's moments with their rows' coefficients.
+rows of the block's completed steps, and one product of a sweep's row with
+the powers of theta at 1/2 and 1 and the running step's moments gives the
+values and convolutions of the sweep's two stages.
 """
 
 import math
@@ -178,6 +180,15 @@ BLOCK_NODES = 32768
 #: 1,600 (stability at h = 0.05 over [0, 80]); at the budget the solution's
 #: step coefficients take 32 MB.
 MAX_STEPS = 1_000_000
+#: Most quadrature nodes one solve may build, bounded by 6 (panels + 1)
+#: per step: two plans of at most 3 (panels + 1) nodes each.  A solve costs
+#: 42-65 ns per bounding node (at h = 1e-4 and 1e-3, default quadrature, on
+#: a 2-vCPU machine), so the budget is about a minute of work.  It admits
+#: MAX_STEPS steps at h = 0.0125 (160 panels) with the default quadrature,
+#: and is 100 times the largest solve in the tests (acceptance criterion 03
+#: at h = 0.005, 2,000 steps of 800 panels: 9.6e6 nodes) and 1,300 times
+#: the largest in the benchmark (7.7e5).
+MAX_NODES = 1e9
 
 
 #: Most a plan may drop of its convolution in the kernel's tail, relative to
@@ -307,10 +318,11 @@ def fcrk4_solve(problem, h, quad=None):
     interpolants, and its own row over the current step.
     One plan serves each distinct abscissa: stages 1, 3 and 5 share the
     plan at t_n + h, stages 2 and 4 the plan at t_n + h/2.  A sweep
-    matrix turns h times the earlier stages' slopes into a stage's cubic
-    row, and one product of that row with the powers of theta at the
-    stage's abscissa and its plan's moments gives the stage's value and
-    convolution.  The plan at t_n + h contracted with the
+    matrix turns h times the earlier stages' slopes into a cubic row, and
+    one product of that row with the powers of theta at 1/2 and 1 and the
+    two plans' moments reads it at both abscissae: the values and
+    convolutions of the sweep's two stages (the Euler row is read at
+    theta = 1 alone).  The plan at t_n + h contracted with the
     finished step's coefficients is stage 0's convolution in the next step,
     so a solve uses ``2 n_steps + 1`` plans: the one at t0, which reads the
     history only, and two per step, built in blocks of steps
@@ -330,10 +342,8 @@ def fcrk4_solve(problem, h, quad=None):
     quad = quad or QuadConfig()
     # Each of a block's two plans per step takes at most 3 (panels + 1)
     # nodes, and its table of k steps 2k x 4k entries.
-    block_steps = max(
-        1,
-        min(BLOCK_NODES // (6 * (plan_panels(quad, h) + 1)), math.isqrt(BLOCK_NODES // 16)),
-    )
+    step_nodes = 6 * (plan_panels(quad, h) + 1)
+    block_steps = max(1, min(BLOCK_NODES // step_nodes, math.isqrt(BLOCK_NODES // 16)))
     span = problem.t_end - problem.t0
     # Checked in floating point, before the count is made an integer and
     # before the solution is allocated.
@@ -346,23 +356,33 @@ def fcrk4_solve(problem, h, quad=None):
     if abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
         n_steps = math.ceil(span / h - 1e-12)
     n_steps = max(n_steps, 1)
+    if n_steps * step_nodes > MAX_NODES:
+        raise ValueError(
+            f"a solve over {span:.6g} at step {h:.6g} and quadrature step "
+            f"{quad.step(h):.3g} builds up to {n_steps * step_nodes:.3g} quadrature nodes, "
+            f"above the budget of {MAX_NODES:.3g}: raise the step or the quadrature step, "
+            "or shorten the horizon"
+        )
 
     sol = Solution(history, problem.t0, h, n_steps)
     sol.x[0] = problem.initial_value()
     poly = sol.poly
 
     euler, trapezoid, simpson = h * EULER, h * TRAPEZOID, h * SIMPSON
-    # A stage reads its row at theta = 1/2 (r = 0) or theta = 1 (r = 1):
-    # its value and convolution are offset[r] + reader[r] @ row, from the
-    # powers at theta and the running step's plan values and moments.
-    reader = np.empty((2, 2, 4))
-    reader[:, 0] = _POWERS
-    offset = np.zeros((2, 2))
+    # One product reads a sweep's row at both abscissae: offset + reader @
+    # row is the value and convolution at theta = 1/2, then at theta = 1,
+    # from the powers at theta and the running step's plan values and
+    # moments.  It unpacks to four numpy scalars.  The Euler row is read at
+    # theta = 1 alone, through the last two rows.
+    reader = np.empty((4, 4))
+    reader[0::2] = _POWERS
+    offset = np.zeros(4)
+    reader_end, offset_end = reader[2:], offset[2:]
+    # The slopes of the two Simpson sweeps: K0 with the two stages of the
+    # sweep before each.
+    simpson_first, simpson_last = np.array([0, 2, 3]), np.array([0, 4, 5])
     k = np.empty(6)
     rhs = problem.rhs
-
-    def stage(r, row):
-        return rhs(*(offset[r] + reader[r] @ row))
 
     # Every node of the plan at t0 lies in the history, whose growth its
     # factors carry, so it reads the history's m alone.  Stage 0 reads its
@@ -378,6 +398,7 @@ def fcrk4_solve(problem, h, quad=None):
         growth=history.growth,
     ))
     block_end = 0
+    x_n = sol.x[0]
     # An overflowing history or solution is reported by the stage check,
     # with its step and stage, instead of by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -386,21 +407,22 @@ def fcrk4_solve(problem, h, quad=None):
                 block_end = min(n + block_steps, n_steps)
                 block = _PlanBlock(sol, problem.kernel, quad, n, block_end)
             values, moments = block.plans(poly, n)
-            offset[:, 1], reader[:, 1] = values, moments
-            x_n = sol.x[n]
+            offset[1::2], reader[1::2] = values, moments
             k[0] = rhs(x_n, conv_start)
-            k[1] = stage(1, _row(euler, x_n, k[:1]))
-            row = _row(trapezoid, x_n, k[:2])
-            k[2], k[3] = stage(0, row), stage(1, row)
-            row = _row(simpson, x_n, k[[0, 2, 3]])
-            k[4], k[5] = stage(0, row), stage(1, row)
-            if not np.isfinite(k).all():
+            k[1] = rhs(*(offset_end + reader_end @ _row(euler, x_n, k[:1])))
+            x_mid, conv_mid, x_end, conv_end = offset + reader @ _row(trapezoid, x_n, k[:2])
+            k[2], k[3] = rhs(x_mid, conv_mid), rhs(x_end, conv_end)
+            x_mid, conv_mid, x_end, conv_end = offset + reader @ _row(
+                simpson, x_n, k.take(simpson_first)
+            )
+            k[4], k[5] = rhs(x_mid, conv_mid), rhs(x_end, conv_end)
+            if not all(map(math.isfinite, k.tolist())):
                 raise FloatingPointError(
                     f"non-finite stage value at step {n}, stage {np.isfinite(k).argmin()}"
                 )
-            poly[n] = _row(simpson, x_n, k[[0, 4, 5]])
+            row = poly[n] = _row(simpson, x_n, k.take(simpson_last))
             # The interpolant at theta = 1, summed as Solution.query sums it.
-            sol.x[n + 1] = poly[n, 0] + (poly[n, 1] + (poly[n, 2] + poly[n, 3]))
-            conv_start = values[1] + moments[1] @ poly[n]
+            x_n = sol.x[n + 1] = row[0] + (row[1] + (row[2] + row[3]))
+            conv_start = values[1] + moments[1] @ row
 
     return sol

@@ -1,12 +1,11 @@
 import json
-import re
-import shlex
+import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import readme_outputs
 from gammadde import cli
 from gammadde.cli import build_parser, main
 from gammadde.distributions import Rng
@@ -297,16 +296,20 @@ def test_flag_the_command_does_not_read_is_rejected(argv, tmp_path, capsys):
 
 def test_readme_commands_parse():
     # Every gamma-dde command in README.md's code blocks names only flags
-    # its command takes; the usage line <...> is not a command.
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    commands = []
-    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.S | re.M):
-        for line in block.replace("\\\n", " ").splitlines():
-            if line.startswith("gamma-dde ") and "<" not in line:
-                commands.append(shlex.split(line)[1:])
+    # its command takes.
+    commands = readme_outputs.readme_commands()
     assert len(commands) >= 17
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_readme_examples_match_the_record(tmp_path):
+    # Every README example, run in README order, exits and writes as
+    # tests/readme_outputs.json records; regenerate it with
+    # tests/readme_outputs.py when a change moves the numbers on purpose.
+    recorded = json.loads(readme_outputs.RECORD.read_text())
+    assert len(recorded) == 17
+    assert readme_outputs.mismatches(recorded, readme_outputs.run_examples(tmp_path)) == []
 
 
 def test_exit_code_config_error(capsys):
@@ -546,6 +549,19 @@ def test_refusal_names_its_cause(argv, named, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert named in err
+
+
+def test_a_solve_over_the_node_budget_exits_2_at_once(capsys):
+    # 900,000 steps of 200,000 panels would take about nine hours; every
+    # flag is in range and the output grid is under MAX_ROWS.
+    start = time.perf_counter()
+    code, stdout, err = run_cli(capsys, "solve", "--j", "2.5", "--h", "1e-5", "--t-end", "9")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and stdout == ""
+    assert (
+        "a solve over 9 at step 1e-05 and quadrature step 1.25e-06 builds up to 1.08e+12 "
+        "quadrature nodes, above the budget of 1e+09" in err
+    )
 
 
 def test_fcrk_solves_a_delay_whose_past_piece_is_subnormal(tmp_path, capsys):

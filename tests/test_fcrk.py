@@ -251,6 +251,24 @@ def test_overflow_in_the_rhs_is_named_by_step_and_stage():
             fcrk4_solve(prob, 0.1)
 
 
+@pytest.mark.parametrize("x0", [None, 0.5])
+def test_the_rhs_receives_numpy_scalars_at_every_stage(x0):
+    # All six stages of every step, stage 0 included, hand the rhs x and
+    # conv as numpy float64 scalars, over three plan blocks and whether x0
+    # is the history's value or a Python float: the overflow test above
+    # relies on it, since x**3 of a Python float raises OverflowError.
+    seen = []
+
+    def rhs(x, conv):
+        seen.append((type(x), type(conv)))
+        return -x + conv
+
+    prob = dataclasses.replace(_problem(rhs, j=2.5, t_end=10.0), x0=x0)
+    sol = fcrk4_solve(prob, 0.1)
+    assert len(seen) == 6 * sol.n_steps == 600
+    assert set(seen) == {(np.float64, np.float64)}
+
+
 def test_bad_step_rejected():
     for h in (-0.1, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="step size"):
@@ -375,10 +393,12 @@ def test_plans_wholly_in_the_history():
     assert np.allclose(sol.x, 1.0, rtol=0.0, atol=1e-7)
 
 
-@pytest.mark.parametrize("t_end, h", [(1e12, 1.0), (1.0, 5e-324)])
+@pytest.mark.parametrize("t_end, h", [(1e12, 1.0), (1.0, 5e-324), (9.0, 1e-5)])
 def test_step_budget_checked_before_allocation(t_end, h):
     # 1e12 steps would take 32 TB of step coefficients; at h = 5e-324 the
-    # step count overflows a float.
+    # step count overflows a float.  At h = 1e-5 each plan takes 200,000
+    # panels, so 900,000 steps over [0, 9] bound 1.1e12 quadrature nodes,
+    # about nine hours of work, under every budget but MAX_NODES.
     prob = _problem(lambda x, conv: -x + conv, j=2.5, t_end=t_end)
     tracemalloc.start()
     try:
@@ -388,6 +408,30 @@ def test_step_budget_checked_before_allocation(t_end, h):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_node_budget_bounds_six_panels_plus_one_per_step(monkeypatch):
+    # Ten steps at h = 0.1 take plans of 20 panels: 10 x 6 x 21 = 1,260
+    # bounding nodes, admitted at a budget of exactly that and refused one
+    # node below it.
+    prob = _problem(lambda x, conv: -x + conv, j=2.5)
+    monkeypatch.setattr(fcrk, "MAX_NODES", 1260)
+    assert fcrk4_solve(prob, 0.1).n_steps == 10
+    monkeypatch.setattr(fcrk, "MAX_NODES", 1259)
+    with pytest.raises(ValueError, match=r"1\.26e\+03 quadrature nodes"):
+        fcrk4_solve(prob, 0.1)
+
+
+def test_node_budget_keeps_its_margin_over_the_largest_solves():
+    # Criterion 03's floor, 2,000 steps at h = 0.005 and xi = (1/16)^4, is
+    # the largest solve in the tests, and 800 steps at h = 0.0125 the
+    # largest in the benchmark; MAX_STEPS steps at h = 0.0125 fit too.
+    def nodes(steps, h, quad):
+        return steps * 6 * (quadrature.plan_panels(quad, h) + 1)
+
+    assert nodes(2000, 0.005, QuadConfig(xi=(1 / 16) ** 4)) * 100 <= fcrk.MAX_NODES
+    assert nodes(800, 0.0125, QuadConfig()) * 1000 <= fcrk.MAX_NODES
+    assert nodes(fcrk.MAX_STEPS, 0.0125, QuadConfig()) <= fcrk.MAX_NODES
 
 
 @pytest.mark.parametrize(
